@@ -14,10 +14,10 @@ so overflow is impossible).  Three routes compute the count:
 
 * :func:`weighted_count_oracle` - brute-force point classification over
   the bounding box (vectorized with numpy); ground truth only.
-* column sums - one floor term per lattice column (``fast=False``).
-* a Euclidean floor-sum recursion with logarithmic cost per call
-  (``fast=True``, the default) - this is what makes exhaustive scans
-  over thousands of determinants tractable.
+* column sums - one floor term per lattice column; a test reference.
+* a Euclidean floor-sum recursion with logarithmic cost per call, used
+  by :func:`weighted_count` - this is what makes exhaustive scans over
+  thousands of determinants tractable.
 
 The apex (pr, qr/p) is never a lattice point when gcd(q, p) = 1 and
 r < p, and the open hypotenuse carries no lattice points either; both
@@ -36,6 +36,7 @@ import numpy as np
 from .errors import DomainError, InternalError
 
 __all__ = [
+    "validate_knot",
     "floor_sum",
     "weighted_count_oracle",
     "weighted_count",
@@ -77,6 +78,13 @@ def _validate(p: int, q: int, r: int) -> None:
         raise DomainError(f"need gcd(q, p) = 1, got q={q}, p={p}")
     if not 1 <= r <= p - 1:
         raise DomainError(f"need 1 <= r <= p-1, got r={r}, p={p}")
+
+
+def validate_knot(p: int, q: int) -> None:
+    """Require the knot p^2/q: odd p >= 3, 0 < q < p^2 and gcd(q, p) = 1."""
+    if p < 3 or p % 2 == 0:
+        raise DomainError(f"need odd p >= 3, got {p}")
+    _validate(p, q, 1)
 
 
 def _oracle_quarters(p: int, q: int, r: int) -> int:
@@ -148,14 +156,14 @@ def weighted_count_oracle(p: int, q: int, r: int) -> int:
     return _oracle_quarters(p, q, r)
 
 
-def weighted_count(p: int, q: int, r: int, fast: bool = True) -> int:
+def weighted_count(p: int, q: int, r: int) -> int:
     """Weighted lattice-point count of the triangle, in quarter units.
 
-    ``fast=True`` uses the floor-sum recursion, ``fast=False`` the column
-    loop; both agree exactly with :func:`weighted_count_oracle`.
+    Uses the floor-sum recursion; the column loop and
+    :func:`weighted_count_oracle` agree with it exactly.
     """
     _validate(p, q, r)
-    quarters, hyp, apex = (_floorsum_quarters if fast else _column_quarters)(p, q, r)
+    quarters, hyp, apex = _floorsum_quarters(p, q, r)
     if hyp or apex:
         raise InternalError(
             f"lattice point on hypotenuse/apex for p={p}, q={q}, r={r}: "
@@ -166,7 +174,7 @@ def weighted_count(p: int, q: int, r: int, fast: bool = True) -> int:
 
 def sigma(p: int, q: int, r: int) -> int:
     """4 * (area - weighted count).  Exact: 2*q*r^2 - quarters, an integer."""
-    return 2 * q * r * r - weighted_count(p, q, r)
+    return SigmaTerm.of(q, r, weighted_count(p, q, r)).sigma
 
 
 @dataclass(frozen=True)
@@ -177,6 +185,12 @@ class SigmaTerm:
     area_halves: int
     quarters: int
     sigma: int
+
+    @classmethod
+    def of(cls, q: int, r: int, quarters: int) -> "SigmaTerm":
+        """The term at r from the weighted count of the triangle, in quarters."""
+        area_halves = q * r * r
+        return cls(r, area_halves, quarters, 2 * area_halves - quarters)
 
     def to_json_dict(self) -> dict:
         return {
@@ -214,17 +228,13 @@ def cg_condition(p: int, q: int, early_exit: bool = False) -> SigmaReport:
     must be odd and >= 3.  With ``early_exit`` the loop stops at the
     first failing r (the scan default); reports use the full range.
     """
-    if p < 3 or p % 2 == 0:
-        raise DomainError(f"need odd p >= 3, got {p}")
-    _validate(p, q, 1)
+    validate_knot(p, q)
     terms = []
     first_failure = None
     for r in range(1, p):
-        quarters = weighted_count(p, q, r)
-        area_halves = q * r * r
-        s = 2 * area_halves - quarters
-        terms.append(SigmaTerm(r, area_halves, quarters, s))
-        if s not in (-1, 1) and first_failure is None:
+        term = SigmaTerm.of(q, r, weighted_count(p, q, r))
+        terms.append(term)
+        if term.sigma not in (-1, 1) and first_failure is None:
             first_failure = r
             if early_exit:
                 break

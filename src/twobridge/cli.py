@@ -13,10 +13,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 from math import isqrt
 
 from . import enumeration, families
-from .casson_gordon import cg_condition, weighted_count
+from .casson_gordon import SigmaTerm, cg_condition, weighted_count
 from .conway import cf_eval, cf_expand, parse_fraction, parse_word
 from .errors import DomainError, InternalError
 
@@ -106,25 +107,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_sigma(args) -> int:
     rs = [args.r] if args.r is not None else range(1, args.p)
-    terms = []
-    for r in rs:
-        quarters = weighted_count(args.p, args.q, r)
-        area_halves = args.q * r * r
-        terms.append((r, area_halves, quarters, 2 * area_halves - quarters))
+    terms = [SigmaTerm.of(args.q, r, weighted_count(args.p, args.q, r)) for r in rs]
     if args.format == "json":
-        _print_json(
-            {
-                "p": args.p,
-                "q": args.q,
-                "terms": [
-                    {"r": r, "area": f"{ah}/2", "int": f"{qt}/4", "sigma": s}
-                    for r, ah, qt, s in terms
-                ],
-            }
-        )
+        _print_json({"p": args.p, "q": args.q, "terms": [t.to_json_dict() for t in terms]})
     else:
-        for r, ah, qt, s in terms:
-            print(f"r={r} area={_halves_str(ah)} int={_quarters_str(qt)} sigma={s}")
+        for t in terms:
+            print(
+                f"r={t.r} area={_halves_str(t.area_halves)} "
+                f"int={_quarters_str(t.quarters)} sigma={t.sigma}"
+            )
     return 0
 
 
@@ -143,7 +134,7 @@ def _cmd_cg_check(args) -> int:
 def _resolve_pq(args) -> tuple[int, int]:
     if args.det:
         det = args.p
-        p = isqrt(det)
+        p = isqrt(det) if det > 0 else 0
         if p * p != det or det % 2 == 0:
             raise DomainError(f"determinant {det} is not an odd perfect square")
         return p, args.q
@@ -248,9 +239,10 @@ def _cmd_table(args) -> int:
 
 def _cmd_scan(args) -> int:
     jobs = args.jobs if args.jobs is not None else enumeration.default_jobs()
+    start = time.perf_counter()
 
     def progress(rec):
-        print(f"scan: p={rec.p} done", file=sys.stderr)
+        print(f"scan: p={rec.p} done at {time.perf_counter() - start:.1f} s", file=sys.stderr)
 
     records = enumeration.conjecture_scan(
         args.min_p,
@@ -261,6 +253,12 @@ def _cmd_scan(args) -> int:
         progress=progress,
     )
     candidates = [(rec.p, q) for rec in records for q in rec.non_family]
+    print(
+        f"scan: {sum(rec.q_tested for rec in records)} knots tested, "
+        f"{sum(len(rec.cg_passing) for rec in records)} pass the obstruction, "
+        f"{len(candidates)} outside the families",
+        file=sys.stderr,
+    )
     if args.format == "json":
         for rec in records:
             print(rec.to_json_line())

@@ -220,8 +220,8 @@ def _load_checkpoint(path: str, p_min: int, p_max: int) -> dict[int, ScanRecord]
                     continue
                 try:
                     rec = ScanRecord.from_json_line(line)
-                except (json.JSONDecodeError, KeyError, ValueError):
-                    break  # truncated tail from an interrupted write
+                except (KeyError, TypeError, ValueError):
+                    break  # truncated tail from an interrupted write, or not a record
                 if p_min <= rec.p <= p_max:
                     records.setdefault(rec.p, rec)
     except FileNotFoundError:

@@ -29,6 +29,7 @@ from functools import lru_cache
 from math import gcd
 from typing import Iterator, Mapping, Sequence
 
+from .casson_gordon import validate_knot
 from .conway import (
     BridgeFraction,
     ConwayWord,
@@ -116,46 +117,26 @@ class ConditionMatch:
         return f"{self.condition}({'+' if self.sign > 0 else '-'},n={self.n}{tail})"
 
 
-def _validate_pq(p: int, q: int) -> None:
-    if p < 3 or p % 2 == 0:
-        raise DomainError(f"need odd p >= 3, got {p}")
-    if not 0 < q < p * p:
-        raise DomainError(f"need 0 < q < p^2, got q={q}")
-    if gcd(q, p) != 1:
-        raise DomainError(f"need gcd(q, p) = 1, got q={q}, p={p}")
-
-
 def family_conditions(p: int, q: int) -> list[ConditionMatch]:
     """All conditions i..iv satisfied by q itself (no orbit closure)."""
-    _validate_pq(p, q)
+    validate_knot(p, q)
     matches = []
-    for cond in ("i", "ii", "iii", "iv"):
-        for sign in (1, -1):
-            if cond == "i":
-                t = q - sign
-                if t > 0 and t % p == 0:
-                    n = t // p
-                    if gcd(n, p) == 1:
-                        matches.append(ConditionMatch("i", sign, n, q_rep=q))
-            elif cond == "ii":
-                base = p + sign
-                if q % base == 0:
-                    n = q // base
-                    if (2 * p - sign) % n == 0:
-                        matches.append(ConditionMatch("ii", sign, n, q_rep=q))
-            elif cond == "iii":
-                base = p + sign
-                if q % base == 0:
-                    n = q // base
-                    if base % n == 0 and n % 2 == 1:
-                        matches.append(ConditionMatch("iii", sign, n, q_rep=q))
-            else:
-                base = 2 * p + sign
-                if q % base == 0:
-                    n = q // base
-                    t = p - sign
-                    if t % n == 0 and (t // n) % 2 == 1:
-                        matches.append(ConditionMatch("iv", sign, n, d=t // n, q_rep=q))
+    for sign in (1, -1):  # i) q = n*p +- 1 with gcd(n, p) = 1
+        n, rem = divmod(q - sign, p)
+        if n > 0 and rem == 0 and gcd(n, p) == 1:
+            matches.append(ConditionMatch("i", sign, n, q_rep=q))
+    for sign in (1, -1):  # ii) q = n*(p +- 1) with n | 2p -+ 1
+        n, rem = divmod(q, p + sign)
+        if rem == 0 and (2 * p - sign) % n == 0:
+            matches.append(ConditionMatch("ii", sign, n, q_rep=q))
+    for sign in (1, -1):  # iii) q = n*(p +- 1) with n | p +- 1, n odd
+        n, rem = divmod(q, p + sign)
+        if rem == 0 and (p + sign) % n == 0 and n % 2 == 1:
+            matches.append(ConditionMatch("iii", sign, n, q_rep=q))
+    for sign in (1, -1):  # iv) q = n*(2p +- 1) with d*n = p -+ 1, d odd
+        n, rem = divmod(q, 2 * p + sign)
+        if rem == 0 and (p - sign) % n == 0 and (p - sign) // n % 2 == 1:
+            matches.append(ConditionMatch("iv", sign, n, d=(p - sign) // n, q_rep=q))
     return matches
 
 
@@ -223,7 +204,7 @@ def is_family_member(p: int, q: int, family_lookup: bool = True) -> FamilyMember
     enough, the generator families containing the class are resolved by
     lookup against generator-enumerated classes.
     """
-    _validate_pq(p, q)
+    validate_knot(p, q)
     matches = _orbit_matches(p, q)
     member = bool(matches)
     partial = _partial_from_matches(p, matches) if member else None
@@ -247,7 +228,7 @@ def partial_knot(p: int, q: int) -> KnotClass:
     knot class up to mirror (checked; violation raises InternalError).
     Non-members are a domain error.
     """
-    _validate_pq(p, q)
+    validate_knot(p, q)
     matches = _orbit_matches(p, q)
     if not matches:
         raise DomainError(f"{p * p}/{q} is not in the known ribbon families")
@@ -256,7 +237,7 @@ def partial_knot(p: int, q: int) -> KnotClass:
 
 def partial_fractions(p: int, q: int) -> list[BridgeFraction]:
     """The raw partial fractions p/(n mod p), one per matched condition."""
-    _validate_pq(p, q)
+    validate_knot(p, q)
     return [normalize(p, m.n % p) for m in _orbit_matches(p, q)]
 
 

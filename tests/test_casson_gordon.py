@@ -111,8 +111,8 @@ def test_three_paths_agree_small_exhaustive():
                 continue
             for r in range(1, p):
                 a = _oracle_quarters(p, q, r)
-                b = weighted_count(p, q, r, fast=False)
-                c = weighted_count(p, q, r, fast=True)
+                b = _column_quarters(p, q, r)[0]
+                c = weighted_count(p, q, r)
                 assert a == b == c, (p, q, r)
 
 
@@ -122,8 +122,8 @@ def test_three_paths_agree_property(pqr):
     p, q, r = pqr
     assert (
         weighted_count_oracle(p, q, r)
-        == weighted_count(p, q, r, fast=False)
-        == weighted_count(p, q, r, fast=True)
+        == _column_quarters(p, q, r)[0]
+        == weighted_count(p, q, r)
     )
 
 

@@ -1,6 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
 
 from twobridge.cli import execute
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 def run(capsys, argv):
@@ -77,6 +85,10 @@ def test_member_det_flag(capsys):
     assert code == 0 and json.loads(out)["member"] is True
     code, _, err = run(capsys, ["member", "--det", "24", "5"])
     assert code == 2 and "odd perfect square" in err
+    code, _, err = run(capsys, ["member", "--det", "-9", "1"])
+    assert code == 2 and "odd perfect square" in err
+    code, _, err = run(capsys, ["partial", "--det", "-25", "2"])
+    assert code == 2 and "odd perfect square" in err
 
 
 def test_member_non_member(capsys):
@@ -143,7 +155,28 @@ def test_scan_json_lines(capsys):
     recs = [json.loads(line) for line in out.splitlines()]
     assert [r["p"] for r in recs] == [3, 5, 7, 9]
     assert all(r["non_family"] == [] for r in recs)
-    assert "scan: p=3 done" in err  # progress goes to the error stream
+    lines = err.splitlines()  # progress goes to the error stream
+    assert [line.split(" done at ")[0] for line in lines[:-1]] == [
+        f"scan: p={p}" for p in (3, 5, 7, 9)
+    ]
+    assert lines[-1] == "scan: 33 knots tested, 12 pass the obstruction, 0 outside the families"
+
+
+@pytest.mark.parametrize("p, q", [(11, 46), (5, 2)])  # a passing and a failing knot
+def test_sigma_terms_equal_cg_check_terms(capsys, p, q):
+    _, sigma_out, _ = run(capsys, ["sigma", str(p), str(q), "--format", "json"])
+    _, check_out, _ = run(capsys, ["cg-check", str(p), str(q), "--format", "json"])
+    assert json.loads(sigma_out)["terms"] == json.loads(check_out)["terms"]
+
+
+def test_python_dash_m_runs_the_cli():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    cmd = [sys.executable, "-m", "twobridge"]
+    done = subprocess.run(cmd + ["eval", "C(2,1,3)"], capture_output=True, text=True, env=env)
+    assert done.returncode == 0 and done.stdout == "11/4\n"
+    done = subprocess.run(cmd + ["bogus"], capture_output=True, text=True, env=env)
+    assert done.returncode == 2
 
 
 def test_scan_text_summary(capsys):

@@ -195,6 +195,16 @@ def test_scan_resume_is_byte_identical(tmp_path):
     assert resumed_path.read_bytes() == full_bytes
 
 
+@pytest.mark.parametrize("tail", [b"3\n", b"[1, 2]\n"])
+def test_scan_resume_stops_at_a_non_record_line(tmp_path, tail):
+    path = tmp_path / "ck.jsonl"
+    recs = conjecture_scan(3, 11, checkpoint=str(path))
+    full_bytes = path.read_bytes()
+    path.write_bytes(full_bytes + tail)
+    assert conjecture_scan(3, 11, checkpoint=str(path)) == recs
+    assert path.read_bytes() == full_bytes
+
+
 def test_scan_checkpoint_io_error(tmp_path):
     with pytest.raises(DomainError):
         conjecture_scan(3, 5, checkpoint=str(tmp_path / "no" / "dir" / "ck.jsonl"))
