@@ -24,6 +24,29 @@ r < p, and the open hypotenuse carries no lattice points either; both
 branches are still implemented (weights 1/4 and 1/2) and their
 occurrence under validated preconditions raises :class:`InternalError`,
 so the kernel stays correct if the preconditions are ever relaxed.
+
+The scan uses a batched route, :func:`cg_survivors`: it validates p and
+every q once, then runs the same floor-sum recursion elementwise in
+numpy over all q still alive, in rounds over r (blocks of width 1, 1, 2,
+4, ...), dropping the q that fail after each round and capping each
+kernel call at about 2^18 elements.  Every intermediate of the recursion
+and of the sigma formula stays below 2 p^4, so int64 is exact while
+p^4 < 2^62, that is p <= INT64_MAX_P = 46340; above that the same code
+runs on ``dtype=object`` arrays of Python ints.
+
+The rounds stop at r = (p-1)/2 because sigma(p, q, r) = sigma(p, q, p-r).
+With N = p^2 and the sawtooth ((t)) = t - floor(t) - 1/2, the count
+above gives
+
+    sigma(p, q, r) = 4 * sum_{x=1}^{pr-1} ((q x / N)) + 2 ((q r / p)),
+
+no argument being an integer.  Since ((-t)) = -((t)) and the sum over
+x = 1..N-1 vanishes, substituting x -> N - x turns the sum for p - r
+into the sum for r plus ((q r / p)), while ((q (p-r) / p)) = -((q r / p));
+the two changes cancel.  This is the conjugate-character symmetry of the
+Casson-Gordon signatures (chi^(p-r) is the conjugate of chi^r); for
+sawtooth sums see Rademacher and Grosswald, *Dedekind Sums* (1972).
+The tests check it exhaustively for p <= 41.
 """
 
 from __future__ import annotations
@@ -42,6 +65,10 @@ __all__ = [
     "weighted_count",
     "sigma",
     "cg_condition",
+    "cg_survivors",
+    "INT64_MAX_P",
+    "exact_dtype",
+    "coprime_mask",
     "SigmaTerm",
     "SigmaReport",
 ]
@@ -239,3 +266,124 @@ def cg_condition(p: int, q: int, early_exit: bool = False) -> SigmaReport:
             if early_exit:
                 break
     return SigmaReport(p, q, tuple(terms), first_failure is None, first_failure)
+
+
+# p^4 < 2^62 bounds every kernel intermediate (at most 2 p^4) inside int64.
+INT64_MAX_P = 46340
+# Elements per batched kernel call: bounds the memory of one round.
+_BATCH = 1 << 18
+
+
+def exact_dtype(p: int):
+    """The numpy dtype in which the batched kernel is exact for modulus p^2."""
+    return np.int64 if p <= INT64_MAX_P else object
+
+
+def _floor_sum_batch(n: np.ndarray, m: int, a: np.ndarray) -> np.ndarray:
+    """floor_sum(n[k], m, a[k], 0) for every k, given 0 <= a[k] < m.
+
+    The recursion of :func:`floor_sum`, elementwise; each step reduces a
+    and b at its end, which the first step, with a < m and b = 0, skips.
+    """
+    total = np.zeros_like(n)
+    acc = np.zeros_like(n)
+    b = np.zeros_like(n)
+    m = np.full_like(n, m)
+    idx = np.arange(len(n))
+    while True:
+        y = a * n + b
+        live = y >= m
+        total[idx[~live]] = acc[~live]
+        if not live.any():
+            return total
+        idx, y, a, m, acc = idx[live], y[live], a[live], m[live], acc[live]
+        n = y // m
+        b = y - n * m
+        a, m = m, a
+        k = a // m
+        acc += (n - 1) * n // 2 * k
+        a = a - k * m
+        k = b // m
+        acc += n * k
+        b = b - k * m
+
+
+def _sigma_grid(p: int, q: np.ndarray, rs: np.ndarray) -> np.ndarray:
+    """sigma(p, q[i], rs[j]) at [i, j], by the count of :func:`_floorsum_quarters`.
+
+    No precondition checks beyond the lattice-point invariant.
+    """
+    p2 = p * p
+    qc, r = q[:, None], rs[None, :]
+    n = p * r
+    # q is prime to p^2 unless it shares a prime with p: np.gcd only there
+    step = np.full_like(q, p2)
+    shared = ~coprime_mask(q, p)
+    step[shared] = p2 // np.gcd(q[shared], p2)
+    hyp = (n - 1) // step[:, None]
+    qr = qc * r
+    apex = qr % p == 0
+    if hyp.any() or apex.any():
+        i, j = np.argwhere((hyp != 0) | apex)[0]
+        raise InternalError(
+            f"lattice point on hypotenuse/apex for p={p}, q={q[i]}, r={rs[j]}: "
+            "impossible under gcd(q,p)=1, r<p -- counting bug"
+        )
+    s = _floor_sum_batch(np.tile(n[0], len(q)), p2, np.repeat(q, len(rs)))
+    quarters = 4 * s.reshape(qr.shape) + 2 * (n - 1) + 1 + 2 * ((qr - 1) // p)
+    return 2 * qr * r - quarters
+
+
+def coprime_mask(q: np.ndarray, p: int) -> np.ndarray:
+    """gcd(q[k], p) == 1 for every k, by the prime factors of p (np.gcd is far slower)."""
+    mask = np.ones(len(q), dtype=bool)
+    rest, f = p, 2
+    while f * f <= rest:
+        if rest % f == 0:
+            mask &= q % f != 0
+            while rest % f == 0:
+                rest //= f
+        f += 1
+    if rest > 1:
+        mask &= q % rest != 0
+    return mask
+
+
+def _knot_array(p: int, qs) -> np.ndarray:
+    """``qs`` as a 1-D array of :func:`exact_dtype`, every p^2/q a valid knot."""
+    if p < 3 or p % 2 == 0:
+        raise DomainError(f"need odd p >= 3, got {p}")
+    arr = np.asarray(qs)
+    if arr.ndim != 1 or (arr.size and arr.dtype.kind not in "iuO"):
+        raise DomainError(f"need a 1-D integer array of q, got {arr.dtype} of shape {arr.shape}")
+    bad = np.flatnonzero((arr <= 0) | (arr >= p * p))
+    if bad.size:
+        raise DomainError(f"need 0 < q < p^2, got q={arr[bad[0]]}, p={p}")
+    q = arr.astype(exact_dtype(p))
+    bad = np.flatnonzero(~coprime_mask(q, p))
+    if bad.size:
+        raise DomainError(f"need gcd(q, p) = 1, got q={q[bad[0]]}, p={p}")
+    return q
+
+
+def cg_survivors(p: int, qs) -> np.ndarray:
+    """The q of ``qs`` whose knot p^2/q passes :func:`cg_condition`, in input order.
+
+    Equal to ``[q for q in qs if cg_condition(p, q).passes]``, computed in
+    numpy rounds over r = 1..(p-1)/2 (see the module docstring for the
+    batching, the int64 guard and the symmetry that ends the rounds).
+    """
+    q = _knot_array(p, qs)
+    r_stop = (p - 1) // 2
+    r0 = 1
+    while len(q) and r0 <= r_stop:
+        r1 = min(r0 + max(1, r0 - 1), r_stop + 1)
+        rs = np.arange(r0, r1).astype(q.dtype)
+        rows = max(1, _BATCH // len(rs))
+        kept = []
+        for i in range(0, len(q), rows):
+            part = q[i : i + rows]
+            kept.append(part[(np.abs(_sigma_grid(p, part, rs)) == 1).all(axis=1)])
+        q = np.concatenate(kept)
+        r0 = r1
+    return q

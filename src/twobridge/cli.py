@@ -38,6 +38,16 @@ def _print_json(obj) -> None:
     print(json.dumps(obj, indent=2))
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"need a positive integer, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="twobridge",
@@ -93,7 +103,9 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("scan", help="conjecture-verification scan over determinants")
     s.add_argument("--min-p", type=int, required=True)
     s.add_argument("--max-p", type=int, required=True)
-    s.add_argument("--jobs", type=int, default=None, help="worker processes (default: all cores)")
+    s.add_argument(
+        "--jobs", type=_positive_int, default=None, help="worker processes (default: all cores)"
+    )
     s.add_argument("--checkpoint", default=None, help="JSONL checkpoint file (resumable)")
     s.add_argument("--audit", action="store_true", help="test every q, not one per orbit")
     s.add_argument("--format", choices=("text", "json"), default="text")

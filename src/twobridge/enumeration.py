@@ -5,14 +5,24 @@ convention that chiral pairs count once.  The unknot and even
 determinants (2-bridge links) are excluded everywhere.
 
 The scan walks every knot p^2/q in a determinant range, applies the
-Casson-Gordon obstruction with early exit, and tests every survivor for
-family membership.  A survivor outside the families is not an error:
-it is the most interesting possible output and is reported with full
-sigma evidence via ``cg-check``.  One representative per orbit of
-q modulo p^2 is tested (pass/fail is a knot invariant); ``audit=True``
-tests all q instead.  Records are emitted in ascending p order no
-matter how workers are scheduled, and checkpoints hold one JSON line
-per completed p, so interrupted scans resume to byte-identical output.
+Casson-Gordon obstruction, and tests every survivor for family
+membership.  A survivor outside the families is not an error: it is the
+most interesting possible output and is reported with full sigma
+evidence via ``cg-check``.  One representative per orbit of q modulo
+p^2 is tested (pass/fail is a knot invariant), all of one p at once:
+the least orbit members are picked in numpy, with inverses taken as
+q^(phi(p^2) - 1) mod p^2, and checked together by
+:func:`casson_gordon.cg_survivors`.  ``audit=True`` tests all q instead.
+At every p the least survivor is re-derived by the Python-int
+:func:`casson_gordon.cg_condition`, and the ribbon knot p^2/(p-1) must
+survive; a disagreement raises :class:`InternalError`.
+
+With several jobs the pending p go to the workers largest first, so the
+costliest start early and the cheap ones fill the tail.  Records reach
+the checkpoint (one JSON line per p) as each p completes, so an
+interrupted scan loses no finished p; when the scan ends the file is
+rewritten in ascending p, and the result is in ascending p whatever the
+schedule, so resumed scans finish with byte-identical output.
 """
 
 from __future__ import annotations
@@ -22,10 +32,12 @@ import multiprocessing
 import os
 from dataclasses import dataclass
 from functools import partial
-from math import gcd, isqrt
+from math import isqrt
 from typing import Callable, Iterator
 
-from .casson_gordon import cg_condition
+import numpy as np
+
+from .casson_gordon import cg_condition, cg_survivors, coprime_mask, exact_dtype
 from .conway import ConwayWord, KnotClass, canonical_class, cf_eval
 from .errors import DomainError, InternalError
 from .families import build_family_index, is_family_member, iter_compositions
@@ -190,45 +202,85 @@ class ScanRecord:
         )
 
 
-def _scan_single_p(p: int, audit: bool = False) -> ScanRecord:
+def _pow_mod(base: np.ndarray, exp: int, mod: int) -> np.ndarray:
+    result = np.ones_like(base)
+    while exp:
+        if exp & 1:
+            result = result * base % mod
+        base = base * base % mod
+        exp >>= 1
+    return result
+
+
+def _tested_qs(p: int, audit: bool) -> np.ndarray:
+    """The q the scan tests at p, ascending: every coprime q with ``audit``,
+    else the least member of each orbit {q, q^-1, -q, -q^-1} mod p^2."""
     p2 = p * p
-    tested = 0
-    passing = []
-    for q in range(1, p2):
-        if gcd(q, p) != 1:
-            continue
-        if not audit:
-            inv = pow(q, -1, p2)
-            if q != min(q, inv, p2 - q, p2 - inv):
-                continue
-        tested += 1
-        if cg_condition(p, q, early_exit=True).passes:
-            passing.append(q)
+    # the least member of an orbit is below p^2/2 (q < p^2 - q, p^2 being odd)
+    q = np.arange(1, p2 if audit else p2 // 2 + 1).astype(exact_dtype(p))
+    q = q[coprime_mask(q, p)]
+    if audit:
+        return q
+    # q^-1 = q^(phi(p^2) - 1) mod p^2, and q -> p^2 - q pairs the coprime q
+    # on both sides of p^2/2, so phi(p^2) = 2 * len(q)
+    inv = _pow_mod(q, 2 * len(q) - 1, p2)
+    return q[(q <= inv) & (q <= p2 - inv)]
+
+
+def _scan_single_p(p: int, audit: bool = False) -> ScanRecord:
+    qs = _tested_qs(p, audit)
+    passing = cg_survivors(p, qs).tolist()
+    # tie the batched kernel to the Python-int one at every p: its least
+    # survivor must pass cg_condition, and it must keep q = p - 1, whose
+    # knot (condition i with n = 1) is ribbon and so passes at every r
+    if p - 1 not in passing:
+        raise InternalError(f"the batched kernel rejects the ribbon knot {p * p}/{p - 1}")
+    if not cg_condition(p, passing[0], early_exit=True).passes:
+        raise InternalError(
+            f"the batched kernel passes {p * p}/{passing[0]}, which cg_condition rejects"
+        )
     non_family = [
         q for q in passing if not is_family_member(p, q, family_lookup=False).member
     ]
-    return ScanRecord(p, tested, tuple(passing), tuple(non_family))
+    return ScanRecord(p, len(qs), tuple(passing), tuple(non_family))
 
 
-def _load_checkpoint(path: str, p_min: int, p_max: int) -> dict[int, ScanRecord]:
+def _load_checkpoint(path: str) -> tuple[dict[int, ScanRecord], int]:
+    """The records of a checkpoint's valid prefix by p, and the prefix's length in bytes.
+
+    The prefix ends before the first line that is not a whole record with
+    its newline: a torn tail from an interrupted write, or not a record.
+    """
     records: dict[int, ScanRecord] = {}
+    size = 0
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    rec = ScanRecord.from_json_line(line)
-                except (KeyError, TypeError, ValueError):
-                    break  # truncated tail from an interrupted write, or not a record
-                if p_min <= rec.p <= p_max:
+        with open(path, "rb") as fh:
+            for raw in fh:
+                if not raw.endswith(b"\n"):
+                    break
+                if raw.strip():
+                    try:
+                        rec = ScanRecord.from_json_line(raw.decode("utf-8"))
+                    except (KeyError, TypeError, ValueError):
+                        break
                     records.setdefault(rec.p, rec)
+                size += len(raw)
     except FileNotFoundError:
-        return {}
+        return {}, 0
     except OSError as exc:
         raise DomainError(f"cannot read checkpoint {path}: {exc}") from exc
-    return records
+    return records, size
+
+
+def _write_checkpoint(path: str, records: dict[int, ScanRecord]) -> None:
+    """Replace the checkpoint by ``records`` in ascending p, through a temp file."""
+    tmp = path + ".tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.writelines(records[p].to_json_line() + "\n" for p in sorted(records))
+        os.replace(tmp, path)
+    except OSError as exc:
+        raise DomainError(f"cannot write checkpoint {path}: {exc}") from exc
 
 
 def conjecture_scan(
@@ -242,11 +294,17 @@ def conjecture_scan(
     """Scan every knot p^2/q for odd p in [p_min, p_max].
 
     Even bounds are rounded inward.  ``jobs`` distributes p values over
-    that many worker processes (None means serial); results are merged
-    in ascending p order either way.  With ``checkpoint``, completed p
-    records are persisted as JSON lines and reused on restart; the file
-    is rewritten from its valid prefix, so a resumed scan finishes with
-    byte-identical content.
+    that many worker processes, largest p first (None means serial, and
+    a single pending p always runs in-process); the result is in
+    ascending p order either way.  ``progress`` sees the records loaded
+    from the checkpoint, then every new record as its p completes.
+
+    With ``checkpoint``, the file's valid prefix is reused (records
+    outside [p_min, p_max] included), anything after it is cut off, and
+    each new record is appended and flushed as its p completes, so an
+    interrupted scan loses no finished p.  When the scan ends the file
+    is rewritten in ascending p through a temp file and ``os.replace``,
+    so a resumed scan finishes with byte-identical content.
     """
     if p_min % 2 == 0:
         p_min += 1
@@ -255,50 +313,48 @@ def conjecture_scan(
     if not 3 <= p_min <= p_max:
         raise DomainError(f"need 3 <= p_min <= p_max after rounding, got {p_min}..{p_max}")
 
-    done = _load_checkpoint(checkpoint, p_min, p_max) if checkpoint else {}
+    records, valid = _load_checkpoint(checkpoint) if checkpoint else ({}, 0)
     all_p = list(range(p_min, p_max + 1, 2))
-    pending = [p for p in all_p if p not in done]
+    pending = [p for p in all_p if p not in records]
 
     out = None
     if checkpoint:
         try:
-            out = open(checkpoint, "w", encoding="utf-8")
+            out = open(checkpoint, "ab")
+            out.truncate(valid)
         except OSError as exc:
+            if out is not None:
+                out.close()
             raise DomainError(f"cannot write checkpoint {checkpoint}: {exc}") from exc
 
-    results: dict[int, ScanRecord] = dict(done)
-    emitted = 0
-
-    def _flush_ready() -> None:
-        # keep the file an ascending prefix of completed p values
-        nonlocal emitted
-        while emitted < len(all_p) and all_p[emitted] in results:
-            rec = results[all_p[emitted]]
-            if out is not None:
-                out.write(rec.to_json_line() + "\n")
-                out.flush()
-            if progress is not None:
-                progress(rec)
-            emitted += 1
+    def finish(rec: ScanRecord) -> None:
+        records[rec.p] = rec
+        if out is not None:
+            out.write(rec.to_json_line().encode("utf-8") + b"\n")
+            out.flush()
+        if progress is not None:
+            progress(rec)
 
     try:
-        _flush_ready()
-        if pending:
-            worker = partial(_scan_single_p, audit=audit)
-            if jobs is not None and jobs > 1:
-                with multiprocessing.Pool(min(jobs, len(pending))) as pool:
-                    for rec in pool.imap(worker, pending):
-                        results[rec.p] = rec
-                        _flush_ready()
-            else:
-                for p in pending:
-                    rec = worker(p)
-                    results[rec.p] = rec
-                    _flush_ready()
+        if progress is not None:
+            for p in all_p:
+                if p in records:
+                    progress(records[p])
+        worker = partial(_scan_single_p, audit=audit)
+        if jobs is not None and jobs > 1 and len(pending) > 1:
+            with multiprocessing.Pool(min(jobs, len(pending))) as pool:
+                # largest (costliest) p first, so the small ones fill the tail
+                for rec in pool.imap_unordered(worker, pending[::-1]):
+                    finish(rec)
+        else:
+            for p in pending:
+                finish(worker(p))
     finally:
         if out is not None:
             out.close()
-    return [results[p] for p in all_p]
+    if checkpoint:
+        _write_checkpoint(checkpoint, records)
+    return [records[p] for p in all_p]
 
 
 def default_jobs() -> int:

@@ -5,17 +5,23 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+import numpy as np
+
+from twobridge import casson_gordon
 from twobridge.casson_gordon import (
+    INT64_MAX_P,
     _column_quarters,
     _floorsum_quarters,
     _oracle_quarters,
+    _sigma_grid,
     cg_condition,
+    cg_survivors,
     floor_sum,
     sigma,
     weighted_count,
     weighted_count_oracle,
 )
-from twobridge.errors import DomainError
+from twobridge.errors import DomainError, InternalError
 
 
 @st.composite
@@ -162,3 +168,89 @@ def test_area_halves_exact_in_terms():
     for term in cg_condition(11, 46).terms:
         assert term.area_halves == 46 * term.r * term.r
         assert term.sigma == 2 * term.area_halves - term.quarters
+
+
+# ------------------------------------------------------------ batched kernel
+
+def coprime_qs(p):
+    return [q for q in range(1, p * p) if gcd(q, p) == 1]
+
+
+def test_cg_survivors_match_cg_condition_exhaustive():
+    # the fail path the scan's claim rests on, for every knot with odd p <= 99
+    for p in range(3, 100, 2):
+        qs = coprime_qs(p)
+        expected = [q for q in qs if cg_condition(p, q, early_exit=True).passes]
+        assert cg_survivors(p, qs).tolist() == expected, p
+
+
+def test_batched_sigma_matches_and_is_symmetric_in_r():
+    # every r, not only the r <= (p-1)/2 the rounds stop at
+    for p in range(3, 42, 2):
+        qs = coprime_qs(p)
+        got = _sigma_grid(p, np.array(qs), np.arange(1, p))
+        expected = [[sigma(p, qq, rr) for rr in range(1, p)] for qq in qs]
+        assert got.tolist() == expected, p
+        assert (got == got[:, ::-1]).all(), p  # sigma(p, q, r) = sigma(p, q, p - r)
+
+
+def test_int64_guard_is_the_largest_p_with_p4_below_2_62():
+    assert INT64_MAX_P**4 < 2**62 <= (INT64_MAX_P + 1) ** 4
+    assert casson_gordon.exact_dtype(INT64_MAX_P) is np.int64
+    assert casson_gordon.exact_dtype(INT64_MAX_P + 2) is object
+
+
+def test_object_arrays_give_the_int64_survivors(monkeypatch):
+    expected = {p: cg_survivors(p, coprime_qs(p)).tolist() for p in range(3, 32, 2)}
+    monkeypatch.setattr(casson_gordon, "INT64_MAX_P", 1)
+    for p, survivors in expected.items():
+        got = cg_survivors(p, coprime_qs(p))
+        assert got.dtype == object and got.tolist() == survivors, p
+
+
+def test_cg_survivors_validates_its_input():
+    assert cg_survivors(11, []).tolist() == []
+    assert cg_survivors(11, np.array([46, 12, 2])).tolist() == [46, 12]
+    bad = [(4, [3]), (1, [1]), (5, [5]), (5, [0]), (5, [25]), (9, [3]), (5, [1.5]), (5, [[2]])]
+    for p, qs in bad:
+        with pytest.raises(DomainError):
+            cg_survivors(p, qs)
+
+
+@pytest.mark.parametrize(
+    "p, q, r",
+    [
+        (5, 2, 5),  # r = p: a lattice apex
+        (9, 3, 4),  # gcd(q, p) = 3: lattice points on the open hypotenuse only
+    ],
+)
+def test_batched_invariant_check_raises(p, q, r):
+    # neither can happen under validated input
+    assert (_floorsum_quarters(p, q, r)[1] > 0) != _floorsum_quarters(p, q, r)[2]
+    with pytest.raises(InternalError):
+        _sigma_grid(p, np.array([1, q]), np.array([1, r]))
+
+
+def odd_p_around_guard():
+    below = st.integers(1, (INT64_MAX_P - 1) // 2).map(lambda k: 2 * k + 1)
+    above = st.integers(INT64_MAX_P // 2 + 1, INT64_MAX_P).map(lambda k: 2 * k + 1)
+    return st.one_of(below, above)
+
+
+@settings(deadline=None, max_examples=60)
+@given(odd_p_around_guard(), st.data())
+def test_cg_survivors_single_q_around_the_int64_guard(p, data):
+    q = data.draw(st.integers(1, p * p - 1).filter(lambda q: gcd(q, p) == 1))
+    expected = [q] if cg_condition(p, q, early_exit=True).passes else []
+    assert cg_survivors(p, [q]).tolist() == expected
+
+
+@pytest.mark.parametrize("p", [INT64_MAX_P - 1, INT64_MAX_P + 1])
+def test_survivor_next_to_the_int64_guard(p):
+    # q = p + 1 is condition i) with n = 1, so it and its orbit mate
+    # p^2 - p - 1 pass at every r; for the latter the rounds reach terms
+    # near p^4 / 2, close to the int64 limit below the guard
+    qs = [p + 1, p + 2, p * p - p - 1]
+    expected = [q for q in qs if cg_condition(p, q, early_exit=True).passes]
+    assert expected == [p + 1, p * p - p - 1]
+    assert cg_survivors(p, qs).tolist() == expected

@@ -162,6 +162,23 @@ def test_scan_json_lines(capsys):
     assert lines[-1] == "scan: 33 knots tested, 12 pass the obstruction, 0 outside the families"
 
 
+@pytest.mark.parametrize("jobs", ["0", "-3", "two"])
+def test_scan_rejects_a_non_positive_job_count(capsys, jobs):
+    code, out, err = run(capsys, ["scan", "--min-p", "3", "--max-p", "5", "--jobs", jobs])
+    assert code == 2 and out == ""
+    assert "usage:" in err and "argument --jobs: need a positive integer" in err
+
+
+def test_scan_parallel_stdout_equals_serial(capsys):
+    argv = ["scan", "--min-p", "3", "--max-p", "21", "--format", "json", "--jobs"]
+    _, serial, _ = run(capsys, argv + ["1"])
+    code, parallel, err = run(capsys, argv + ["2"])
+    assert code == 0 and parallel == serial
+    # progress follows completion order; stdout stays ascending
+    done = sorted(int(line.split()[1][2:]) for line in err.splitlines()[:-1])
+    assert done == list(range(3, 22, 2))
+
+
 @pytest.mark.parametrize("p, q", [(11, 46), (5, 2)])  # a passing and a failing knot
 def test_sigma_terms_equal_cg_check_terms(capsys, p, q):
     _, sigma_out, _ = run(capsys, ["sigma", str(p), str(q), "--format", "json"])

@@ -3,16 +3,18 @@ from math import gcd
 
 import pytest
 
+from twobridge import enumeration
 from twobridge.conway import canonical_class
 from twobridge.enumeration import (
     ScanRecord,
     _scan_single_p,
+    _tested_qs,
     amphicheiral_crosscheck,
     conjecture_scan,
     enumerate_classes,
     ribbon_table,
 )
-from twobridge.errors import DomainError
+from twobridge.errors import DomainError, InternalError
 from twobridge.families import build_family_index, generate
 
 
@@ -208,3 +210,127 @@ def test_scan_resume_stops_at_a_non_record_line(tmp_path, tail):
 def test_scan_checkpoint_io_error(tmp_path):
     with pytest.raises(DomainError):
         conjecture_scan(3, 5, checkpoint=str(tmp_path / "no" / "dir" / "ck.jsonl"))
+
+
+def test_bulk_orbit_selection_matches_pow():
+    # composite p included, where phi(p^2) != p * (p - 1) and q may share a
+    # prime with p without being a multiple of p
+    for p in range(3, 100, 2):
+        p2 = p * p
+        expected = []
+        for q in range(1, p2):
+            if gcd(q, p) != 1:
+                continue
+            inv = pow(q, -1, p2)
+            if q == min(q, inv, p2 - q, p2 - inv):
+                expected.append(q)
+        assert _tested_qs(p, audit=False).tolist() == expected, p
+        assert _tested_qs(p, audit=True).tolist() == [q for q in range(1, p2) if gcd(q, p) == 1]
+
+
+@pytest.mark.parametrize(
+    "wrong",
+    [
+        lambda p, qs, real: real(p, qs)[1:],  # loses the ribbon knot p^2/(p-1)
+        lambda p, qs, real: qs[:0],  # rejects every q
+        lambda p, qs, real: qs,  # passes every q
+    ],
+    ids=["drops-p-1", "rejects-all", "passes-all"],
+)
+def test_scan_raises_when_the_batched_kernel_disagrees(monkeypatch, wrong):
+    real = enumeration.cg_survivors
+    monkeypatch.setattr(enumeration, "cg_survivors", lambda p, qs: wrong(p, qs, real))
+    with pytest.raises(InternalError):
+        _scan_single_p(11)
+
+
+class RecordingPool:
+    """In-process stand-in for multiprocessing.Pool that records what it is sent."""
+
+    sent: list = []
+
+    def __init__(self, processes):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def imap_unordered(self, fn, items):
+        RecordingPool.sent = list(items)
+        return map(fn, RecordingPool.sent)
+
+
+def test_scan_dispatches_largest_p_first(monkeypatch):
+    monkeypatch.setattr(enumeration.multiprocessing, "Pool", RecordingPool)
+    recs = conjecture_scan(3, 13, jobs=2)
+    assert RecordingPool.sent == [13, 11, 9, 7, 5, 3]
+    assert [r.p for r in recs] == [3, 5, 7, 9, 11, 13]
+
+
+def test_scan_runs_a_single_pending_p_in_process(monkeypatch, tmp_path):
+    def no_pool(processes):
+        raise AssertionError("a pool was started for one p")
+
+    monkeypatch.setattr(enumeration.multiprocessing, "Pool", no_pool)
+    path = tmp_path / "ck.jsonl"
+    conjecture_scan(3, 9, checkpoint=str(path))
+    assert [r.p for r in conjecture_scan(3, 11, checkpoint=str(path), jobs=2)] == [3, 5, 7, 9, 11]
+
+
+class Stop(Exception):
+    pass
+
+
+@pytest.mark.parametrize("k", [1, 4])
+def test_interrupted_parallel_scan_keeps_what_progress_saw(tmp_path, k):
+    full_path = tmp_path / "full.jsonl"
+    conjecture_scan(3, 41, checkpoint=str(full_path))
+    full_bytes = full_path.read_bytes()
+
+    path = tmp_path / "ck.jsonl"
+    seen = []
+
+    def progress(rec):
+        seen.append(rec.p)
+        if len(seen) == k:
+            raise Stop
+
+    with pytest.raises(Stop):
+        conjecture_scan(3, 41, checkpoint=str(path), jobs=2, progress=progress)
+    on_disk = [ScanRecord.from_json_line(line).p for line in path.read_text().splitlines()]
+    assert set(seen) <= set(on_disk)
+    conjecture_scan(3, 41, checkpoint=str(path), jobs=2)
+    assert path.read_bytes() == full_bytes
+
+
+def test_narrower_resume_keeps_records_outside_the_range(tmp_path):
+    path = tmp_path / "ck.jsonl"
+    conjecture_scan(3, 41, checkpoint=str(path))
+    full_bytes = path.read_bytes()
+    assert len(full_bytes.splitlines()) == 20
+    recs = conjecture_scan(31, 41, checkpoint=str(path), jobs=2)
+    assert [r.p for r in recs] == [31, 33, 35, 37, 39, 41]
+    assert path.read_bytes() == full_bytes
+
+
+def test_resume_drops_a_torn_tail_before_appending(tmp_path):
+    path = tmp_path / "ck.jsonl"
+    conjecture_scan(3, 15, checkpoint=str(path))
+    full_bytes = path.read_bytes()
+    lines = full_bytes.splitlines(keepends=True)
+    # p = 3, 7 and a torn 9, as an interrupted parallel run may leave them
+    path.write_bytes(lines[0] + lines[2] + lines[3][:-5])
+
+    def progress(rec):
+        if rec.p == 15:
+            raise Stop
+
+    with pytest.raises(Stop):
+        conjecture_scan(3, 15, checkpoint=str(path), progress=progress)
+    on_disk = [ScanRecord.from_json_line(line).p for line in path.read_text().splitlines()]
+    assert on_disk == [3, 7, 5, 9, 11, 13, 15]
+    conjecture_scan(3, 15, checkpoint=str(path))
+    assert path.read_bytes() == full_bytes
