@@ -248,24 +248,16 @@ class SigmaReport:
         }
 
 
-def cg_condition(p: int, q: int, early_exit: bool = False) -> SigmaReport:
+def cg_condition(p: int, q: int) -> SigmaReport:
     """Evaluate sigma(p, q, r) for r = 1..p-1; passes iff every value is +-1.
 
     The knot under test is p^2/q (double branched cover L(p^2, q)), so p
-    must be odd and >= 3.  With ``early_exit`` the loop stops at the
-    first failing r (the scan default); reports use the full range.
+    must be odd and >= 3.
     """
     validate_knot(p, q)
-    terms = []
-    first_failure = None
-    for r in range(1, p):
-        term = SigmaTerm.of(q, r, weighted_count(p, q, r))
-        terms.append(term)
-        if term.sigma not in (-1, 1) and first_failure is None:
-            first_failure = r
-            if early_exit:
-                break
-    return SigmaReport(p, q, tuple(terms), first_failure is None, first_failure)
+    terms = tuple(SigmaTerm.of(q, r, weighted_count(p, q, r)) for r in range(1, p))
+    first_failure = next((t.r for t in terms if t.sigma not in (-1, 1)), None)
+    return SigmaReport(p, q, terms, first_failure is None, first_failure)
 
 
 # p^4 < 2^62 bounds every kernel intermediate (at most 2 p^4) inside int64.
@@ -351,8 +343,7 @@ def coprime_mask(q: np.ndarray, p: int) -> np.ndarray:
 
 def _knot_array(p: int, qs) -> np.ndarray:
     """``qs`` as a 1-D array of :func:`exact_dtype`, every p^2/q a valid knot."""
-    if p < 3 or p % 2 == 0:
-        raise DomainError(f"need odd p >= 3, got {p}")
+    validate_knot(p, 1)
     arr = np.asarray(qs)
     if arr.ndim != 1 or (arr.size and arr.dtype.kind not in "iuO"):
         raise DomainError(f"need a 1-D integer array of q, got {arr.dtype} of shape {arr.shape}")

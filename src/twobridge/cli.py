@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from math import isqrt
@@ -38,6 +39,13 @@ def _print_json(obj) -> None:
     print(json.dumps(obj, indent=2))
 
 
+def _print_csv(rows: list[dict]) -> None:
+    """A header of the JSON keys, then one line of JSON values per row."""
+    print(",".join(rows[0]))
+    for row in rows:
+        print(",".join(json.dumps(value) for value in row.values()))
+
+
 def _positive_int(text: str) -> int:
     try:
         value = int(text)
@@ -59,9 +67,7 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("sigma", help="sigma(p, q, r) with area and weighted count")
     s.add_argument("p", type=int)
     s.add_argument("q", type=int)
-    g = s.add_mutually_exclusive_group()
-    g.add_argument("--r", type=int, default=None, help="single r (default: all r = 1..p-1)")
-    g.add_argument("--all", action="store_true", help="all r = 1..p-1 (the default)")
+    s.add_argument("--r", type=int, default=None, help="single r (default: all r = 1..p-1)")
     s.add_argument("--format", choices=("text", "json"), default="text")
 
     s = sub.add_parser("cg-check", help="Casson-Gordon condition for the knot p^2/q")
@@ -132,7 +138,7 @@ def _cmd_sigma(args) -> int:
 
 
 def _cmd_cg_check(args) -> int:
-    report = cg_condition(args.p, args.q, early_exit=False)
+    report = cg_condition(args.p, args.q)
     if args.format == "json":
         _print_json(report.to_json_dict())
     elif report.passes:
@@ -236,9 +242,7 @@ def _cmd_table(args) -> int:
     if args.format == "json":
         _print_json([row.to_json_dict() for row in rows])
     elif args.format == "csv":
-        print("crossing,family0,family1,family2,total")
-        for row in rows:
-            print(f"{row.crossing},{row.family0},{row.family1},{row.family2},{row.total}")
+        _print_csv([row.to_json_dict() for row in rows])
     else:
         print(f"{'crossing':>8} {'family0':>8} {'family1':>8} {'family2':>8} {'total':>6}")
         for row in rows:
@@ -250,7 +254,6 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_scan(args) -> int:
-    jobs = args.jobs if args.jobs is not None else enumeration.default_jobs()
     start = time.perf_counter()
 
     def progress(rec):
@@ -260,7 +263,7 @@ def _cmd_scan(args) -> int:
         args.min_p,
         args.max_p,
         checkpoint=args.checkpoint,
-        jobs=jobs,
+        jobs=args.jobs or os.cpu_count() or 1,
         audit=args.audit,
         progress=progress,
     )
@@ -294,9 +297,7 @@ def _cmd_crosscheck(args) -> int:
     if args.format == "json":
         _print_json([row.to_json_dict() for row in rows])
     elif args.format == "csv":
-        print("crossing,amphicheiral,family0_at_crossing_plus_2,equal")
-        for row in rows:
-            print(f"{row.crossing},{row.amphicheiral},{row.family0_at_next},{str(row.equal).lower()}")
+        _print_csv([row.to_json_dict() for row in rows])
     else:
         for row in rows:
             print(

@@ -176,9 +176,9 @@ def cf_eval(word: ConwayWord, allow_even: bool = True) -> BridgeFraction:
 def cf_expand(f: BridgeFraction) -> ConwayWord:
     """The unique all-positive expansion with last entry >= 2.
 
-    Greedy Euclidean expansion; a trailing 1 is merged into its
-    predecessor ([..., a, 1] -> [..., a+1]).  Round-trips exactly:
-    cf_eval(cf_expand(f)) == f.
+    Greedy Euclidean expansion; the last step divides a remainder r by the
+    next, gcd(p, q) = 1 < r, so the last entry is r >= 2 and no trailing 1
+    needs merging.  Round-trips exactly: cf_eval(cf_expand(f)) == f.
     """
     if f.is_unknot:
         raise DomainError("the unknot has an empty expansion (crossing 0)")
@@ -187,27 +187,12 @@ def cf_expand(f: BridgeFraction) -> ConwayWord:
     while b:
         quot, a, b = a // b, b, a % b
         entries.append(quot)
-    while len(entries) > 1 and entries[-1] == 1:
-        entries.pop()
-        entries[-1] += 1
     return ConwayWord(tuple(entries))
 
 
 def same_knot(f1: BridgeFraction, f2: BridgeFraction, include_mirror: bool = True) -> bool:
     """Schubert equivalence: q2 in {q1, q1^-1 mod p}, plus the mirror pair when asked."""
-    if f1.p != f2.p:
-        return False
-    p = f1.p
-    if p == 1:
-        return True
-    q1, q2 = f1.q, f2.q
-    if q2 == q1 or (q1 * q2) % p == 1:
-        return True
-    if include_mirror:
-        qm = p - q1
-        if q2 == qm or (qm * q2) % p == 1:
-            return True
-    return False
+    return f2 in fraction_orbit(f1, include_mirror=include_mirror)
 
 
 def mirror(f: BridgeFraction) -> BridgeFraction:
@@ -253,10 +238,11 @@ class KnotClass:
         return str(self.canonical)
 
 
-def canonical_class(f: BridgeFraction, include_mirror: bool = True) -> KnotClass:
-    """Canonicalize a fraction to its orbit-minimal representative."""
+def canonical_class(f: BridgeFraction) -> KnotClass:
+    """The class of f, named by the least q in its orbit with mirrors (for the
+    strict representative use ``fraction_orbit(f, include_mirror=False)[0]``)."""
     if f.is_unknot:
         return KnotClass(UNKNOT, 1, 0, True)
-    can = fraction_orbit(f, include_mirror=include_mirror)[0]
+    can = fraction_orbit(f)[0]
     crossing = sum(cf_expand(can).entries)
     return KnotClass(can, can.p, crossing, is_amphicheiral(can))

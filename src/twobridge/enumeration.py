@@ -93,13 +93,7 @@ class TableRow:
     total: int
 
     def to_json_dict(self) -> dict:
-        return {
-            "crossing": self.crossing,
-            "family0": self.family0,
-            "family1": self.family1,
-            "family2": self.family2,
-            "total": self.total,
-        }
+        return dict(vars(self))
 
 
 def ribbon_table(max_crossing: int) -> list[TableRow]:
@@ -181,15 +175,14 @@ class ScanRecord:
     cg_passing: tuple[int, ...]
     non_family: tuple[int, ...]
 
+    @property
+    def audit(self) -> bool:
+        """An audit tests all p*phi(p) knots; one q per orbit tests at most half
+        as many, as every orbit {+-q, +-q^-1} mod p^2 has two members or more."""
+        return self.q_tested == self.p * int(coprime_mask(np.arange(self.p), self.p).sum())
+
     def to_json_line(self) -> str:
-        return json.dumps(
-            {
-                "p": self.p,
-                "q_tested": self.q_tested,
-                "cg_passing": list(self.cg_passing),
-                "non_family": list(self.non_family),
-            }
-        )
+        return json.dumps(vars(self))
 
     @classmethod
     def from_json_line(cls, line: str) -> "ScanRecord":
@@ -235,7 +228,7 @@ def _scan_single_p(p: int, audit: bool = False) -> ScanRecord:
     # knot (condition i with n = 1) is ribbon and so passes at every r
     if p - 1 not in passing:
         raise InternalError(f"the batched kernel rejects the ribbon knot {p * p}/{p - 1}")
-    if not cg_condition(p, passing[0], early_exit=True).passes:
+    if not cg_condition(p, passing[0]).passes:
         raise InternalError(
             f"the batched kernel passes {p * p}/{passing[0]}, which cg_condition rejects"
         )
@@ -304,7 +297,9 @@ def conjecture_scan(
     each new record is appended and flushed as its p completes, so an
     interrupted scan loses no finished p.  When the scan ends the file
     is rewritten in ascending p through a temp file and ``os.replace``,
-    so a resumed scan finishes with byte-identical content.
+    so a resumed scan finishes with byte-identical content.  A checkpoint
+    holding a record of the other mode (``audit`` or one q per orbit) is
+    refused with :class:`DomainError` before the file is touched.
     """
     if p_min % 2 == 0:
         p_min += 1
@@ -314,6 +309,12 @@ def conjecture_scan(
         raise DomainError(f"need 3 <= p_min <= p_max after rounding, got {p_min}..{p_max}")
 
     records, valid = _load_checkpoint(checkpoint) if checkpoint else ({}, 0)
+    mixed = sorted(p for p, rec in records.items() if rec.audit != audit)
+    if mixed:
+        raise DomainError(
+            f"checkpoint {checkpoint} holds {'per-orbit' if audit else 'audit'} records "
+            f"(p={mixed[0]}), so it cannot resume a scan with audit={audit}"
+        )
     all_p = list(range(p_min, p_max + 1, 2))
     pending = [p for p in all_p if p not in records]
 
@@ -355,7 +356,3 @@ def conjecture_scan(
     if checkpoint:
         _write_checkpoint(checkpoint, records)
     return [records[p] for p in all_p]
-
-
-def default_jobs() -> int:
-    return os.cpu_count() or 1

@@ -258,9 +258,7 @@ def family0_identity_holds(params: Sequence[int]) -> bool:
     prefix = params[:-1]
     doubled = ConwayWord(prefix + (x + 1, x - 1) + tuple(reversed(prefix)))
     union = ConwayWord(prefix + (x, 1, -x) + tuple(-e for e in reversed(prefix)))
-    f1 = cf_eval(doubled)
-    f2 = cf_eval(union)
-    return f1.p == f2.p and same_knot(f1, f2, include_mirror=True)
+    return same_knot(cf_eval(doubled), cf_eval(union))
 
 
 def iter_compositions(total: int) -> Iterator[tuple[int, ...]]:

@@ -126,7 +126,7 @@ def test_necessity_on_families():
     assert len(index) == sum(v[3] for c, v in EXPECTED_TABLE.items() if c <= 16)
     for cls in index:
         p = isqrt(cls.determinant)
-        report = cg_condition(p, cls.canonical.q, early_exit=True)
+        report = cg_condition(p, cls.canonical.q)
         assert report.passes, cls
 
 

@@ -83,9 +83,7 @@ def test_cg_fails_for_5_2():
     report = cg_condition(5, 2)
     assert not report.passes and report.first_failure == 1
     assert report.terms[0].sigma == -5
-    assert len(report.terms) == 4  # no early exit in report mode
-    short = cg_condition(5, 2, early_exit=True)
-    assert len(short.terms) == 1
+    assert len(report.terms) == 4  # the report covers every r
 
 
 def test_cg_passes_for_121_46():
@@ -176,11 +174,16 @@ def coprime_qs(p):
     return [q for q in range(1, p * p) if gcd(q, p) == 1]
 
 
+def passes(p, q):
+    """The Python-int reference for cg_survivors, stopping at the first failing r."""
+    return all(sigma(p, q, r) in (-1, 1) for r in range(1, p))
+
+
 def test_cg_survivors_match_cg_condition_exhaustive():
     # the fail path the scan's claim rests on, for every knot with odd p <= 99
     for p in range(3, 100, 2):
         qs = coprime_qs(p)
-        expected = [q for q in qs if cg_condition(p, q, early_exit=True).passes]
+        expected = [q for q in qs if passes(p, q)]
         assert cg_survivors(p, qs).tolist() == expected, p
 
 
@@ -241,7 +244,7 @@ def odd_p_around_guard():
 @given(odd_p_around_guard(), st.data())
 def test_cg_survivors_single_q_around_the_int64_guard(p, data):
     q = data.draw(st.integers(1, p * p - 1).filter(lambda q: gcd(q, p) == 1))
-    expected = [q] if cg_condition(p, q, early_exit=True).passes else []
+    expected = [q] if passes(p, q) else []
     assert cg_survivors(p, [q]).tolist() == expected
 
 
@@ -251,6 +254,6 @@ def test_survivor_next_to_the_int64_guard(p):
     # p^2 - p - 1 pass at every r; for the latter the rounds reach terms
     # near p^4 / 2, close to the int64 limit below the guard
     qs = [p + 1, p + 2, p * p - p - 1]
-    expected = [q for q in qs if cg_condition(p, q, early_exit=True).passes]
+    expected = [q for q in qs if passes(p, q)]
     assert expected == [p + 1, p * p - p - 1]
     assert cg_survivors(p, qs).tolist() == expected

@@ -2,10 +2,12 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+from twobridge import enumeration
 from twobridge.cli import execute
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -244,3 +246,72 @@ def test_output_is_byte_stable(capsys):
     _, first, _ = run(capsys, ["member", "11", "84", "--format", "json"])
     _, second, _ = run(capsys, ["member", "11", "84", "--format", "json"])
     assert first == second
+
+
+@pytest.mark.parametrize("first", [[], ["--audit"]], ids=["per-orbit-then-audit", "audit-then-per-orbit"])
+def test_scan_resume_in_the_other_mode_exits_2(capsys, tmp_path, first):
+    path = tmp_path / "ck.jsonl"
+    argv = ["scan", "--min-p", "21", "--max-p", "21", "--jobs", "1", "--checkpoint", str(path)]
+    assert run(capsys, argv + first)[0] == 0
+    before = path.read_bytes()
+    code, out, err = run(capsys, argv + (["--audit"] if not first else []))
+    assert code == 2 and out == ""
+    assert "cannot resume a scan" in err
+    assert path.read_bytes() == before
+
+
+def test_scan_reports_a_counterexample_candidate(capsys, monkeypatch):
+    real = enumeration.is_family_member
+
+    def is_family_member(p, q, **kwargs):
+        mem = real(p, q, **kwargs)
+        return replace(mem, member=False) if (p, q) == (11, 46) else mem
+
+    monkeypatch.setattr(enumeration, "is_family_member", is_family_member)
+    argv = ["scan", "--min-p", "3", "--max-p", "11", "--jobs", "1"]
+    code, out, err = run(capsys, argv)
+    assert code == 1
+    assert "  p=11 q=46  (inspect with: twobridge cg-check 11 46)" in out.splitlines()
+    assert err.splitlines()[-1].endswith(", 1 outside the families")
+    code, out, _ = run(capsys, argv + ["--format", "json"])
+    assert code == 1
+    assert json.loads(out.splitlines()[-1])["non_family"] == [46]
+
+
+def test_internal_error_exits_2(capsys, monkeypatch):
+    real = enumeration.cg_survivors
+
+    def cg_survivors(p, qs):  # loses the ribbon knot p^2/(p-1)
+        q = real(p, qs)
+        return q[q != p - 1]
+
+    monkeypatch.setattr(enumeration, "cg_survivors", cg_survivors)
+    code, out, err = run(capsys, ["scan", "--min-p", "3", "--max-p", "5", "--jobs", "1"])
+    assert code == 2 and out == ""
+    assert err.splitlines()[-1].startswith("internal error: ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["table", "--max-crossing", "2"],
+        ["crosscheck", "--max-crossing", "25"],
+        ["generate", "--family", "0", "--params", "1,,2"],
+    ],
+)
+def test_bad_bounds_and_parameters_exit_2(capsys, argv):
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ")
+
+
+def test_scan_exits_2_when_the_checkpoint_cannot_be_rewritten(capsys, tmp_path):
+    path = tmp_path / "ck.jsonl"
+    (tmp_path / "ck.jsonl.tmp").mkdir()
+    argv = ["scan", "--min-p", "3", "--max-p", "9", "--jobs", "1", "--format", "json"]
+    code, out, err = run(capsys, argv + ["--checkpoint", str(path)])
+    assert code == 2 and out == ""
+    assert "cannot write checkpoint" in err
+    # every record was appended as its p completed, before the rewrite failed
+    _, expected, _ = run(capsys, argv)
+    assert path.read_text() == expected

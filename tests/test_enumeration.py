@@ -334,3 +334,31 @@ def test_resume_drops_a_torn_tail_before_appending(tmp_path):
     assert on_disk == [3, 7, 5, 9, 11, 13, 15]
     conjecture_scan(3, 15, checkpoint=str(path))
     assert path.read_bytes() == full_bytes
+
+
+def test_a_record_tells_its_mode():
+    # an audit tests all p * phi(p) coprime q, one q per orbit at most half
+    for p in range(3, 100, 2):
+        for audit in (False, True):
+            rec = ScanRecord(p, len(_tested_qs(p, audit)), (), ())
+            assert rec.audit is audit, (p, audit)
+
+
+@pytest.mark.parametrize("first", [False, True], ids=["per-orbit-then-audit", "audit-then-per-orbit"])
+def test_resume_refuses_a_checkpoint_of_the_other_mode(tmp_path, first):
+    path = tmp_path / "ck.jsonl"
+    conjecture_scan(21, 21, checkpoint=str(path), audit=first)
+    before = path.read_bytes()
+    with pytest.raises(DomainError, match="cannot resume"):
+        conjecture_scan(21, 21, checkpoint=str(path), audit=not first)
+    assert path.read_bytes() == before
+
+
+def test_audit_resume_is_byte_identical(tmp_path):
+    full_path = tmp_path / "full.jsonl"
+    full = conjecture_scan(3, 21, checkpoint=str(full_path), audit=True)
+    full_bytes = full_path.read_bytes()
+    path = tmp_path / "ck.jsonl"
+    path.write_bytes(b"".join(full_bytes.splitlines(keepends=True)[:4]))
+    assert conjecture_scan(3, 21, checkpoint=str(path), audit=True) == full
+    assert path.read_bytes() == full_bytes

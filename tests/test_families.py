@@ -256,4 +256,4 @@ def test_conditions_imply_generator_for_small_determinants():
 def test_every_family_index_class_passes_cg():
     for cls in build_family_index(12):
         p = isqrt(cls.determinant)
-        assert cg_condition(p, cls.canonical.q, early_exit=True).passes
+        assert cg_condition(p, cls.canonical.q).passes
