@@ -59,6 +59,7 @@ import numpy as np
 from .errors import DomainError, InternalError
 
 __all__ = [
+    "validate_pq",
     "validate_knot",
     "floor_sum",
     "weighted_count_oracle",
@@ -96,13 +97,18 @@ def floor_sum(n: int, m: int, a: int, b: int) -> int:
         n, b, m, a = y // m, y % m, a, m
 
 
-def _validate(p: int, q: int, r: int) -> None:
+def validate_pq(p: int, q: int) -> None:
+    """Require the p, q of a weighted count: p >= 2, 0 < q < p^2 and gcd(q, p) = 1."""
     if p < 2:
         raise DomainError(f"need p >= 2, got {p}")
     if not 0 < q < p * p:
         raise DomainError(f"need 0 < q < p^2, got q={q}, p={p}")
     if gcd(q, p) != 1:
         raise DomainError(f"need gcd(q, p) = 1, got q={q}, p={p}")
+
+
+def _validate(p: int, q: int, r: int) -> None:
+    validate_pq(p, q)
     if not 1 <= r <= p - 1:
         raise DomainError(f"need 1 <= r <= p-1, got r={r}, p={p}")
 
@@ -111,7 +117,7 @@ def validate_knot(p: int, q: int) -> None:
     """Require the knot p^2/q: odd p >= 3, 0 < q < p^2 and gcd(q, p) = 1."""
     if p < 3 or p % 2 == 0:
         raise DomainError(f"need odd p >= 3, got {p}")
-    _validate(p, q, 1)
+    validate_pq(p, q)
 
 
 def _oracle_quarters(p: int, q: int, r: int) -> int:

@@ -18,7 +18,7 @@ import time
 from math import isqrt
 
 from . import enumeration, families
-from .casson_gordon import SigmaTerm, cg_condition, weighted_count
+from .casson_gordon import SigmaTerm, cg_condition, validate_pq, weighted_count
 from .conway import cf_eval, cf_expand, parse_fraction, parse_word
 from .errors import DomainError, InternalError
 
@@ -124,6 +124,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_sigma(args) -> int:
+    validate_pq(args.p, args.q)  # before the loop, which is empty for p < 2
     rs = [args.r] if args.r is not None else range(1, args.p)
     terms = [SigmaTerm.of(args.q, r, weighted_count(args.p, args.q, r)) for r in rs]
     if args.format == "json":

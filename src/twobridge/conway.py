@@ -42,6 +42,7 @@ __all__ = [
     "same_knot",
     "mirror",
     "is_amphicheiral",
+    "orbit_qs",
     "fraction_orbit",
     "canonical_class",
 ]
@@ -173,21 +174,26 @@ def cf_eval(word: ConwayWord, allow_even: bool = True) -> BridgeFraction:
     return normalize(num, den, allow_even=allow_even)
 
 
+def _quotients(p: int, q: int) -> list[int]:
+    """The Euclidean quotients of p/q, for 0 < q < p coprime: the all-positive
+    expansion with last entry >= 2 (the last step divides a remainder
+    r > gcd(p, q) = 1 by 1, so no trailing 1 needs merging)."""
+    entries: list[int] = []
+    while q:
+        quot, p, q = p // q, q, p % q
+        entries.append(quot)
+    return entries
+
+
 def cf_expand(f: BridgeFraction) -> ConwayWord:
     """The unique all-positive expansion with last entry >= 2.
 
-    Greedy Euclidean expansion; the last step divides a remainder r by the
-    next, gcd(p, q) = 1 < r, so the last entry is r >= 2 and no trailing 1
-    needs merging.  Round-trips exactly: cf_eval(cf_expand(f)) == f.
+    Greedy Euclidean expansion (:func:`_quotients`).  Round-trips exactly:
+    cf_eval(cf_expand(f)) == f.
     """
     if f.is_unknot:
         raise DomainError("the unknot has an empty expansion (crossing 0)")
-    a, b = f.p, f.q
-    entries: list[int] = []
-    while b:
-        quot, a, b = a // b, b, a % b
-        entries.append(quot)
-    return ConwayWord(tuple(entries))
+    return ConwayWord(tuple(_quotients(f.p, f.q)))
 
 
 def same_knot(f1: BridgeFraction, f2: BridgeFraction, include_mirror: bool = True) -> bool:
@@ -209,15 +215,20 @@ def is_amphicheiral(f: BridgeFraction) -> bool:
     return (f.q * f.q + 1) % f.p == 0
 
 
+def orbit_qs(p: int, q: int, include_mirror: bool = True) -> tuple[int, ...]:
+    """The q' of every fraction p/q' equivalent to p/q, ascending: {q, q^-1 mod p},
+    and with ``include_mirror`` their mirrors p - q'.  Needs gcd(q, p) = 1 and p >= 2."""
+    qs = {q, pow(q, -1, p)}
+    if include_mirror:
+        qs |= {p - x for x in qs}
+    return tuple(sorted(qs))
+
+
 def fraction_orbit(f: BridgeFraction, include_mirror: bool = True) -> tuple[BridgeFraction, ...]:
     """All equivalent fractions {q, q^-1} (and their mirrors), sorted by q."""
     if f.is_unknot:
         return (f,)
-    p = f.p
-    qs = {f.q, pow(f.q, -1, p)}
-    if include_mirror:
-        qs |= {p - q for q in qs}
-    return tuple(BridgeFraction(p, q) for q in sorted(qs))
+    return tuple(BridgeFraction(f.p, q) for q in orbit_qs(f.p, f.q, include_mirror))
 
 
 @dataclass(frozen=True)
@@ -240,9 +251,14 @@ class KnotClass:
 
 def canonical_class(f: BridgeFraction) -> KnotClass:
     """The class of f, named by the least q in its orbit with mirrors (for the
-    strict representative use ``fraction_orbit(f, include_mirror=False)[0]``)."""
+    strict representative use ``fraction_orbit(f, include_mirror=False)[0]``).
+
+    The crossing number is the sum of the Euclidean quotients of p/q, the
+    same for every member of the orbit, so it is taken from the least q.
+    """
     if f.is_unknot:
         return KnotClass(UNKNOT, 1, 0, True)
-    can = fraction_orbit(f)[0]
-    crossing = sum(cf_expand(can).entries)
-    return KnotClass(can, can.p, crossing, is_amphicheiral(can))
+    p = f.p
+    q = orbit_qs(p, f.q)[0]
+    can = f if q == f.q else BridgeFraction(p, q)
+    return KnotClass(can, p, sum(_quotients(p, q)), is_amphicheiral(can))

@@ -30,6 +30,7 @@ from __future__ import annotations
 import json
 import multiprocessing
 import os
+from collections import Counter
 from dataclasses import dataclass
 from functools import partial
 from math import isqrt
@@ -38,9 +39,12 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .casson_gordon import cg_condition, cg_survivors, coprime_mask, exact_dtype
-from .conway import ConwayWord, KnotClass, canonical_class, cf_eval
+from .conway import BridgeFraction, KnotClass, is_amphicheiral
+# perfbench/spans.py traces cf_eval and canonical_class under this module's
+# names as well as conway's, so they stay bound here though nothing calls them
+from .conway import canonical_class, cf_eval  # noqa: F401
 from .errors import DomainError, InternalError
-from .families import build_family_index, is_family_member, iter_compositions
+from .families import build_family_index, is_family_member
 
 __all__ = [
     "enumerate_classes",
@@ -53,28 +57,58 @@ __all__ = [
 ]
 
 
-def _positive_words(max_sum: int) -> Iterator[tuple[int, ...]]:
-    # all-positive words with entry sum <= max_sum and last entry >= 2
-    for total in range(2, max_sum + 1):
-        for last in range(2, total + 1):
-            for prefix in iter_compositions(total - last):
-                yield prefix + (last,)
+def _canonical_fractions(max_crossing: int) -> Iterator[tuple[int, int, int]]:
+    """(p, q, crossing) once for every 2-bridge knot class of crossing <= max_crossing,
+    q being the least member of the class's orbit {+-q, +-q^-1} mod p.
+
+    Every p/q with 0 < q < p coprime has exactly one all-positive expansion
+    [a1,...,an] with an >= 2, and its entry sum is the crossing number.  The
+    walk runs depth first over these words, left to right, carrying the
+    convergents h_i/k_i (h_i = a_i h_(i-1) + h_(i-2), likewise k), so that
+    p/q = h_n/k_n.  The reversed word [an,...,a1] evaluates to h_n/h_(n-1),
+    and reversing a word inverts q up to sign (h_(n-1) q = +-1 mod p), so the
+    orbit is {q, h_(n-1), p - q, p - h_(n-1)} without a modular inverse.  A
+    word is yielded when p is odd and q is the least of the four, which is
+    q <= h_(n-1): as an >= 2, h_(n-1) <= p/2, so then q <= p - q and
+    q <= p - h_(n-1) as well.  Hence q <= p/2, that is a1 >= 2, and words
+    starting with 1 are never entered.  Each orbit member has its own word,
+    and only the least one's word is yielded.
+    """
+    # a prefix [a1..ai] is (h_(i-1), h_i, k_(i-1), k_i, entry sum); the empty one first
+    stack = [(0, 1, 1, 0, 0)]
+    while stack:
+        h_prev, h, k_prev, k, total = stack.pop()
+        for a in range(2 if total == 0 else 1, max_crossing - total + 1):
+            p, q = a * h + h_prev, a * k + k_prev
+            if a >= 2 and p & 1 and q <= h:
+                yield p, q, total + a
+            if total + a + 2 <= max_crossing:  # room for a last entry >= 2
+                stack.append((h, p, k, q, total + a))
 
 
 def enumerate_classes(max_crossing: int) -> set[KnotClass]:
     """All 2-bridge knot classes with crossing number <= max_crossing.
 
-    Enumerates canonical all-positive words, evaluates, keeps odd
-    determinants, and deduplicates by canonical class.
+    Mirror images count once and 2-bridge links (even p) are left out.  The
+    classes come from :func:`_canonical_fractions`, a walk over the
+    all-positive words [a1,...,an] (an >= 2) that carries the convergents
+    h_i/k_i.  The word's fraction is p/q = h_n/k_n and the reversed word's
+    is p/h_(n-1), with h_(n-1) = +-q^-1 (mod p), so the walk knows each
+    orbit {+-q, +-q^-1} without a modular inverse and yields only the word
+    of its least q: every class once.  Only those fractions are built, each
+    validated by :class:`BridgeFraction`; a class yielded twice raises
+    :class:`InternalError`.
     """
     if not 3 <= max_crossing <= 26:
         raise DomainError(f"crossing bound must be in 3..26, got {max_crossing}")
     classes: set[KnotClass] = set()
-    for entries in _positive_words(max_crossing):
-        frac = cf_eval(ConwayWord(entries))
-        if frac.is_link:
-            continue
-        classes.add(canonical_class(frac))
+    yielded = 0
+    for p, q, crossing in _canonical_fractions(max_crossing):
+        frac = BridgeFraction(p, q)
+        classes.add(KnotClass(frac, p, crossing, is_amphicheiral(frac)))
+        yielded += 1
+    if yielded != len(classes):
+        raise InternalError(f"the class walk yielded {yielded - len(classes)} classes twice")
     return classes
 
 
@@ -148,16 +182,26 @@ class CrosscheckRow:
 
 
 def amphicheiral_crosscheck(max_crossing: int) -> list[CrosscheckRow]:
-    """Amphicheiral class counts at even c versus family-0 counts at c+2."""
+    """Amphicheiral class counts at even c versus family-0 counts at c+2.
+
+    A class p/q is amphicheiral iff q^2 = -1 (mod p).  The counts are taken
+    straight from :func:`_canonical_fractions`, without building a set of
+    classes: the walk yields every class once, with the least q of its
+    orbit, which it reads off the convergents (the reversed word's q is
+    h_(n-1) = +-q^-1 mod p) instead of taking a modular inverse.  Family-0
+    classes at c+2 come from :func:`families.build_family_index`.
+    """
     if not 4 <= max_crossing <= 24:
         raise DomainError(f"crossing bound must be in 4..24, got {max_crossing}")
-    classes = enumerate_classes(max_crossing)
+    amph: Counter[int] = Counter()
+    for p, q, crossing in _canonical_fractions(max_crossing):
+        if (q * q + 1) % p == 0:
+            amph[crossing] += 1
     index = build_family_index(max_crossing + 2)
     rows = []
     for c in range(4, max_crossing + 1, 2):
-        amph = sum(1 for cls in classes if cls.crossing == c and cls.amphicheiral)
         fam0 = sum(1 for cls, fams in index.items() if cls.crossing == c + 2 and 0 in fams)
-        rows.append(CrosscheckRow(c, amph, fam0, amph == fam0))
+        rows.append(CrosscheckRow(c, amph[c], fam0, amph[c] == fam0))
     return rows
 
 

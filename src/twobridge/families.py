@@ -37,6 +37,7 @@ from .conway import (
     canonical_class,
     cf_eval,
     normalize,
+    orbit_qs,
     same_knot,
 )
 from .errors import DomainError, InternalError
@@ -140,14 +141,9 @@ def family_conditions(p: int, q: int) -> list[ConditionMatch]:
     return matches
 
 
-def _orbit_reps(p2: int, q: int) -> tuple[int, ...]:
-    inv = pow(q, -1, p2)
-    return tuple(sorted({q, inv, p2 - q, p2 - inv}))
-
-
 def _orbit_matches(p: int, q: int) -> tuple[ConditionMatch, ...]:
     return tuple(
-        m for rep in _orbit_reps(p * p, q) for m in family_conditions(p, rep)
+        m for rep in orbit_qs(p * p, q) for m in family_conditions(p, rep)
     )
 
 

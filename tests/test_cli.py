@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -5,7 +7,9 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from twobridge import enumeration
 from twobridge.cli import execute
@@ -44,6 +48,13 @@ def test_sigma_json(capsys):
     assert code == 0
     obj = json.loads(out)
     assert obj["terms"] == [{"r": 2, "area": "184/2", "int": "367/4", "sigma": 1}]
+
+
+@pytest.mark.parametrize("p, q", [(0, 1), (-3, 1), (1, 1)])
+def test_sigma_without_r_validates_p_and_q(capsys, p, q):
+    code, out, err = run(capsys, ["sigma", str(p), str(q)])
+    assert code == 2 and out == ""
+    assert err == f"error: need p >= 2, got {p}\n"
 
 
 def test_cg_check_failure_exits_1(capsys):
@@ -315,3 +326,38 @@ def test_scan_exits_2_when_the_checkpoint_cannot_be_rewritten(capsys, tmp_path):
     # every record was appended as its p completed, before the rewrite failed
     _, expected, _ = run(capsys, argv)
     assert path.read_text() == expected
+
+
+# ------------------------------------------------------------------ fuzzing
+
+_NUMBER = st.integers(-500, 500).map(str)
+_INTEGERS = st.lists(st.integers(-500, 500), max_size=6).map(lambda xs: ",".join(map(str, xs)))
+_TEXT = st.text(max_size=10)
+# positional arguments and options of each cheap command, well-formed or not
+_ARGUMENTS = {
+    "sigma": st.tuples(_NUMBER, _NUMBER, st.sampled_from([[], ["--r", "1"], ["--r", "7"], ["--r", "-2"]])),
+    "cg-check": st.tuples(_NUMBER, _NUMBER),
+    "member": st.tuples(_NUMBER, st.integers(-250_000, 250_000).map(str), st.sampled_from([[], ["--det"]])),
+    "partial": st.tuples(_NUMBER, st.integers(-250_000, 250_000).map(str), st.sampled_from([[], ["--det"]])),
+    "generate": st.tuples(
+        st.just("--family"), st.sampled_from(["0", "1", "2", "3"]), st.just("--params"), _INTEGERS | _TEXT
+    ),
+    "eval": st.tuples(_INTEGERS.map(lambda xs: f"C({xs})") | _TEXT),
+    "expand": st.tuples(st.tuples(_NUMBER, _NUMBER).map("/".join) | _TEXT),
+}
+_STRAY = st.sampled_from(["--format", "json", "text", "csv", "--det", "--r", "5", "--help", "x", ""]) | _TEXT
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_cheap_commands_exit_0_1_or_2_and_never_raise(data):
+    # integers stay within |500| (q within p^2), so no example runs long
+    command = data.draw(st.sampled_from(sorted(_ARGUMENTS)))
+    argv = [command]
+    for arg in data.draw(_ARGUMENTS[command]):
+        argv += arg if isinstance(arg, list) else [arg]
+    argv += data.draw(st.sampled_from([[], ["--format", "json"], ["--format", "csv"]]))
+    argv += data.draw(st.lists(_STRAY, max_size=2))
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = execute(argv)
+    assert code in (0, 1, 2), argv

@@ -8,6 +8,7 @@ from twobridge.conway import (
     UNKNOT,
     BridgeFraction,
     ConwayWord,
+    KnotClass,
     canonical_class,
     cf_eval,
     cf_expand,
@@ -15,6 +16,7 @@ from twobridge.conway import (
     is_amphicheiral,
     mirror,
     normalize,
+    orbit_qs,
     parse_fraction,
     parse_word,
     same_knot,
@@ -195,6 +197,28 @@ def test_orbit_invariance_exhaustive():
             assert len(classes) == 1
             sums = {sum(cf_expand(rep).entries) for rep in reps}
             assert len(sums) == 1
+
+
+def test_canonical_class_equals_the_orbit_and_expansion_derivation():
+    # every reduced p/q with 2 <= p <= 150, knots and link-grade even p alike
+    for p in range(2, 151):
+        for q in range(1, p):
+            if gcd(p, q) != 1:
+                continue
+            f = BridgeFraction(p, q)
+            can = fraction_orbit(f)[0]
+            expected = KnotClass(can, p, sum(cf_expand(can).entries), is_amphicheiral(can))
+            assert canonical_class(f) == expected, f
+
+
+def test_orbit_qs_is_the_inverse_and_mirror_closure():
+    for p in range(2, 60):
+        for q in range(1, p):
+            if gcd(p, q) != 1:
+                continue
+            inv = next(x for x in range(1, p) if x * q % p == 1)
+            assert orbit_qs(p, q, include_mirror=False) == tuple(sorted({q, inv}))
+            assert orbit_qs(p, q) == tuple(sorted({q, inv, p - q, p - inv}))
 
 
 # ------------------------------------------------------------- properties

@@ -1,10 +1,11 @@
 import json
+from collections import Counter
 from math import gcd
 
 import pytest
 
 from twobridge import enumeration
-from twobridge.conway import canonical_class
+from twobridge.conway import ConwayWord, canonical_class, cf_eval
 from twobridge.enumeration import (
     ScanRecord,
     _scan_single_p,
@@ -15,7 +16,7 @@ from twobridge.enumeration import (
     ribbon_table,
 )
 from twobridge.errors import DomainError, InternalError
-from twobridge.families import build_family_index, generate
+from twobridge.families import build_family_index, generate, iter_compositions
 
 
 # -------------------------------------------------------------- enumeration
@@ -52,6 +53,42 @@ def test_amphicheiral_iff_even_palindromic_expansion():
             if len(e) % 2 == 0 and e == tuple(reversed(e)):
                 has_palindrome = True
         assert cls.amphicheiral == has_palindrome, cls
+
+
+def _brute_force_classes(max_crossing):
+    """cf_eval + canonical_class over every composition of every total <= max_crossing."""
+    classes = set()
+    for total in range(1, max_crossing + 1):
+        for entries in iter_compositions(total):
+            frac = cf_eval(ConwayWord(entries))
+            if not frac.is_unknot and not frac.is_link:
+                classes.add(canonical_class(frac))
+    return classes
+
+
+def test_enumerate_classes_equals_a_brute_force_oracle():
+    oracle = _brute_force_classes(14)
+    for c in range(3, 15):
+        assert enumerate_classes(c) == {cls for cls in oracle if cls.crossing <= c}, c
+
+
+def _ernst_sumners(c):
+    """Number of 2-bridge knot classes (mirror pairs once) with crossing number c >= 3."""
+    m = c % 4
+    if m == 0:
+        v = 2 ** (c - 3) + 2 ** ((c - 4) // 2)
+    elif m == 1:
+        v = 2 ** (c - 3) + 2 ** ((c - 3) // 2)
+    elif m == 2:
+        v = 2 ** (c - 3) + 2 ** ((c - 4) // 2) - 1
+    else:
+        v = 2 ** (c - 3) + 2 ** ((c - 3) // 2) + 1
+    return v // 3
+
+
+def test_class_counts_match_ernst_sumners():
+    counts = Counter(cls.crossing for cls in enumerate_classes(18))
+    assert counts == Counter({c: _ernst_sumners(c) for c in range(3, 19)})
 
 
 # -------------------------------------------------------------------- table
@@ -105,6 +142,12 @@ def test_crosscheck_small():
         (8, 3, 3),
     ]
     assert all(r.equal for r in rows)
+
+
+def test_crosscheck_holds_up_to_crossing_20():
+    rows = amphicheiral_crosscheck(20)
+    assert [r.crossing for r in rows] == list(range(4, 21, 2))
+    assert all(r.equal for r in rows), rows
 
 
 # --------------------------------------------------------------------- scan
