@@ -31,8 +31,10 @@ numpy over all q still alive, in rounds over r (blocks of width 1, 1, 2,
 4, ...), dropping the q that fail after each round and capping each
 kernel call at about 2^18 elements.  Every intermediate of the recursion
 and of the sigma formula stays below 2 p^4, so int64 is exact while
-p^4 < 2^62, that is p <= INT64_MAX_P = 46340; above that the same code
-runs on ``dtype=object`` arrays of Python ints.
+p^4 < 2^62, that is p <= INT64_MAX_P = 46340, and :func:`cg_survivors`
+refuses larger p (the scan could not reach them: at p = 46,341 one q per
+orbit is still about 10^9 q).  :func:`cg_condition` and :func:`sigma` run
+on Python ints and stay exact for any p.
 
 The rounds stop at r = (p-1)/2 because sigma(p, q, r) = sigma(p, q, p-r).
 With N = p^2 and the sawtooth ((t)) = t - floor(t) - 1/2, the count
@@ -68,7 +70,6 @@ __all__ = [
     "cg_condition",
     "cg_survivors",
     "INT64_MAX_P",
-    "exact_dtype",
     "coprime_mask",
     "SigmaTerm",
     "SigmaReport",
@@ -272,11 +273,6 @@ INT64_MAX_P = 46340
 _BATCH = 1 << 18
 
 
-def exact_dtype(p: int):
-    """The numpy dtype in which the batched kernel is exact for modulus p^2."""
-    return np.int64 if p <= INT64_MAX_P else object
-
-
 def _floor_sum_batch(n: np.ndarray, m: int, a: np.ndarray) -> np.ndarray:
     """floor_sum(n[k], m, a[k], 0) for every k, given 0 <= a[k] < m.
 
@@ -348,15 +344,17 @@ def coprime_mask(q: np.ndarray, p: int) -> np.ndarray:
 
 
 def _knot_array(p: int, qs) -> np.ndarray:
-    """``qs`` as a 1-D array of :func:`exact_dtype`, every p^2/q a valid knot."""
+    """``qs`` as a 1-D int64 array, every p^2/q a valid knot and p <= INT64_MAX_P."""
     validate_knot(p, 1)
+    if p > INT64_MAX_P:
+        raise DomainError(f"need p <= {INT64_MAX_P} for exact int64, got {p}")
     arr = np.asarray(qs)
-    if arr.ndim != 1 or (arr.size and arr.dtype.kind not in "iuO"):
+    if arr.ndim != 1 or (arr.size and arr.dtype.kind not in "iu"):
         raise DomainError(f"need a 1-D integer array of q, got {arr.dtype} of shape {arr.shape}")
     bad = np.flatnonzero((arr <= 0) | (arr >= p * p))
     if bad.size:
         raise DomainError(f"need 0 < q < p^2, got q={arr[bad[0]]}, p={p}")
-    q = arr.astype(exact_dtype(p))
+    q = arr.astype(np.int64)
     bad = np.flatnonzero(~coprime_mask(q, p))
     if bad.size:
         raise DomainError(f"need gcd(q, p) = 1, got q={q[bad[0]]}, p={p}")
@@ -369,13 +367,15 @@ def cg_survivors(p: int, qs) -> np.ndarray:
     Equal to ``[q for q in qs if cg_condition(p, q).passes]``, computed in
     numpy rounds over r = 1..(p-1)/2 (see the module docstring for the
     batching, the int64 guard and the symmetry that ends the rounds).
+    p above INT64_MAX_P and q that are not of an integer dtype raise
+    :class:`DomainError`.
     """
     q = _knot_array(p, qs)
     r_stop = (p - 1) // 2
     r0 = 1
     while len(q) and r0 <= r_stop:
         r1 = min(r0 + max(1, r0 - 1), r_stop + 1)
-        rs = np.arange(r0, r1).astype(q.dtype)
+        rs = np.arange(r0, r1, dtype=np.int64)
         rows = max(1, _BATCH // len(rs))
         kept = []
         for i in range(0, len(q), rows):

@@ -113,7 +113,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs", type=_positive_int, default=None, help="worker processes (default: all cores)"
     )
     s.add_argument("--checkpoint", default=None, help="JSONL checkpoint file (resumable)")
-    s.add_argument("--audit", action="store_true", help="test every q, not one per orbit")
     s.add_argument("--format", choices=("text", "json"), default="text")
 
     s = sub.add_parser("crosscheck", help="amphicheiral counts vs family-0 counts at c+2")
@@ -265,7 +264,6 @@ def _cmd_scan(args) -> int:
         args.max_p,
         checkpoint=args.checkpoint,
         jobs=args.jobs or os.cpu_count() or 1,
-        audit=args.audit,
         progress=progress,
     )
     candidates = [(rec.p, q) for rec in records for q in rec.non_family]

@@ -10,12 +10,13 @@ membership.  A survivor outside the families is not an error: it is the
 most interesting possible output and is reported with full sigma
 evidence via ``cg-check``.  One representative per orbit of q modulo
 p^2 is tested (pass/fail is a knot invariant), all of one p at once:
-the least orbit members are picked in numpy, with inverses taken as
-q^(phi(p^2) - 1) mod p^2, and checked together by
-:func:`casson_gordon.cg_survivors`.  ``audit=True`` tests all q instead.
-At every p the least survivor is re-derived by the Python-int
-:func:`casson_gordon.cg_condition`, and the ribbon knot p^2/(p-1) must
-survive; a disagreement raises :class:`InternalError`.
+the least orbit members are picked in numpy, each inverse mod p^2 lifted
+once (Hensel) from a table of inverses mod p, and checked together in
+int64 by :func:`casson_gordon.cg_survivors`, so p is at most
+:data:`casson_gordon.INT64_MAX_P`.  At every p the least survivor is
+re-derived by the Python-int :func:`casson_gordon.cg_condition`, and the
+ribbon knot p^2/(p-1) must survive; a disagreement raises
+:class:`InternalError`.
 
 With several jobs the pending p go to the workers largest first, so the
 costliest start early and the cheap ones fill the tail.  Records reach
@@ -32,13 +33,12 @@ import multiprocessing
 import os
 from collections import Counter
 from dataclasses import dataclass
-from functools import partial
-from math import isqrt
+from math import gcd, isqrt
 from typing import Callable, Iterator
 
 import numpy as np
 
-from .casson_gordon import cg_condition, cg_survivors, coprime_mask, exact_dtype
+from .casson_gordon import INT64_MAX_P, cg_condition, cg_survivors, coprime_mask
 from .conway import BridgeFraction, KnotClass, is_amphicheiral
 # perfbench/spans.py traces cf_eval and canonical_class under this module's
 # names as well as conway's, so they stay bound here though nothing calls them
@@ -221,8 +221,8 @@ class ScanRecord:
 
     @property
     def audit(self) -> bool:
-        """An audit tests all p*phi(p) knots; one q per orbit tests at most half
-        as many, as every orbit {+-q, +-q^-1} mod p^2 has two members or more."""
+        """Whether the record tests all p*phi(p) knots (the removed ``--audit`` mode);
+        one q per orbit tests at most half as many, every orbit having >= 2 members."""
         return self.q_tested == self.p * int(coprime_mask(np.arange(self.p), self.p).sum())
 
     def to_json_line(self) -> str:
@@ -239,33 +239,23 @@ class ScanRecord:
         )
 
 
-def _pow_mod(base: np.ndarray, exp: int, mod: int) -> np.ndarray:
-    result = np.ones_like(base)
-    while exp:
-        if exp & 1:
-            result = result * base % mod
-        base = base * base % mod
-        exp >>= 1
-    return result
-
-
-def _tested_qs(p: int, audit: bool) -> np.ndarray:
-    """The q the scan tests at p, ascending: every coprime q with ``audit``,
-    else the least member of each orbit {q, q^-1, -q, -q^-1} mod p^2."""
+def _tested_qs(p: int) -> np.ndarray:
+    """The q the scan tests at p, ascending: the least member of each orbit
+    {q, q^-1, -q, -q^-1} mod p^2."""
     p2 = p * p
     # the least member of an orbit is below p^2/2 (q < p^2 - q, p^2 being odd)
-    q = np.arange(1, p2 if audit else p2 // 2 + 1).astype(exact_dtype(p))
+    q = np.arange(1, p2 // 2 + 1, dtype=np.int64)
     q = q[coprime_mask(q, p)]
-    if audit:
-        return q
-    # q^-1 = q^(phi(p^2) - 1) mod p^2, and q -> p^2 - q pairs the coprime q
-    # on both sides of p^2/2, so phi(p^2) = 2 * len(q)
-    inv = _pow_mod(q, 2 * len(q) - 1, p2)
+    table = np.array([pow(x, -1, p) if gcd(x, p) == 1 else 0 for x in range(p)], dtype=np.int64)
+    # Hensel: u = q^-1 mod p gives q u = 1 + k p, and q u (2 - q u) = 1 - k^2 p^2;
+    # both products stay below p^3, far inside int64 for p <= INT64_MAX_P
+    u = table[q % p]
+    inv = u * ((2 - q * u) % p2) % p2
     return q[(q <= inv) & (q <= p2 - inv)]
 
 
-def _scan_single_p(p: int, audit: bool = False) -> ScanRecord:
-    qs = _tested_qs(p, audit)
+def _scan_single_p(p: int) -> ScanRecord:
+    qs = _tested_qs(p)
     passing = cg_survivors(p, qs).tolist()
     # tie the batched kernel to the Python-int one at every p: its least
     # survivor must pass cg_condition, and it must keep q = p - 1, whose
@@ -325,7 +315,6 @@ def conjecture_scan(
     p_max: int,
     checkpoint: str | None = None,
     jobs: int | None = None,
-    audit: bool = False,
     progress: Callable[[ScanRecord], None] | None = None,
 ) -> list[ScanRecord]:
     """Scan every knot p^2/q for odd p in [p_min, p_max].
@@ -341,8 +330,9 @@ def conjecture_scan(
     each new record is appended and flushed as its p completes, so an
     interrupted scan loses no finished p.  When the scan ends the file
     is rewritten in ascending p through a temp file and ``os.replace``,
-    so a resumed scan finishes with byte-identical content.  A checkpoint
-    holding a record of the other mode (``audit`` or one q per orbit) is
+    so a resumed scan finishes with byte-identical content.  A p_max above
+    :data:`casson_gordon.INT64_MAX_P`, and a checkpoint holding a record
+    that tests every q (written by the removed ``--audit`` mode), are
     refused with :class:`DomainError` before the file is touched.
     """
     if p_min % 2 == 0:
@@ -351,13 +341,15 @@ def conjecture_scan(
         p_max -= 1
     if not 3 <= p_min <= p_max:
         raise DomainError(f"need 3 <= p_min <= p_max after rounding, got {p_min}..{p_max}")
+    if p_max > INT64_MAX_P:
+        raise DomainError(f"need p_max <= {INT64_MAX_P}, the kernel's int64 bound, got {p_max}")
 
     records, valid = _load_checkpoint(checkpoint) if checkpoint else ({}, 0)
-    mixed = sorted(p for p, rec in records.items() if rec.audit != audit)
-    if mixed:
+    audited = sorted(p for p, rec in records.items() if rec.audit)
+    if audited:
         raise DomainError(
-            f"checkpoint {checkpoint} holds {'per-orbit' if audit else 'audit'} records "
-            f"(p={mixed[0]}), so it cannot resume a scan with audit={audit}"
+            f"checkpoint {checkpoint} holds records that test every q (p={audited[0]}), "
+            "so it cannot resume a scan of one q per orbit"
         )
     all_p = list(range(p_min, p_max + 1, 2))
     pending = [p for p in all_p if p not in records]
@@ -385,15 +377,14 @@ def conjecture_scan(
             for p in all_p:
                 if p in records:
                     progress(records[p])
-        worker = partial(_scan_single_p, audit=audit)
         if jobs is not None and jobs > 1 and len(pending) > 1:
             with multiprocessing.Pool(min(jobs, len(pending))) as pool:
                 # largest (costliest) p first, so the small ones fill the tail
-                for rec in pool.imap_unordered(worker, pending[::-1]):
+                for rec in pool.imap_unordered(_scan_single_p, pending[::-1]):
                     finish(rec)
         else:
             for p in pending:
-                finish(worker(p))
+                finish(_scan_single_p(p))
     finally:
         if out is not None:
             out.close()

@@ -7,7 +7,6 @@ import hypothesis.strategies as st
 
 import numpy as np
 
-from twobridge import casson_gordon
 from twobridge.casson_gordon import (
     INT64_MAX_P,
     _column_quarters,
@@ -199,22 +198,16 @@ def test_batched_sigma_matches_and_is_symmetric_in_r():
 
 def test_int64_guard_is_the_largest_p_with_p4_below_2_62():
     assert INT64_MAX_P**4 < 2**62 <= (INT64_MAX_P + 1) ** 4
-    assert casson_gordon.exact_dtype(INT64_MAX_P) is np.int64
-    assert casson_gordon.exact_dtype(INT64_MAX_P + 2) is object
-
-
-def test_object_arrays_give_the_int64_survivors(monkeypatch):
-    expected = {p: cg_survivors(p, coprime_qs(p)).tolist() for p in range(3, 32, 2)}
-    monkeypatch.setattr(casson_gordon, "INT64_MAX_P", 1)
-    for p, survivors in expected.items():
-        got = cg_survivors(p, coprime_qs(p))
-        assert got.dtype == object and got.tolist() == survivors, p
+    with pytest.raises(DomainError, match="int64"):
+        cg_survivors(INT64_MAX_P + 1, [1])  # the least odd p above the guard
 
 
 def test_cg_survivors_validates_its_input():
     assert cg_survivors(11, []).tolist() == []
     assert cg_survivors(11, np.array([46, 12, 2])).tolist() == [46, 12]
-    bad = [(4, [3]), (1, [1]), (5, [5]), (5, [0]), (5, [25]), (9, [3]), (5, [1.5]), (5, [[2]])]
+    assert cg_survivors(11, np.array([46, 12], dtype=np.uint16)).tolist() == [46, 12]
+    bad = [(4, [3]), (1, [1]), (5, [5]), (5, [0]), (5, [25]), (9, [3]), (5, [1.5]), (5, [[2]]),
+           (5, np.array([2], dtype=object))]
     for p, qs in bad:
         with pytest.raises(DomainError):
             cg_survivors(p, qs)
@@ -234,21 +227,15 @@ def test_batched_invariant_check_raises(p, q, r):
         _sigma_grid(p, np.array([1, q]), np.array([1, r]))
 
 
-def odd_p_around_guard():
-    below = st.integers(1, (INT64_MAX_P - 1) // 2).map(lambda k: 2 * k + 1)
-    above = st.integers(INT64_MAX_P // 2 + 1, INT64_MAX_P).map(lambda k: 2 * k + 1)
-    return st.one_of(below, above)
-
-
 @settings(deadline=None, max_examples=60)
-@given(odd_p_around_guard(), st.data())
+@given(st.integers(1, (INT64_MAX_P - 1) // 2).map(lambda k: 2 * k + 1), st.data())
 def test_cg_survivors_single_q_around_the_int64_guard(p, data):
     q = data.draw(st.integers(1, p * p - 1).filter(lambda q: gcd(q, p) == 1))
     expected = [q] if passes(p, q) else []
     assert cg_survivors(p, [q]).tolist() == expected
 
 
-@pytest.mark.parametrize("p", [INT64_MAX_P - 1, INT64_MAX_P + 1])
+@pytest.mark.parametrize("p", [INT64_MAX_P - 1])
 def test_survivor_next_to_the_int64_guard(p):
     # q = p + 1 is condition i) with n = 1, so it and its orbit mate
     # p^2 - p - 1 pass at every r; for the latter the rounds reach terms

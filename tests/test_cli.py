@@ -215,14 +215,6 @@ def test_scan_text_summary(capsys):
     assert out.splitlines()[-1] == "no counterexample candidates for p = 3..5"
 
 
-def test_scan_audit_mode(capsys):
-    code, out, _ = run(capsys, ["scan", "--min-p", "3", "--max-p", "3", "--jobs", "1", "--audit", "--format", "json"])
-    assert code == 0
-    rec = json.loads(out)
-    assert rec["q_tested"] == 6  # all q coprime to 3 below 9
-    assert sorted(rec["cg_passing"]) == [2, 4, 5, 7]  # the whole orbit of 9/4
-
-
 def test_crosscheck_text(capsys):
     code, out, _ = run(capsys, ["crosscheck", "--max-crossing", "8"])
     assert code == 0
@@ -247,6 +239,7 @@ def test_unknown_command_exits_2(capsys):
 
 def test_unknown_flag_exits_2(capsys):
     assert execute(["table", "--max-crossing", "6", "--wat"]) == 2
+    assert execute(["scan", "--min-p", "3", "--max-p", "3", "--audit"]) == 2
     capsys.readouterr()
 
 
@@ -259,16 +252,26 @@ def test_output_is_byte_stable(capsys):
     assert first == second
 
 
-@pytest.mark.parametrize("first", [[], ["--audit"]], ids=["per-orbit-then-audit", "audit-then-per-orbit"])
-def test_scan_resume_in_the_other_mode_exits_2(capsys, tmp_path, first):
+def test_scan_resume_of_an_audit_checkpoint_exits_2(capsys, tmp_path):
+    # p = 21: an audit tested all 21 * phi(21) = 252 coprime q
     path = tmp_path / "ck.jsonl"
-    argv = ["scan", "--min-p", "21", "--max-p", "21", "--jobs", "1", "--checkpoint", str(path)]
-    assert run(capsys, argv + first)[0] == 0
+    path.write_bytes(b'{"p": 21, "q_tested": 252, "cg_passing": [20, 22], "non_family": []}\n')
     before = path.read_bytes()
-    code, out, err = run(capsys, argv + (["--audit"] if not first else []))
+    argv = ["scan", "--min-p", "21", "--max-p", "21", "--jobs", "1", "--checkpoint", str(path)]
+    code, out, err = run(capsys, argv)
     assert code == 2 and out == ""
     assert "cannot resume a scan" in err
     assert path.read_bytes() == before
+
+
+def test_scan_above_the_int64_guard_exits_2(capsys, tmp_path):
+    path = tmp_path / "ck.jsonl"
+    path.write_bytes(b'{"p": 3, "q_te')
+    argv = ["scan", "--min-p", "3", "--max-p", "46341", "--jobs", "1", "--checkpoint", str(path)]
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == ""
+    assert "int64" in err
+    assert path.read_bytes() == b'{"p": 3, "q_te'
 
 
 def test_scan_reports_a_counterexample_candidate(capsys, monkeypatch):

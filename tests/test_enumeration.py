@@ -5,6 +5,7 @@ from math import gcd
 import pytest
 
 from twobridge import enumeration
+from twobridge.casson_gordon import INT64_MAX_P, cg_survivors
 from twobridge.conway import ConwayWord, canonical_class, cf_eval
 from twobridge.enumeration import (
     ScanRecord,
@@ -183,19 +184,16 @@ def test_scan_rounds_bounds_inward():
 
 
 def test_scan_pass_status_is_orbit_invariant():
-    # auditing every q must succeed on exactly the orbit closures of the
-    # canonical survivors, validating the one-representative shortcut
-    for p in (3, 5, 7, 9):
+    # every coprime q must survive exactly when its orbit's least member does,
+    # validating the one-representative shortcut
+    for p in range(3, 100, 2):
         p2 = p * p
-        audit = _scan_single_p(p, audit=True)
-        canon = _scan_single_p(p)
         closure = set()
-        for q in canon.cg_passing:
+        for q in _scan_single_p(p).cg_passing:
             inv = pow(q, -1, p2)
             closure |= {q, inv, p2 - q, p2 - inv}
-        assert set(audit.cg_passing) == closure
-        assert audit.q_tested == sum(1 for q in range(1, p2) if gcd(q, p) == 1)
-        assert audit.non_family == ()
+        coprime = [q for q in range(1, p2) if gcd(q, p) == 1]
+        assert set(cg_survivors(p, coprime).tolist()) == closure, p
 
 
 def test_scan_parallel_matches_serial():
@@ -256,9 +254,10 @@ def test_scan_checkpoint_io_error(tmp_path):
 
 
 def test_bulk_orbit_selection_matches_pow():
-    # composite p included, where phi(p^2) != p * (p - 1) and q may share a
-    # prime with p without being a multiple of p
-    for p in range(3, 100, 2):
+    # composite p included, where q may share a prime with p without being a
+    # multiple of p; 525 = 3 * 5^2 * 7 and 1001 = 7 * 11 * 13 lift the inverse
+    # table through repeated and distinct prime factors
+    for p in [*range(3, 100, 2), 525, 1001]:
         p2 = p * p
         expected = []
         for q in range(1, p2):
@@ -267,8 +266,7 @@ def test_bulk_orbit_selection_matches_pow():
             inv = pow(q, -1, p2)
             if q == min(q, inv, p2 - q, p2 - inv):
                 expected.append(q)
-        assert _tested_qs(p, audit=False).tolist() == expected, p
-        assert _tested_qs(p, audit=True).tolist() == [q for q in range(1, p2) if gcd(q, p) == 1]
+        assert _tested_qs(p).tolist() == expected, p
 
 
 @pytest.mark.parametrize(
@@ -380,28 +378,28 @@ def test_resume_drops_a_torn_tail_before_appending(tmp_path):
 
 
 def test_a_record_tells_its_mode():
-    # an audit tests all p * phi(p) coprime q, one q per orbit at most half
+    # an old audit tested all p * phi(p) coprime q, one q per orbit at most half
     for p in range(3, 100, 2):
-        for audit in (False, True):
-            rec = ScanRecord(p, len(_tested_qs(p, audit)), (), ())
-            assert rec.audit is audit, (p, audit)
+        assert not ScanRecord(p, len(_tested_qs(p)), (), ()).audit, p
+        assert ScanRecord(p, sum(1 for q in range(1, p * p) if gcd(q, p) == 1), (), ()).audit, p
 
 
-@pytest.mark.parametrize("first", [False, True], ids=["per-orbit-then-audit", "audit-then-per-orbit"])
-def test_resume_refuses_a_checkpoint_of_the_other_mode(tmp_path, first):
+def test_resume_refuses_an_audit_checkpoint(tmp_path):
+    # p = 21: an audit tested all 21 * phi(21) = 252 coprime q
     path = tmp_path / "ck.jsonl"
-    conjecture_scan(21, 21, checkpoint=str(path), audit=first)
+    path.write_bytes(b'{"p": 21, "q_tested": 252, "cg_passing": [20, 22], "non_family": []}\n')
     before = path.read_bytes()
     with pytest.raises(DomainError, match="cannot resume"):
-        conjecture_scan(21, 21, checkpoint=str(path), audit=not first)
+        conjecture_scan(21, 21, checkpoint=str(path))
     assert path.read_bytes() == before
 
 
-def test_audit_resume_is_byte_identical(tmp_path):
-    full_path = tmp_path / "full.jsonl"
-    full = conjecture_scan(3, 21, checkpoint=str(full_path), audit=True)
-    full_bytes = full_path.read_bytes()
+def test_scan_refuses_p_max_above_the_int64_guard(tmp_path):
     path = tmp_path / "ck.jsonl"
-    path.write_bytes(b"".join(full_bytes.splitlines(keepends=True)[:4]))
-    assert conjecture_scan(3, 21, checkpoint=str(path), audit=True) == full
-    assert path.read_bytes() == full_bytes
+    path.write_bytes(b'{"p": 3, "q_te')
+    with pytest.raises(DomainError, match="int64"):
+        conjecture_scan(3, INT64_MAX_P + 1, checkpoint=str(path))
+    assert path.read_bytes() == b'{"p": 3, "q_te'
+    with pytest.raises(DomainError, match="int64"):
+        conjecture_scan(3, INT64_MAX_P + 1, checkpoint=str(tmp_path / "new.jsonl"))
+    assert not (tmp_path / "new.jsonl").exists()
