@@ -5,18 +5,20 @@ convention that chiral pairs count once.  The unknot and even
 determinants (2-bridge links) are excluded everywhere.
 
 The scan walks every knot p^2/q in a determinant range, applies the
-Casson-Gordon obstruction, and tests every survivor for family
-membership.  A survivor outside the families is not an error: it is the
-most interesting possible output and is reported with full sigma
-evidence via ``cg-check``.  One representative per orbit of q modulo
-p^2 is tested (pass/fail is a knot invariant), all of one p at once:
-the least orbit members are picked in numpy, each inverse mod p^2 lifted
-once (Hensel) from a table of inverses mod p, and checked together in
-int64 by :func:`casson_gordon.cg_survivors`, so p is at most
-:data:`casson_gordon.INT64_MAX_P`.  At every p the least survivor is
-re-derived by the Python-int :func:`casson_gordon.cg_condition`, and the
-ribbon knot p^2/(p-1) must survive; a disagreement raises
-:class:`InternalError`.
+Casson-Gordon obstruction, and sets the survivors against the family set
+:func:`families.family_reps` builds for each p.  A survivor outside the
+families is not an error: it is the most interesting possible output and
+is reported with full sigma evidence via ``cg-check``.  One
+representative per orbit of q modulo p^2 is tested (pass/fail is a knot
+invariant), in ascending blocks of :data:`SCAN_BLOCK` consecutive q, so
+a worker's memory does not grow with p^2: the least orbit members of a
+block are picked in numpy, each inverse mod p^2 lifted once (Hensel)
+from a table of inverses mod p, and checked together in int64 by
+:func:`casson_gordon.cg_survivors`, so p is at most
+:data:`casson_gordon.INT64_MAX_P`.  At every p every family member must
+survive (the families are ribbon) and the least survivor is re-derived
+by the Python-int :func:`casson_gordon.cg_condition`; a disagreement
+raises :class:`InternalError`.
 
 With several jobs the pending p go to the workers largest first, so the
 costliest start early and the cheap ones fill the tail.  Records reach
@@ -44,7 +46,7 @@ from .conway import BridgeFraction, KnotClass, is_amphicheiral
 # names as well as conway's, so they stay bound here though nothing calls them
 from .conway import canonical_class, cf_eval  # noqa: F401
 from .errors import DomainError, InternalError
-from .families import build_family_index, is_family_member
+from .families import build_family_index, family_reps, is_family_member
 
 __all__ = [
     "enumerate_classes",
@@ -239,37 +241,49 @@ class ScanRecord:
         )
 
 
-def _tested_qs(p: int) -> np.ndarray:
-    """The q the scan tests at p, ascending: the least member of each orbit
-    {q, q^-1, -q, -q^-1} mod p^2."""
+# consecutive q per block of the scan's orbit selection and kernel call,
+# which bounds a worker's memory whatever p is
+SCAN_BLOCK = 1 << 18
+
+
+def _tested_blocks(p: int) -> Iterator[np.ndarray]:
+    """The q the scan tests at p, ascending, from blocks of SCAN_BLOCK consecutive q:
+    the least member of each orbit {q, q^-1, -q, -q^-1} mod p^2."""
     p2 = p * p
-    # the least member of an orbit is below p^2/2 (q < p^2 - q, p^2 being odd)
-    q = np.arange(1, p2 // 2 + 1, dtype=np.int64)
-    q = q[coprime_mask(q, p)]
     table = np.array([pow(x, -1, p) if gcd(x, p) == 1 else 0 for x in range(p)], dtype=np.int64)
-    # Hensel: u = q^-1 mod p gives q u = 1 + k p, and q u (2 - q u) = 1 - k^2 p^2;
-    # both products stay below p^3, far inside int64 for p <= INT64_MAX_P
-    u = table[q % p]
-    inv = u * ((2 - q * u) % p2) % p2
-    return q[(q <= inv) & (q <= p2 - inv)]
+    # the least member of an orbit is below p^2/2 (q < p^2 - q, p^2 being odd)
+    end = p2 // 2 + 1
+    for lo in range(1, end, SCAN_BLOCK):
+        q = np.arange(lo, min(lo + SCAN_BLOCK, end), dtype=np.int64)
+        q = q[coprime_mask(q, p)]
+        # Hensel: u = q^-1 mod p gives q u = 1 + k p, and q u (2 - q u) = 1 - k^2 p^2;
+        # both products stay below p^3, far inside int64 for p <= INT64_MAX_P
+        u = table[q % p]
+        inv = u * ((2 - q * u) % p2) % p2
+        q = q[(q <= inv) & (q <= p2 - inv)]
+        del u, inv  # not held while the caller runs the kernel on q
+        yield q
 
 
 def _scan_single_p(p: int) -> ScanRecord:
-    qs = _tested_qs(p)
-    passing = cg_survivors(p, qs).tolist()
-    # tie the batched kernel to the Python-int one at every p: its least
-    # survivor must pass cg_condition, and it must keep q = p - 1, whose
-    # knot (condition i with n = 1) is ribbon and so passes at every r
-    if p - 1 not in passing:
-        raise InternalError(f"the batched kernel rejects the ribbon knot {p * p}/{p - 1}")
+    tested = 0
+    passing: list[int] = []
+    for qs in _tested_blocks(p):
+        tested += len(qs)
+        passing += cg_survivors(p, qs).tolist()
+    fam = family_reps(p)
+    # tie the batched kernel to the ribbon families and the Python-int kernel at
+    # every p: family knots are ribbon, so each passes at every r, and the
+    # least survivor must pass cg_condition
+    missing = fam.difference(passing)
+    if missing:
+        raise InternalError(f"the batched kernel rejects the ribbon knot {p * p}/{min(missing)}")
     if not cg_condition(p, passing[0]).passes:
         raise InternalError(
             f"the batched kernel passes {p * p}/{passing[0]}, which cg_condition rejects"
         )
-    non_family = [
-        q for q in passing if not is_family_member(p, q, family_lookup=False).member
-    ]
-    return ScanRecord(p, len(qs), tuple(passing), tuple(non_family))
+    non_family = [q for q in passing if q not in fam]
+    return ScanRecord(p, tested, tuple(passing), tuple(non_family))
 
 
 def _load_checkpoint(path: str) -> tuple[dict[int, ScanRecord], int]:

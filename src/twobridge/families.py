@@ -18,15 +18,19 @@ i..iv, each singling out an integer n:
 
 (The -+ sign is opposite to the +- chosen on the same line.)  The
 partial knot of such a symmetric union is p/n; distinct matching
-conditions always produce the same knot class up to mirror, which is
-verified at computation time.
+conditions always produce the same knot class up to mirror, which
+:func:`is_family_member` and :func:`partial_knot` verify.
+
+:func:`family_reps` builds the whole family set of one p from the same
+conditions, O(p) values from n and the divisors each condition names,
+without testing any q; the scan compares its survivors with that set.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import gcd
+from math import gcd, isqrt
 from typing import Iterator, Mapping, Sequence
 
 from .casson_gordon import validate_knot
@@ -46,6 +50,7 @@ __all__ = [
     "FAMILY_IDS",
     "generate",
     "family_conditions",
+    "family_reps",
     "is_family_member",
     "partial_knot",
     "partial_fractions",
@@ -139,6 +144,34 @@ def family_conditions(p: int, q: int) -> list[ConditionMatch]:
         if rem == 0 and (p - sign) % n == 0 and (p - sign) // n % 2 == 1:
             matches.append(ConditionMatch("iv", sign, n, d=(p - sign) // n, q_rep=q))
     return matches
+
+
+def _divisors(m: int) -> list[int]:
+    """The positive divisors of m >= 1, by trial division."""
+    small = [d for d in range(1, isqrt(m) + 1) if m % d == 0]
+    return small + [m // d for d in reversed(small) if d * d != m]
+
+
+def family_reps(p: int) -> set[int]:
+    """The least orbit member (mod p^2, mirrors included) of every family knot p^2/q.
+
+    The q with 0 < q < p^2 that meet a condition i..iv are built, not
+    searched for: n*p +- 1 for every n < p/2 prime to p (n and p - n give
+    mirror images, (p - n)*p +- 1 = p^2 - (n*p -+ 1)), and n*(p +- 1) or
+    n*(2p +- 1) for the divisors n that conditions ii..iv name.  Each is
+    prime to p, as p +- 1, 2p +- 1 and their divisors are.  The result
+    equals the least orbit members of the q that :func:`is_family_member`
+    accepts.
+    """
+    if p < 3 or p % 2 == 0:
+        raise DomainError(f"need odd p >= 3, got {p}")
+    p2 = p * p
+    qs = [n * p + sign for n in range(1, p // 2 + 1) if gcd(n, p) == 1 for sign in (1, -1)]
+    for sign in (1, -1):
+        qs += [n * (p + sign) for n in _divisors(2 * p - sign)]  # ii
+        qs += [n * (p + sign) for n in _divisors(p + sign) if n % 2]  # iii
+        qs += [n * (2 * p + sign) for n in _divisors(p - sign) if (p - sign) // n % 2]  # iv
+    return {orbit_qs(p2, q)[0] for q in qs if q < p2}
 
 
 def _orbit_matches(p: int, q: int) -> tuple[ConditionMatch, ...]:

@@ -1,7 +1,10 @@
+import hashlib
 import json
 from collections import Counter
 from math import gcd
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from twobridge import enumeration
@@ -10,7 +13,7 @@ from twobridge.conway import ConwayWord, canonical_class, cf_eval
 from twobridge.enumeration import (
     ScanRecord,
     _scan_single_p,
-    _tested_qs,
+    _tested_blocks,
     amphicheiral_crosscheck,
     conjecture_scan,
     enumerate_classes,
@@ -266,17 +269,33 @@ def test_bulk_orbit_selection_matches_pow():
             inv = pow(q, -1, p2)
             if q == min(q, inv, p2 - q, p2 - inv):
                 expected.append(q)
-        assert _tested_qs(p).tolist() == expected, p
+        assert np.concatenate(list(_tested_blocks(p))).tolist() == expected, p
+
+
+def test_scan_by_small_blocks_gives_the_same_records(monkeypatch):
+    whole = {p: _scan_single_p(p) for p in range(3, 100, 2)}
+    monkeypatch.setattr(enumeration, "SCAN_BLOCK", 64)
+    for p in range(3, 100, 2):
+        assert _scan_single_p(p) == whole[p], p
+
+
+def test_scan_matches_the_benchmark_reference_digest():
+    # perfbench/reference.json pins the scan of p = 3..151; the benchmark reads it too
+    ref = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
+    expected = json.loads(ref.read_text())["scan_sha256"]["3..151"]
+    lines = "".join(rec.to_json_line() + "\n" for rec in conjecture_scan(3, 151))
+    assert hashlib.sha256(lines.encode()).hexdigest() == expected
 
 
 @pytest.mark.parametrize(
     "wrong",
     [
         lambda p, qs, real: real(p, qs)[1:],  # loses the ribbon knot p^2/(p-1)
+        lambda p, qs, real: np.setdiff1d(real(p, qs), [46]),  # loses the family knot 121/46
         lambda p, qs, real: qs[:0],  # rejects every q
         lambda p, qs, real: qs,  # passes every q
     ],
-    ids=["drops-p-1", "rejects-all", "passes-all"],
+    ids=["drops-p-1", "drops-46", "rejects-all", "passes-all"],
 )
 def test_scan_raises_when_the_batched_kernel_disagrees(monkeypatch, wrong):
     real = enumeration.cg_survivors
@@ -380,7 +399,7 @@ def test_resume_drops_a_torn_tail_before_appending(tmp_path):
 def test_a_record_tells_its_mode():
     # an old audit tested all p * phi(p) coprime q, one q per orbit at most half
     for p in range(3, 100, 2):
-        assert not ScanRecord(p, len(_tested_qs(p)), (), ()).audit, p
+        assert not ScanRecord(p, sum(map(len, _tested_blocks(p))), (), ()).audit, p
         assert ScanRecord(p, sum(1 for q in range(1, p * p) if gcd(q, p) == 1), (), ()).audit, p
 
 

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from twobridge.casson_gordon import cg_condition
-from twobridge.conway import canonical_class, cf_expand, parse_fraction, same_knot
+from twobridge.conway import canonical_class, cf_expand, orbit_qs, parse_fraction, same_knot
 from twobridge.errors import DomainError, InternalError
 from twobridge.families import (
     ConditionMatch,
@@ -13,6 +13,7 @@ from twobridge.families import (
     build_family_index,
     family0_identity_holds,
     family_conditions,
+    family_reps,
     generate,
     is_family_member,
     iter_compositions,
@@ -128,6 +129,27 @@ def test_membership_is_orbit_closed():
         mem = is_family_member(11, q, family_lookup=False)
         assert mem.member
         assert same_knot(mem.partial.canonical, parse_fraction("11/4"))
+
+
+def test_family_reps_are_the_least_members_the_conditions_accept():
+    # the scan sets its survivors against family_reps; here every coprime q is
+    # tested for membership, and each member's partial knot must be one class
+    for p in range(3, 152, 2):
+        p2 = p * p
+        accepted = {
+            orbit_qs(p2, q)[0]
+            for q in range(1, p2)
+            if gcd(q, p) == 1 and is_family_member(p, q, family_lookup=False).member
+        }
+        assert family_reps(p) == accepted, p
+        for q in accepted:
+            partial_knot(p, q)  # raises InternalError on distinct partial classes
+
+
+def test_family_reps_validates_p():
+    for p in (1, 2, 8, -3):
+        with pytest.raises(DomainError):
+            family_reps(p)
 
 
 def test_membership_serialization():
