@@ -15,6 +15,7 @@ import json
 import os
 import sys
 import time
+from functools import cache
 from math import isqrt
 
 from . import enumeration, families
@@ -57,6 +58,7 @@ def _positive_int(text: str) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A fresh parser for the whole command line."""
     parser = argparse.ArgumentParser(
         prog="twobridge",
         description="2-bridge knot fractions, the Casson-Gordon ribbon obstruction, "
@@ -320,11 +322,22 @@ _HANDLERS = {
 }
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser :func:`execute` reuses; parsing leaves no state on it."""
+    return build_parser()
+
+
 def execute(argv: list[str] | None = None) -> int:
-    """Parse argv and run the mapped operation; returns the exit code."""
-    parser = build_parser()
+    """Parse argv and run the mapped operation; returns the exit code.
+
+    The parser is built on the first call and reused.  Building it costs
+    far more than one parse, so this helps callers that run many queries
+    in one process (a client looping over ``execute``, the tests); a
+    one-shot CLI process builds it once either way.
+    """
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -24,6 +24,13 @@ conditions always produce the same knot class up to mirror, which
 :func:`family_reps` builds the whole family set of one p from the same
 conditions, O(p) values from n and the divisors each condition names,
 without testing any q; the scan compares its survivors with that set.
+
+The generator side enumerates the family words by crossing number:
+family-0 words have crossing exactly 2*s + 2 for parameter sum s, and
+family 1/2 words crossing at least 4*max(|a|, |b|) + 4 (tested
+exhaustively for |a|, |b| <= 41).  :func:`build_family_index` takes every
+crossing up to its bound; the family lookup of :func:`is_family_member`
+enumerates only its own knot's crossing, with no index and no cache.
 """
 
 from __future__ import annotations
@@ -229,9 +236,10 @@ def is_family_member(p: int, q: int, family_lookup: bool = True) -> FamilyMember
 
     Conditions are evaluated on all four orbit representatives of q
     modulo p^2 (the family list includes mirror images).  When
-    ``family_lookup`` is set and the knot's crossing number is small
-    enough, the generator families containing the class are resolved by
-    lookup against generator-enumerated classes.
+    ``family_lookup`` is set and the knot's crossing number c is at most
+    AUTO_LOOKUP_LIMIT, the generator families containing the class are
+    found among the family classes of crossing exactly c, enumerated
+    afresh for this call (not through :func:`build_family_index`).
     """
     validate_knot(p, q)
     matches = _orbit_matches(p, q)
@@ -241,7 +249,7 @@ def is_family_member(p: int, q: int, family_lookup: bool = True) -> FamilyMember
     if member and family_lookup:
         cls = canonical_class(normalize(p * p, q))
         if cls.crossing <= AUTO_LOOKUP_LIMIT:
-            families = build_family_index(max(cls.crossing, 3)).get(cls, frozenset())
+            families = frozenset(_family_classes(cls.crossing, cls.crossing).get(cls, ()))
             if not families:
                 raise InternalError(
                     f"{p * p}/{q} satisfies {[str(m) for m in matches]} but no generator "
@@ -300,20 +308,20 @@ def iter_compositions(total: int) -> Iterator[tuple[int, ...]]:
             yield (first,) + rest
 
 
-@lru_cache(maxsize=None)
-def build_family_index(max_crossing: int) -> Mapping[KnotClass, frozenset[int]]:
-    """Map every family knot class with crossing <= max_crossing to its families.
+def _family_classes(lo: int, hi: int) -> dict[KnotClass, set[int]]:
+    """The families producing each family knot class with crossing in lo..hi.
 
-    Family 0 is enumerated by parameter sum (its all-positive word has
-    crossing exactly 2*sum + 2, asserted).  Families 1 and 2 run over
-    |a|, |b| <= max_crossing with a crossing post-filter; the sweep
-    includes the ring one unit beyond the bound, which must contribute
-    nothing (raises InternalError otherwise).
+    Family 0 is enumerated by parameter sum s; its all-positive word has
+    crossing exactly 2*s + 2 (asserted), so only the compositions of the
+    s with lo <= 2*s + 2 <= hi are built.  Families 1 and 2 give crossing
+    at least 4*max(|a|, |b|) + 4 (tested exhaustively for |a|, |b| <= 41
+    in tests/test_families.py, beyond every ring a crossing <= 40 needs,
+    and met with equality by many pairs), so they run over
+    |a|, |b| <= (hi - 4)//4 + 1 with a crossing post-filter; the outermost
+    ring must contribute nothing (raises InternalError otherwise).
     """
-    if not 3 <= max_crossing <= 40:
-        raise DomainError(f"crossing bound must be in 3..40, got {max_crossing}")
-    index: dict[KnotClass, set[int]] = {}
-    for s in range(1, (max_crossing - 2) // 2 + 1):
+    classes: dict[KnotClass, set[int]] = {}
+    for s in range(max(1, (lo - 1) // 2), (hi - 2) // 2 + 1):
         for params in iter_compositions(s):
             _, frac = generate(0, params)
             if frac.is_link:
@@ -323,8 +331,8 @@ def build_family_index(max_crossing: int) -> Mapping[KnotClass, frozenset[int]]:
                 raise InternalError(
                     f"family-0 word for {params} has crossing {cls.crossing}, expected {2 * s + 2}"
                 )
-            index.setdefault(cls, set()).add(0)
-    bound = max_crossing + 1
+            classes.setdefault(cls, set()).add(0)
+    bound = (hi - 4) // 4 + 1
     for family in (1, 2):
         for a in range(-bound, bound + 1):
             if a == 0:
@@ -336,12 +344,27 @@ def build_family_index(max_crossing: int) -> Mapping[KnotClass, frozenset[int]]:
                 if frac.is_link:
                     continue
                 cls = canonical_class(frac)
-                if cls.crossing > max_crossing:
+                if cls.crossing > hi:
                     continue
                 if max(abs(a), abs(b)) == bound:
                     raise InternalError(
                         f"family-{family} parameters ({a}, {b}) beyond the bound produce "
-                        f"crossing {cls.crossing} <= {max_crossing}: bound too small"
+                        f"crossing {cls.crossing} <= {hi}: bound too small"
                     )
-                index.setdefault(cls, set()).add(family)
-    return {cls: frozenset(fams) for cls, fams in index.items()}
+                if cls.crossing >= lo:
+                    classes.setdefault(cls, set()).add(family)
+    return classes
+
+
+@lru_cache(maxsize=None)
+def build_family_index(max_crossing: int) -> Mapping[KnotClass, frozenset[int]]:
+    """Map every family knot class with crossing <= max_crossing to its families.
+
+    Built by :func:`_family_classes` over crossings 3..max_crossing (see
+    there for the family-0 crossing assertion and the 4*max(|a|, |b|) + 4
+    ring bound of families 1 and 2), frozen, and cached per bound for the
+    table and the crosscheck.  Membership lookups do not use it.
+    """
+    if not 3 <= max_crossing <= 40:
+        raise DomainError(f"crossing bound must be in 3..40, got {max_crossing}")
+    return {cls: frozenset(fams) for cls, fams in _family_classes(3, max_crossing).items()}

@@ -10,7 +10,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from twobridge import enumeration
+from twobridge import cli, enumeration
 from twobridge.cli import execute
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -249,6 +249,28 @@ def test_output_is_byte_stable(capsys):
     _, first, _ = run(capsys, ["member", "11", "84", "--format", "json"])
     _, second, _ = run(capsys, ["member", "11", "84", "--format", "json"])
     assert first == second
+
+
+_REUSE_SEQUENCE = [
+    ["member", "11", "84", "--format", "json"],
+    ["sigma", "5", "3", "--r", "1"],
+    ["table", "--max-crossing", "6", "--wat"],  # usage error, exit 2
+    ["member", "11", "46"],
+    ["cg-check", "7", "--format", "json"],  # usage error, exit 2
+    ["partial", "121", "84", "--det", "--format", "json"],
+    ["cg-check", "11", "46"],
+    ["sigma", "4", "2", "--r", "1"],  # domain error, exit 2
+    ["expand", "169/70"],
+]
+
+
+def test_reused_parser_answers_like_a_fresh_one(capsys, monkeypatch):
+    reused = [run(capsys, argv) for argv in _REUSE_SEQUENCE]
+    assert cli._parser() is cli._parser()
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)
+    fresh = [run(capsys, argv) for argv in _REUSE_SEQUENCE]
+    assert reused == fresh
+    assert [code for code, _, _ in reused] == [0, 0, 2, 0, 2, 0, 0, 2, 0]
 
 
 def test_scan_resume_of_an_audit_checkpoint_exits_2(capsys, tmp_path):

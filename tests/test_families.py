@@ -9,6 +9,7 @@ from twobridge.conway import canonical_class, cf_expand, orbit_qs, parse_fractio
 from twobridge.errors import DomainError, InternalError
 from twobridge.families import (
     ConditionMatch,
+    _family_classes,
     _partial_from_matches,
     build_family_index,
     family0_identity_holds,
@@ -279,3 +280,61 @@ def test_every_family_index_class_passes_cg():
     for cls in build_family_index(12):
         p = isqrt(cls.determinant)
         assert cg_condition(p, cls.canonical.q).passes
+
+
+# ------------------------------------------------------------ family index
+
+def test_family12_crossing_is_at_least_four_per_ring_plus_four():
+    # the ring bound of _family_classes, over the old sweep's whole domain
+    # (|a|, |b| <= bound + 1 for every bound up to 40)
+    for family in (1, 2):
+        for a in range(-41, 42):
+            for b in range(-41, 42):
+                if a == 0 or b == 0:
+                    continue
+                _, frac = generate(family, (a, b))
+                if not frac.is_link:
+                    assert canonical_class(frac).crossing >= 4 * max(abs(a), abs(b)) + 4, (family, a, b)
+
+
+def test_family_layers_are_slices_of_the_index():
+    index = build_family_index(24)
+    for c in range(3, 25):
+        want = {cls: set(fams) for cls, fams in index.items() if cls.crossing == c}
+        assert _family_classes(c, c) == want, c
+
+
+def _full_sweep_index(max_crossing):
+    """The family index as built before the ring bound: |a|, |b| <= max_crossing + 1."""
+    index = {}
+    for s in range(1, (max_crossing - 2) // 2 + 1):
+        for params in iter_compositions(s):
+            _, frac = generate(0, params)
+            if not frac.is_link:
+                index.setdefault(canonical_class(frac), set()).add(0)
+    bound = max_crossing + 1
+    for family in (1, 2):
+        for a in range(-bound, bound + 1):
+            for b in range(-bound, bound + 1):
+                if a == 0 or b == 0:
+                    continue
+                _, frac = generate(family, (a, b))
+                if frac.is_link:
+                    continue
+                cls = canonical_class(frac)
+                if cls.crossing <= max_crossing:
+                    index.setdefault(cls, set()).add(family)
+    return {cls: frozenset(fams) for cls, fams in index.items()}
+
+
+def test_family_index_equals_the_full_sweep():
+    for c in range(3, 21):
+        assert build_family_index(c) == _full_sweep_index(c), c
+
+
+def test_member_lookup_builds_no_index():
+    build_family_index.cache_clear()
+    mem = is_family_member(377, 87840)
+    assert canonical_class(parse_fraction(f"{377 * 377}/87840")).crossing == 26
+    assert mem.member and mem.families
+    assert build_family_index.cache_info().currsize == 0
