@@ -1,97 +1,17 @@
 """2-bridge knot fractions, the Casson-Gordon ribbon obstruction, and the
-known families of 2-bridge ribbon knots."""
+known families of 2-bridge ribbon knots.
 
-from .casson_gordon import (
-    SigmaReport,
-    SigmaTerm,
-    cg_condition,
-    cg_survivors,
-    floor_sum,
-    sigma,
-    weighted_count,
-    weighted_count_oracle,
-)
-from .conway import (
-    UNKNOT,
-    BridgeFraction,
-    ConwayWord,
-    KnotClass,
-    canonical_class,
-    cf_eval,
-    cf_expand,
-    fraction_orbit,
-    is_amphicheiral,
-    mirror,
-    normalize,
-    parse_fraction,
-    parse_word,
-    same_knot,
-)
-from .enumeration import (
-    CrosscheckRow,
-    ScanRecord,
-    TableRow,
-    amphicheiral_crosscheck,
-    conjecture_scan,
-    enumerate_classes,
-    ribbon_table,
-)
-from .errors import DomainError, InternalError
-from .families import (
-    ConditionMatch,
-    FamilyMembership,
-    build_family_index,
-    family0_identity_holds,
-    family_conditions,
-    family_reps,
-    generate,
-    is_family_member,
-    partial_fractions,
-    partial_knot,
-)
+The package exports the public names of every module but the CLI: the
+module ``__all__`` lists are the only lists of them, and ``__all__`` joins them.
+"""
+
+from . import casson_gordon, conway, enumeration, errors, families
+from .casson_gordon import *  # noqa: F401,F403
+from .conway import *  # noqa: F401,F403
+from .enumeration import *  # noqa: F401,F403
+from .errors import *  # noqa: F401,F403
+from .families import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BridgeFraction",
-    "ConwayWord",
-    "KnotClass",
-    "UNKNOT",
-    "normalize",
-    "parse_fraction",
-    "parse_word",
-    "cf_eval",
-    "cf_expand",
-    "same_knot",
-    "mirror",
-    "is_amphicheiral",
-    "fraction_orbit",
-    "canonical_class",
-    "floor_sum",
-    "weighted_count",
-    "weighted_count_oracle",
-    "sigma",
-    "cg_condition",
-    "cg_survivors",
-    "SigmaTerm",
-    "SigmaReport",
-    "generate",
-    "family_conditions",
-    "family_reps",
-    "is_family_member",
-    "partial_knot",
-    "partial_fractions",
-    "family0_identity_holds",
-    "build_family_index",
-    "ConditionMatch",
-    "FamilyMembership",
-    "enumerate_classes",
-    "ribbon_table",
-    "amphicheiral_crosscheck",
-    "conjecture_scan",
-    "TableRow",
-    "CrosscheckRow",
-    "ScanRecord",
-    "DomainError",
-    "InternalError",
-]
+__all__ = [n for m in (conway, casson_gordon, families, enumeration, errors) for n in m.__all__]

@@ -145,38 +145,42 @@ def _oracle_quarters(p: int, q: int, r: int) -> int:
     return int(weights.sum())
 
 
+def _quarters(p, q, r, below, hyp):
+    """The weighted count in quarters from its columns 0 < x < pr, on ints or numpy arrays.
+
+    ``below`` counts the lattice points with y > 0 on or under the hypotenuse
+    (weight 1), ``hyp`` those on it (1/2).  The rest is closed form: bottom
+    edge 1/2, corner (pr, 0) 1/4, right edge 1/2, and a lattice apex 1/4.
+    """
+    return 4 * below - 2 * hyp + 2 * (p * r - 1) + 1 + 2 * ((q * r - 1) // p) + (q * r % p == 0)
+
+
 def _column_quarters(p: int, q: int, r: int) -> tuple[int, int, bool]:
     """Column decomposition.  Returns (quarters, hypotenuse points, lattice apex)."""
     p2 = p * p
-    n = p * r
-    interior = 0
+    below = 0
     hyp = 0
-    for x in range(1, n):
+    for x in range(1, p * r):
         f, rem = divmod(q * x, p2)
-        if rem == 0:
-            interior += f - 1  # the top point sits on the hypotenuse
-            hyp += 1
-        else:
-            interior += f
-    quarters = 4 * interior + 2 * hyp + 2 * (n - 1) + 1 + 2 * ((q * r - 1) // p)
-    apex = (q * r) % p == 0
-    if apex:
-        quarters += 1
-    return quarters, hyp, apex
+        below += f
+        hyp += rem == 0
+    return _quarters(p, q, r, below, hyp), hyp, (q * r) % p == 0
 
 
 def _floorsum_quarters(p: int, q: int, r: int) -> tuple[int, int, bool]:
     """Same count via the Euclidean floor-sum recursion (logarithmic)."""
     p2 = p * p
     n = p * r
-    s = floor_sum(n, p2, q, 0)
-    step = p2 // gcd(q, p2)
-    hyp = (n - 1) // step
-    quarters = 4 * (s - hyp) + 2 * hyp + 2 * (n - 1) + 1 + 2 * ((q * r - 1) // p)
-    apex = (q * r) % p == 0
-    if apex:
-        quarters += 1
-    return quarters, hyp, apex
+    below = floor_sum(n, p2, q, 0)
+    hyp = (n - 1) // (p2 // gcd(q, p2))
+    return _quarters(p, q, r, below, hyp), hyp, (q * r) % p == 0
+
+
+def _lattice_point_error(p: int, q: int, r: int) -> InternalError:
+    return InternalError(
+        f"lattice point on hypotenuse/apex for p={p}, q={q}, r={r}: "
+        "impossible under gcd(q,p)=1, r<p -- counting bug"
+    )
 
 
 def weighted_count_oracle(p: int, q: int, r: int) -> int:
@@ -199,10 +203,7 @@ def weighted_count(p: int, q: int, r: int) -> int:
     _validate(p, q, r)
     quarters, hyp, apex = _floorsum_quarters(p, q, r)
     if hyp or apex:
-        raise InternalError(
-            f"lattice point on hypotenuse/apex for p={p}, q={q}, r={r}: "
-            "impossible under gcd(q,p)=1, r<p -- counting bug"
-        )
+        raise _lattice_point_error(p, q, r)
     return quarters
 
 
@@ -319,13 +320,9 @@ def _sigma_grid(p: int, q: np.ndarray, rs: np.ndarray) -> np.ndarray:
     apex = qr % p == 0
     if hyp.any() or apex.any():
         i, j = np.argwhere((hyp != 0) | apex)[0]
-        raise InternalError(
-            f"lattice point on hypotenuse/apex for p={p}, q={q[i]}, r={rs[j]}: "
-            "impossible under gcd(q,p)=1, r<p -- counting bug"
-        )
+        raise _lattice_point_error(p, q[i], rs[j])
     s = _floor_sum_batch(np.tile(n[0], len(q)), p2, np.repeat(q, len(rs)))
-    quarters = 4 * s.reshape(qr.shape) + 2 * (n - 1) + 1 + 2 * ((qr - 1) // p)
-    return 2 * qr * r - quarters
+    return 2 * qr * r - _quarters(p, qc, r, s.reshape(qr.shape), 0)
 
 
 def coprime_mask(q: np.ndarray, p: int) -> np.ndarray:

@@ -232,13 +232,22 @@ class ScanRecord:
 
     @classmethod
     def from_json_line(cls, line: str) -> "ScanRecord":
+        """The record a checkpoint line holds, read as outside input: nothing is coerced.
+
+        p and q_tested must be ints, both lists lists of ints (bools are none) and p odd
+        in 3..INT64_MAX_P; any other line raises ValueError, KeyError or TypeError."""
         obj = json.loads(line)
-        return cls(
-            int(obj["p"]),
-            int(obj["q_tested"]),
-            tuple(int(q) for q in obj["cg_passing"]),
-            tuple(int(q) for q in obj["non_family"]),
-        )
+        p, tested = obj["p"], obj["q_tested"]
+        passing, non_family = obj["cg_passing"], obj["non_family"]
+        if not (
+            type(p) is type(tested) is int
+            and p % 2 == 1
+            and 3 <= p <= INT64_MAX_P
+            and type(passing) is type(non_family) is list
+            and all(type(q) is int for q in passing + non_family)
+        ):
+            raise ValueError(f"not a scan record: {line.rstrip()}")
+        return cls(p, tested, tuple(passing), tuple(non_family))
 
 
 # consecutive q per block of the scan's orbit selection and kernel call,

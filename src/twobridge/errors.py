@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+__all__ = ["DomainError", "InternalError"]
+
 
 class DomainError(ValueError):
     """Raised when an input violates a documented precondition."""

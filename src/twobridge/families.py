@@ -54,7 +54,6 @@ from .conway import (
 from .errors import DomainError, InternalError
 
 __all__ = [
-    "FAMILY_IDS",
     "generate",
     "family_conditions",
     "family_reps",
@@ -67,8 +66,6 @@ __all__ = [
     "ConditionMatch",
     "FamilyMembership",
 ]
-
-FAMILY_IDS = (0, 1, 2)
 
 # Generator-family lookup is exponential in the crossing bound (family 0
 # enumerates compositions), so it is only attempted below this crossing.
@@ -170,8 +167,7 @@ def family_reps(p: int) -> set[int]:
     equals the least orbit members of the q that :func:`is_family_member`
     accepts.
     """
-    if p < 3 or p % 2 == 0:
-        raise DomainError(f"need odd p >= 3, got {p}")
+    validate_knot(p, 1)
     p2 = p * p
     qs = [n * p + sign for n in range(1, p // 2 + 1) if gcd(n, p) == 1 for sign in (1, -1)]
     for sign in (1, -1):

@@ -285,6 +285,18 @@ def test_scan_resume_of_an_audit_checkpoint_exits_2(capsys, tmp_path):
     assert path.read_bytes() == before
 
 
+def test_scan_resumed_past_a_huge_p_line_matches_a_fresh_scan(capsys, tmp_path):
+    argv = ["scan", "--min-p", "3", "--max-p", "11", "--jobs", "1", "--checkpoint"]
+    fresh, resumed = tmp_path / "fresh.jsonl", tmp_path / "resumed.jsonl"
+    assert run(capsys, argv + [str(fresh)])[0] == 0
+    # p = 10^15 + 1, far above the int64 guard: the line ends the valid prefix
+    prefix = b"".join(fresh.read_bytes().splitlines(keepends=True)[:2])
+    huge = b'{"p": 1000000000000001, "q_tested": 1, "cg_passing": [], "non_family": []}\n'
+    resumed.write_bytes(prefix + huge)
+    assert run(capsys, argv + [str(resumed)])[0] == 0
+    assert resumed.read_bytes() == fresh.read_bytes()
+
+
 def test_scan_above_the_int64_guard_exits_2(capsys, tmp_path):
     path = tmp_path / "ck.jsonl"
     path.write_bytes(b'{"p": 3, "q_te')

@@ -241,7 +241,18 @@ def test_scan_resume_is_byte_identical(tmp_path):
     assert resumed_path.read_bytes() == full_bytes
 
 
-@pytest.mark.parametrize("tail", [b"3\n", b"[1, 2]\n"])
+@pytest.mark.parametrize(
+    "tail",
+    [
+        b"3\n",
+        b"[1, 2]\n",
+        # fields of the wrong type, which int() would coerce into a different
+        # record; p = 13 lies outside the scanned range, so no record hides it
+        b'{"p": 13.0, "q_tested": true, "cg_passing": "1021", "non_family": []}\n',
+        # p far above the int64 guard
+        b'{"p": 1000000000000001, "q_tested": 1, "cg_passing": [], "non_family": []}\n',
+    ],
+)
 def test_scan_resume_stops_at_a_non_record_line(tmp_path, tail):
     path = tmp_path / "ck.jsonl"
     recs = conjecture_scan(3, 11, checkpoint=str(path))
