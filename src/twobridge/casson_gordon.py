@@ -26,15 +26,21 @@ occurrence under validated preconditions raises :class:`InternalError`,
 so the kernel stays correct if the preconditions are ever relaxed.
 
 The scan uses a batched route, :func:`cg_survivors`: it validates p and
-every q once, then runs the same floor-sum recursion elementwise in
-numpy over all q still alive, in rounds over r (blocks of width 1, 1, 2,
-4, ...), dropping the q that fail after each round and capping each
-kernel call at about 2^18 elements.  Every intermediate of the recursion
-and of the sigma formula stays below 2 p^4, so int64 is exact while
-p^4 < 2^62, that is p <= INT64_MAX_P = 46340, and :func:`cg_survivors`
-refuses larger p (the scan could not reach them: at p = 46,341 one q per
-orbit is still about 10^9 q).  :func:`cg_condition` and :func:`sigma` run
-on Python ints and stay exact for any p.
+every q once, then works in numpy rounds over r, dropping the q that
+fail after each round.  The first round, r = 1, needs
+S(q) = sum_{x<p} floor(q x / p^2) for each q; S is a sum of sawtooth
+steps, term x stepping up at q = ceil(k p^2 / x), so one sweep over a
+window of consecutive q counts the steps between its ends and yields S
+at every q of the window at once (:func:`_first_round_sums`).  The
+rounds from r = 2 on, of width 1, 2, 4, ..., run the floor-sum
+recursion elementwise over the q still alive.  Each window spans fewer
+than 2^18 q and each recursion call holds about 2^18 elements.  Every
+intermediate of the recursion and of the sigma formula stays below
+2 p^4, and the sweep's below p^3, so int64 is exact while p^4 < 2^62,
+that is p <= INT64_MAX_P = 46340, and :func:`cg_survivors` refuses
+larger p (the scan could not reach them: at p = 46,341 one q per orbit
+is still about 10^9 q).  :func:`cg_condition` and :func:`sigma` run on
+Python ints and stay exact for any p.
 
 The rounds stop at r = (p-1)/2 because sigma(p, q, r) = sigma(p, q, p-r).
 With N = p^2 and the sawtooth ((t)) = t - floor(t) - 1/2, the count
@@ -270,7 +276,8 @@ def cg_condition(p: int, q: int) -> SigmaReport:
 
 # p^4 < 2^62 bounds every kernel intermediate (at most 2 p^4) inside int64.
 INT64_MAX_P = 46340
-# Elements per batched kernel call: bounds the memory of one round.
+# Elements per floor-sum call, and the bound on a first-round window's span:
+# bounds the memory of one round.
 _BATCH = 1 << 18
 
 
@@ -279,8 +286,18 @@ def _floor_sum_batch(n: np.ndarray, m: int, a: np.ndarray) -> np.ndarray:
 
     The recursion of :func:`floor_sum`, elementwise; each step reduces a
     and b at its end, which the first step, with a < m and b = 0, skips.
+
+    A lane is live while y = a n + b >= m.  Lanes are compacted out only
+    once at most half of them are live; until then a finished lane rides
+    along frozen, with y forced to 0.  Its step then gives n = 0, so its
+    acc gains (n - 1) n / 2 * k + n * k = 0, and b = 0; from then on
+    y = a * 0 + 0 = 0 < m, so it stays finished with its acc final.  The
+    swap makes the old a the new divisor m, and a live lane always has
+    a >= 1 (with a = 0, y = b < m); a frozen lane's a may be 0, so a is
+    clamped to >= 1 before the swap, which changes no live lane and keeps
+    a frozen lane free of division by zero.
     """
-    total = np.zeros_like(n)
+    out = np.empty_like(n)
     acc = np.zeros_like(n)
     b = np.zeros_like(n)
     m = np.full_like(n, m)
@@ -288,19 +305,22 @@ def _floor_sum_batch(n: np.ndarray, m: int, a: np.ndarray) -> np.ndarray:
     while True:
         y = a * n + b
         live = y >= m
-        total[idx[~live]] = acc[~live]
-        if not live.any():
-            return total
-        idx, y, a, m, acc = idx[live], y[live], a[live], m[live], acc[live]
-        n = y // m
-        b = y - n * m
+        count = np.count_nonzero(live)
+        if count == 0:
+            out[idx] = acc
+            return out
+        if 2 * count <= len(live):
+            out[idx[~live]] = acc[~live]
+            idx, y, a, m, acc = idx[live], y[live], a[live], m[live], acc[live]
+        else:
+            y *= live
+            a = np.maximum(a, 1)
+        n, b = np.divmod(y, m)
         a, m = m, a
-        k = a // m
+        k, a = np.divmod(a, m)
         acc += (n - 1) * n // 2 * k
-        a = a - k * m
-        k = b // m
+        k, b = np.divmod(b, m)
         acc += n * k
-        b = b - k * m
 
 
 def _sigma_grid(p: int, q: np.ndarray, rs: np.ndarray) -> np.ndarray:
@@ -358,18 +378,67 @@ def _knot_array(p: int, qs) -> np.ndarray:
     return q
 
 
+def _first_round_sums(p: int, q: np.ndarray) -> np.ndarray:
+    """S(q[i]) = sum_{x=1}^{p-1} floor(q[i] x / p^2) for ascending q with
+    q[-1] - q[0] < _BATCH, by one sweep over the window lo = q[0] .. hi = q[-1].
+
+    Term x steps up by one at each q = ceil(k p^2 / x), k = 1, 2, ...  The
+    base value S(lo) is summed term by term; the steps in (lo, hi] are the
+    k = floor(lo x / p^2) + 1 .. floor(hi x / p^2) of each x, fewer than
+    (hi - lo) / 2 + p in all, and one bincount of their positions and one
+    cumsum give S at every q of the window.  In int64: hi < p^2 and x < p,
+    so k p^2 <= hi x < p^3 and lo x < p^3, and S < p^3 / 2.
+    """
+    p2 = p * p
+    lo, hi = int(q[0]), int(q[-1])
+    x = np.arange(1, p, dtype=np.int64)
+    below = lo * x // p2
+    steps = hi * x // p2 - below
+    # the k of the steps of term x, numbered from first[x] in x order
+    first = np.cumsum(steps) - steps
+    xs = np.repeat(x, steps)
+    k = np.arange(len(xs), dtype=np.int64) + np.repeat(below + 1 - first, steps)
+    at = (k * p2 - 1) // xs + 1 - lo  # ceil(k p^2 / x) - lo, in 1 .. hi - lo
+    return below.sum() + np.cumsum(np.bincount(at, minlength=hi - lo + 1))[q - lo]
+
+
+def _sigma_first_round(p: int, q: np.ndarray) -> np.ndarray:
+    """sigma(p, q[i], 1) for every i, by :func:`_first_round_sums` over the sorted q
+    cut into windows of span below _BATCH, so each window costs O(p + span).
+
+    No precondition checks beyond the lattice-point invariant.
+    """
+    # at r = 1 the hypotenuse or apex holds a lattice point iff q x = 0 mod p^2
+    # for some 0 < x <= p, that is iff gcd(q, p^2) >= p; q prime to p has none
+    shared = np.flatnonzero(~coprime_mask(q, p))
+    bad = shared[np.gcd(q[shared], p * p) >= p]
+    if bad.size:
+        raise _lattice_point_error(p, q[bad[0]], 1)
+    order = np.argsort(q, kind="stable")
+    ordered = q[order]
+    s = np.empty_like(q)
+    i = 0
+    while i < len(q):
+        j = int(np.searchsorted(ordered, ordered[i] + _BATCH))
+        s[order[i:j]] = _first_round_sums(p, ordered[i:j])
+        i = j
+    return 2 * q - _quarters(p, q, 1, s, 0)
+
+
 def cg_survivors(p: int, qs) -> np.ndarray:
     """The q of ``qs`` whose knot p^2/q passes :func:`cg_condition`, in input order.
 
     Equal to ``[q for q in qs if cg_condition(p, q).passes]``, computed in
-    numpy rounds over r = 1..(p-1)/2 (see the module docstring for the
+    numpy: r = 1 by one sawtooth sweep per window of q, then the floor-sum
+    rounds over r = 2..(p-1)/2 (see the module docstring for the
     batching, the int64 guard and the symmetry that ends the rounds).
     p above INT64_MAX_P and q that are not of an integer dtype raise
     :class:`DomainError`.
     """
     q = _knot_array(p, qs)
+    q = q[np.abs(_sigma_first_round(p, q)) == 1]
     r_stop = (p - 1) // 2
-    r0 = 1
+    r0 = 2
     while len(q) and r0 <= r_stop:
         r1 = min(r0 + max(1, r0 - 1), r_stop + 1)
         rs = np.arange(r0, r1, dtype=np.int64)

@@ -5,7 +5,9 @@ output: no timestamps, scan progress on stderr only, numbers exact
 (fractions as "p/q", quarter counts as decimals with .25 granularity,
 or as "m/4" strings in JSON).  Exit codes: 0 success, 1 mathematical
 finding of interest (failed check, scan counterexample candidate,
-unequal crosscheck), 2 usage or domain error.
+unequal crosscheck), 2 usage or domain error, 141 (128 + SIGPIPE) when
+the reader closes stdout before the output is written, as ``| head``
+does; that exit prints no traceback.
 """
 
 from __future__ import annotations
@@ -351,4 +353,12 @@ def execute(argv: list[str] | None = None) -> int:
 
 
 def main() -> None:
-    sys.exit(execute())
+    try:
+        code = execute()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader is gone: point stdout at devnull so that the flush at
+        # interpreter shutdown does not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 128 + 13  # as a shell reports a process killed by SIGPIPE
+    sys.exit(code)

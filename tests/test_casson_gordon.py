@@ -7,11 +7,14 @@ import hypothesis.strategies as st
 
 import numpy as np
 
+from twobridge import casson_gordon
 from twobridge.casson_gordon import (
     INT64_MAX_P,
     _column_quarters,
+    _floor_sum_batch,
     _floorsum_quarters,
     _oracle_quarters,
+    _sigma_first_round,
     _sigma_grid,
     cg_condition,
     cg_survivors,
@@ -194,6 +197,110 @@ def test_batched_sigma_matches_and_is_symmetric_in_r():
         expected = [[sigma(p, qq, rr) for rr in range(1, p)] for qq in qs]
         assert got.tolist() == expected, p
         assert (got == got[:, ::-1]).all(), p  # sigma(p, q, r) = sigma(p, q, p - r)
+
+
+def test_first_round_sweep_matches_the_grid_exhaustive():
+    # every knot with odd p <= 99 in one window (p^2 < _BATCH), shuffled
+    rng = np.random.default_rng(0)
+    for p in range(3, 100, 2):
+        qs = rng.permutation(coprime_qs(p))
+        expected = _sigma_grid(p, qs, np.array([1]))[:, 0]
+        assert _sigma_first_round(p, qs).tolist() == expected.tolist(), p
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(1, (INT64_MAX_P - 1) // 2).map(lambda k: 2 * k + 1), st.data())
+def test_first_round_sweep_matches_the_grid_on_windows_up_to_the_int64_guard(p, data):
+    lo = data.draw(st.integers(1, p * p - 1))
+    hi = data.draw(st.integers(lo, min(lo + 5000, p * p - 1)))
+    qs = data.draw(st.lists(st.integers(lo, hi), max_size=40)) + [lo, hi]
+    qs = np.array([q for q in qs if gcd(q, p) == 1], dtype=np.int64)
+    expected = _sigma_grid(p, qs, np.array([1]))[:, 0]
+    assert _sigma_first_round(p, qs).tolist() == expected.tolist()
+
+
+@pytest.mark.parametrize("batch", [1, 2, 7, 64])
+def test_first_round_windows_keep_input_order(monkeypatch, batch):
+    # unsorted q with repeats, spread over many windows of span < batch
+    monkeypatch.setattr(casson_gordon, "_BATCH", batch)
+    real = casson_gordon._first_round_sums
+    spans = []
+
+    def first_round_sums(p, q):
+        assert (np.diff(q) >= 0).all()
+        spans.append(int(q[-1] - q[0]))
+        return real(p, q)
+
+    monkeypatch.setattr(casson_gordon, "_first_round_sums", first_round_sums)
+    p = 15
+    rng = np.random.default_rng(batch)
+    qs = rng.choice(coprime_qs(p), size=300)
+    assert len(set(qs.tolist())) < len(qs) and (np.diff(qs) < 0).any()
+    assert _sigma_first_round(p, qs).tolist() == [sigma(p, int(q), 1) for q in qs]
+    assert max(spans) < batch and len(spans) > 1
+    assert cg_survivors(p, qs).tolist() == [q for q in qs.tolist() if passes(p, q)]
+
+
+@pytest.mark.parametrize("p", [9, 15, 21, 25, 45])
+def test_first_round_raises_exactly_where_the_grid_does(p):
+    # q sharing a factor with p, which validated input never holds: the r = 1
+    # triangle holds a lattice point on its hypotenuse or apex iff
+    # gcd(q, p^2) >= p, and both routes must then refuse, else agree
+    for q in range(1, p * p):
+        try:
+            expected = _sigma_grid(p, np.array([q]), np.array([1]))[0, 0]
+        except InternalError:
+            assert gcd(q, p * p) >= p, q
+            with pytest.raises(InternalError):
+                _sigma_first_round(p, np.array([1, q]))
+        else:
+            assert gcd(q, p * p) < p, q
+            assert _sigma_first_round(p, np.array([q]))[0] == expected, q
+
+
+def floor_sum_lanes(n, m, a):
+    with np.errstate(all="raise"):  # a frozen lane must not divide by zero
+        got = _floor_sum_batch(np.array(n, dtype=np.int64), m, np.array(a, dtype=np.int64))
+    return got.tolist(), [floor_sum(nn, m, aa, 0) for nn, aa in zip(n, a)]
+
+
+def test_floor_sum_batch_on_lanes_that_finish_many_steps_apart():
+    # a Fibonacci pair is the longest recursion, a = 0 or 1 the shortest; the
+    # counts make the batch both freeze lanes (most live) and compact them
+    fib = [1, 1]
+    while fib[-1] < 10**9:
+        fib.append(fib[-1] + fib[-2])
+    m = fib[-1]
+    for slow in (1, 3, 10):
+        for fast in (0, slow - 1, slow, slow + 1, 3 * slow):
+            a = [fib[-2 - i] for i in range(slow)] + [i % 2 for i in range(fast)]
+            n = [m - 1 - i for i in range(slow)] + [5 + i for i in range(fast)]
+            got, expected = floor_sum_lanes(n, m, a)
+            assert got == expected, (slow, fast)
+
+
+def test_floor_sum_batch_on_lanes_that_reach_a_zero():
+    # a | m makes a = 0 after one step, and a = 0 lanes finish at once;
+    # frozen, their swapped-in divisor would be 0 without the clamp
+    p = 21
+    m = p * p
+    a = [0, p, 3 * p, 7, 49, 63, 1, m - 1, m - p, 2 * p]
+    n = [p * r for r in range(1, len(a) + 1)]
+    got, expected = floor_sum_lanes(n, m, a)
+    assert got == expected
+    got, expected = floor_sum_lanes(n[::-1], m, a)
+    assert got == expected
+
+
+@pytest.mark.parametrize("p", [INT64_MAX_P - 1, INT64_MAX_P - 3])
+def test_floor_sum_batch_next_to_the_int64_guard(p):
+    # the grid's inputs at their largest: n = p r up to p (p - 1), a < p^2
+    m = p * p
+    rng = np.random.default_rng(p)
+    a = [m - 1, m - p - 1, p + 1, 1] + rng.integers(1, m, 60).tolist()
+    n = [p * (p - 1), p * (p - 1) // 2, p, p * (p - 1)] + (p * rng.integers(1, p, 60)).tolist()
+    got, expected = floor_sum_lanes(n, m, a)
+    assert got == expected
 
 
 def test_int64_guard_is_the_largest_p_with_p4_below_2_62():

@@ -208,6 +208,30 @@ def test_python_dash_m_runs_the_cli():
     assert done.returncode == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sigma", "571", "1000", "--format", "json"],  # 59 kB: fails inside the command
+        ["eval", "C(2,1,3)"],  # one short line: fails at the final flush
+    ],
+)
+def test_a_closed_stdout_exits_141_without_a_traceback(argv):
+    # the reader end is closed before the command starts, as when `| head`
+    # has already exited, so every write to stdout fails with EPIPE
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "twobridge", *argv],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, env=env,
+        )
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (141, "")
+
+
 def test_scan_text_summary(capsys):
     code, out, _ = run(capsys, ["scan", "--min-p", "3", "--max-p", "5", "--jobs", "1"])
     assert code == 0

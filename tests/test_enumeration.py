@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from twobridge import enumeration
+from twobridge import casson_gordon, enumeration
 from twobridge.casson_gordon import INT64_MAX_P, cg_survivors
 from twobridge.conway import ConwayWord, canonical_class, cf_eval
 from twobridge.enumeration import (
@@ -288,6 +288,18 @@ def test_scan_by_small_blocks_gives_the_same_records(monkeypatch):
     monkeypatch.setattr(enumeration, "SCAN_BLOCK", 64)
     for p in range(3, 100, 2):
         assert _scan_single_p(p) == whole[p], p
+
+
+def test_each_scan_block_is_one_first_round_window(monkeypatch):
+    # p = 1001 has 2 blocks of SCAN_BLOCK consecutive q below p^2 / 2
+    assert enumeration.SCAN_BLOCK == casson_gordon._BATCH
+    real = casson_gordon._first_round_sums
+    calls = []
+    monkeypatch.setattr(
+        casson_gordon, "_first_round_sums", lambda p, q: calls.append(len(q)) or real(p, q)
+    )
+    record = _scan_single_p(1001)
+    assert len(calls) == 2 and sum(calls) == record.q_tested
 
 
 def test_scan_matches_the_benchmark_reference_digest():
