@@ -19,11 +19,14 @@ so overflow is impossible).  Three routes compute the count:
   by :func:`weighted_count` - this is what makes exhaustive scans over
   thousands of determinants tractable.
 
-The apex (pr, qr/p) is never a lattice point when gcd(q, p) = 1 and
-r < p, and the open hypotenuse carries no lattice points either; both
-branches are still implemented (weights 1/4 and 1/2) and their
-occurrence under validated preconditions raises :class:`InternalError`,
-so the kernel stays correct if the preconditions are ever relaxed.
+Under the validated preconditions gcd(q, p) = 1 and 1 <= r < p the
+triangle has no lattice point on its hypotenuse.  The apex (pr, qr/p)
+is one iff p | qr, impossible as p is prime to q and does not divide r;
+a point (x, qx/p^2) with 0 < x < pr is one iff p^2 | qx, that is
+p^2 | x, and x < pr < p^2 rules that out.  So the public functions
+validate once and the kernels count no hypotenuse point.  The private
+counting routes still implement both branches (weights 1/4 and 1/2),
+and the tests run them on relaxed inputs, r >= p, where they occur.
 
 The scan uses a batched route, :func:`cg_survivors`: it validates p and
 every q once, then works in numpy rounds over r, dropping the q that
@@ -31,9 +34,10 @@ fail after each round.  The first round, r = 1, needs
 S(q) = sum_{x<p} floor(q x / p^2) for each q; S is a sum of sawtooth
 steps, term x stepping up at q = ceil(k p^2 / x), so one sweep over a
 window of consecutive q counts the steps between its ends and yields S
-at every q of the window at once (:func:`_first_round_sums`).  The
-rounds from r = 2 on, of width 1, 2, 4, ..., run the floor-sum
-recursion elementwise over the q still alive.  Each window spans fewer
+at every q of the window at once (:func:`_first_round_sums`); the q of
+a window too sparse to repay its O(p + span) sweep take the floor-sum
+recursion instead.  The rounds from r = 2 on, of width 1, 2, 4, ...,
+run the floor-sum recursion elementwise over the q still alive.  Each window spans fewer
 than 2^18 q and each recursion call holds about 2^18 elements.  Every
 intermediate of the recursion and of the sigma formula stays below
 2 p^4, and the sweep's below p^3, so int64 is exact while p^4 < 2^62,
@@ -64,7 +68,7 @@ from math import gcd
 
 import numpy as np
 
-from .errors import DomainError, InternalError
+from .errors import DomainError
 
 __all__ = [
     "validate_pq",
@@ -182,13 +186,6 @@ def _floorsum_quarters(p: int, q: int, r: int) -> tuple[int, int, bool]:
     return _quarters(p, q, r, below, hyp), hyp, (q * r) % p == 0
 
 
-def _lattice_point_error(p: int, q: int, r: int) -> InternalError:
-    return InternalError(
-        f"lattice point on hypotenuse/apex for p={p}, q={q}, r={r}: "
-        "impossible under gcd(q,p)=1, r<p -- counting bug"
-    )
-
-
 def weighted_count_oracle(p: int, q: int, r: int) -> int:
     """Ground-truth weighted count, in quarter units.
 
@@ -207,10 +204,7 @@ def weighted_count(p: int, q: int, r: int) -> int:
     :func:`weighted_count_oracle` agree with it exactly.
     """
     _validate(p, q, r)
-    quarters, hyp, apex = _floorsum_quarters(p, q, r)
-    if hyp or apex:
-        raise _lattice_point_error(p, q, r)
-    return quarters
+    return _floorsum_quarters(p, q, r)[0]
 
 
 def sigma(p: int, q: int, r: int) -> int:
@@ -326,23 +320,12 @@ def _floor_sum_batch(n: np.ndarray, m: int, a: np.ndarray) -> np.ndarray:
 def _sigma_grid(p: int, q: np.ndarray, rs: np.ndarray) -> np.ndarray:
     """sigma(p, q[i], rs[j]) at [i, j], by the count of :func:`_floorsum_quarters`.
 
-    No precondition checks beyond the lattice-point invariant.
+    No precondition checks: q prime to p and 1 <= r < p, so there is no
+    hypotenuse point (module docstring).
     """
-    p2 = p * p
-    qc, r = q[:, None], rs[None, :]
-    n = p * r
-    # q is prime to p^2 unless it shares a prime with p: np.gcd only there
-    step = np.full_like(q, p2)
-    shared = ~coprime_mask(q, p)
-    step[shared] = p2 // np.gcd(q[shared], p2)
-    hyp = (n - 1) // step[:, None]
-    qr = qc * r
-    apex = qr % p == 0
-    if hyp.any() or apex.any():
-        i, j = np.argwhere((hyp != 0) | apex)[0]
-        raise _lattice_point_error(p, q[i], rs[j])
-    s = _floor_sum_batch(np.tile(n[0], len(q)), p2, np.repeat(q, len(rs)))
-    return 2 * qr * r - _quarters(p, qc, r, s.reshape(qr.shape), 0)
+    qr = q[:, None] * rs[None, :]
+    s = _floor_sum_batch(np.tile(p * rs, len(q)), p * p, np.repeat(q, len(rs)))
+    return 2 * qr * rs - _quarters(p, q[:, None], rs, s.reshape(qr.shape), 0)
 
 
 def coprime_mask(q: np.ndarray, p: int) -> np.ndarray:
@@ -403,25 +386,32 @@ def _first_round_sums(p: int, q: np.ndarray) -> np.ndarray:
 
 
 def _sigma_first_round(p: int, q: np.ndarray) -> np.ndarray:
-    """sigma(p, q[i], 1) for every i, by :func:`_first_round_sums` over the sorted q
-    cut into windows of span below _BATCH, so each window costs O(p + span).
+    """sigma(p, q[i], 1) for every i, from S(q[i]) = sum_{x<p} floor(q[i] x / p^2).
 
-    No precondition checks beyond the lattice-point invariant.
+    The sorted q are cut into windows of span below _BATCH.  A dense window
+    gets S from :func:`_first_round_sums`, at cost O(p + span); the q of the
+    sparse ones go to :func:`_floor_sum_batch`, at O(log p) each.  No
+    precondition checks: q prime to p, so there is no hypotenuse point.
     """
-    # at r = 1 the hypotenuse or apex holds a lattice point iff q x = 0 mod p^2
-    # for some 0 < x <= p, that is iff gcd(q, p^2) >= p; q prime to p has none
-    shared = np.flatnonzero(~coprime_mask(q, p))
-    bad = shared[np.gcd(q[shared], p * p) >= p]
-    if bad.size:
-        raise _lattice_point_error(p, q[bad[0]], 1)
     order = np.argsort(q, kind="stable")
     ordered = q[order]
     s = np.empty_like(q)
+    sparse = []
     i = 0
     while i < len(q):
         j = int(np.searchsorted(ordered, ordered[i] + _BATCH))
-        s[order[i:j]] = _first_round_sums(p, ordered[i:j])
+        # dense: 8 len / (p + span) >= 1/2.  On a 2-vCPU host the sweep beat one
+        # floor-sum call on all sparse q from 0.3..1.0 (p 1001..46339, span p..2^18)
+        if 16 * (j - i) >= p + ordered[j - 1] - ordered[i]:
+            s[order[i:j]] = _first_round_sums(p, ordered[i:j])
+        else:
+            sparse.append(order[i:j])
         i = j
+    if sparse:
+        at = np.concatenate(sparse)
+        for k in range(0, len(at), _BATCH):
+            idx = at[k : k + _BATCH]
+            s[idx] = _floor_sum_batch(np.full(len(idx), p, dtype=np.int64), p * p, q[idx])
     return 2 * q - _quarters(p, q, 1, s, 0)
 
 

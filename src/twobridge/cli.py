@@ -4,7 +4,7 @@ Every subcommand maps to one library operation and prints deterministic
 output: no timestamps, scan progress on stderr only, numbers exact
 (fractions as "p/q", quarter counts as decimals with .25 granularity,
 or as "m/4" strings in JSON).  Exit codes: 0 success, 1 mathematical
-finding of interest (failed check, scan counterexample candidate,
+finding of interest (failed check, scan survivor outside the families,
 unequal crosscheck), 2 usage or domain error, 141 (128 + SIGPIPE) when
 the reader closes stdout before the output is written, as ``| head``
 does; that exit prints no traceback.

@@ -6,9 +6,16 @@ determinants (2-bridge links) are excluded everywhere.
 
 The scan walks every knot p^2/q in a determinant range, applies the
 Casson-Gordon obstruction, and sets the survivors against the family set
-:func:`families.family_reps` builds for each p.  A survivor outside the
-families is not an error: it is the most interesting possible output and
-is reported with full sigma evidence via ``cg-check``.  One
+:func:`families.family_reps` builds for each p.  Up to orbit that set is
+every 2-bridge ribbon knot: Lisca (Geom. Topol. 11 (2007) 429-472) proved
+that p^2/q is ribbon iff q is one of three types, and the tests check that
+his types give ``family_reps(p)`` for every odd p <= 401.  So "0 outside
+the families" is a computational claim: in the range scanned, the
+signature condition alone already cuts out the ribbon knots.  A survivor
+outside the families would be a non-ribbon knot that the obstruction
+misses, not a new ribbon knot.  It is not an error: it is the most
+interesting possible output and is reported with full sigma evidence via
+``cg-check``.  One
 representative per orbit of q modulo p^2 is tested (pass/fail is a knot
 invariant), in ascending blocks of :data:`SCAN_BLOCK` consecutive q, so
 a worker's memory does not grow with p^2: the least orbit members of a
@@ -212,8 +219,11 @@ class ScanRecord:
     """Scan outcome for one determinant p^2.
 
     ``cg_passing`` lists the tested q surviving the obstruction and
-    ``non_family`` the survivors outside the three families
-    (counterexample candidates; empty means the conjecture holds at p).
+    ``non_family`` the survivors outside the three families.  The families
+    hold every 2-bridge ribbon knot (Lisca, see the module docstring), so a
+    ``non_family`` q would be a non-ribbon knot the obstruction misses, and
+    empty means that at p the obstruction alone rules out every knot that
+    is not ribbon.
     """
 
     p: int

@@ -21,9 +21,10 @@ partial knot of such a symmetric union is p/n; distinct matching
 conditions always produce the same knot class up to mirror, which
 :func:`is_family_member` and :func:`partial_knot` verify.
 
-:func:`family_reps` builds the whole family set of one p from the same
-conditions, O(p) values from n and the divisors each condition names,
-without testing any q; the scan compares its survivors with that set.
+:func:`family_reps` builds the whole family set of one p from conditions
+i..iii, O(p) values from n and the divisors each condition names,
+without testing any q (iv adds no orbit: see there); the scan compares
+its survivors with that set.
 
 The generator side enumerates the family words by crossing number:
 family-0 words have crossing exactly 2*s + 2 for parameter sum s, and
@@ -159,13 +160,18 @@ def _divisors(m: int) -> list[int]:
 def family_reps(p: int) -> set[int]:
     """The least orbit member (mod p^2, mirrors included) of every family knot p^2/q.
 
-    The q with 0 < q < p^2 that meet a condition i..iv are built, not
+    The q with 0 < q < p^2 that meet a condition i..iii are built, not
     searched for: n*p +- 1 for every n < p/2 prime to p (n and p - n give
-    mirror images, (p - n)*p +- 1 = p^2 - (n*p -+ 1)), and n*(p +- 1) or
-    n*(2p +- 1) for the divisors n that conditions ii..iv name.  Each is
-    prime to p, as p +- 1, 2p +- 1 and their divisors are.  The result
-    equals the least orbit members of the q that :func:`is_family_member`
-    accepts.
+    mirror images, (p - n)*p +- 1 = p^2 - (n*p -+ 1)), and n*(p +- 1) for
+    the divisors n that conditions ii and iii name.  Each is prime to p, as
+    p +- 1 and their divisors are.
+
+    Condition iv adds no orbit.  Let q = n*(2p + s) with d*n = p - s, d odd,
+    s = +-1.  Then q' = d*(p - s) = d^2 n meets iii with the sign -s and
+    n = d, and q' < p^2 as d <= (p + 1)/2.  Now q*q' = (p - s)^2 (2p + s),
+    and (p - s)^2 = 1 - 2ps (mod p^2), so q*q' = 2p + s - 2p = s (mod p^2):
+    q = +-q'^-1 lies in the orbit of q'.  So the result equals the least
+    orbit members of the q that :func:`is_family_member` accepts by i..iv.
     """
     validate_knot(p, 1)
     p2 = p * p
@@ -173,7 +179,6 @@ def family_reps(p: int) -> set[int]:
     for sign in (1, -1):
         qs += [n * (p + sign) for n in _divisors(2 * p - sign)]  # ii
         qs += [n * (p + sign) for n in _divisors(p + sign) if n % 2]  # iii
-        qs += [n * (2 * p + sign) for n in _divisors(p - sign) if (p - sign) // n % 2]  # iv
     return {orbit_qs(p2, q)[0] for q in qs if q < p2}
 
 

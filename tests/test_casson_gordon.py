@@ -12,6 +12,7 @@ from twobridge.casson_gordon import (
     INT64_MAX_P,
     _column_quarters,
     _floor_sum_batch,
+    _first_round_sums,
     _floorsum_quarters,
     _oracle_quarters,
     _sigma_first_round,
@@ -23,7 +24,7 @@ from twobridge.casson_gordon import (
     weighted_count,
     weighted_count_oracle,
 )
-from twobridge.errors import DomainError, InternalError
+from twobridge.errors import DomainError
 
 
 @st.composite
@@ -241,21 +242,37 @@ def test_first_round_windows_keep_input_order(monkeypatch, batch):
     assert cg_survivors(p, qs).tolist() == [q for q in qs.tolist() if passes(p, q)]
 
 
-@pytest.mark.parametrize("p", [9, 15, 21, 25, 45])
-def test_first_round_raises_exactly_where_the_grid_does(p):
-    # q sharing a factor with p, which validated input never holds: the r = 1
-    # triangle holds a lattice point on its hypotenuse or apex iff
-    # gcd(q, p^2) >= p, and both routes must then refuse, else agree
-    for q in range(1, p * p):
-        try:
-            expected = _sigma_grid(p, np.array([q]), np.array([1]))[0, 0]
-        except InternalError:
-            assert gcd(q, p * p) >= p, q
-            with pytest.raises(InternalError):
-                _sigma_first_round(p, np.array([1, q]))
-        else:
-            assert gcd(q, p * p) < p, q
-            assert _sigma_first_round(p, np.array([q]))[0] == expected, q
+@settings(deadline=None, max_examples=60)
+@given(st.integers(1, (INT64_MAX_P - 1) // 2).map(lambda k: 2 * k + 1), st.data())
+def test_first_round_sums_match_the_floor_sum_up_to_the_int64_guard(p, data):
+    # the sweep itself, on windows sparse enough that cg_survivors would not use it
+    lo = data.draw(st.integers(1, p * p - 1))
+    hi = data.draw(st.integers(lo, min(lo + (1 << 17), p * p - 1)))
+    qs = np.array(sorted(data.draw(st.lists(st.integers(lo, hi), max_size=40)) + [lo, hi]))
+    expected = _floor_sum_batch(np.full_like(qs, p), p * p, qs)
+    assert _first_round_sums(p, qs).tolist() == expected.tolist()
+
+
+def test_sparse_and_dense_input_give_the_same_survivors(monkeypatch):
+    # consecutive q make one dense window, which the sweep takes; a sample of
+    # them, or of q spread over the whole range, goes to the floor sum
+    real = casson_gordon._first_round_sums
+    swept = []
+    monkeypatch.setattr(
+        casson_gordon, "_first_round_sums", lambda p, q: swept.append(len(q)) or real(p, q)
+    )
+    p = 1001
+    dense = np.array([q for q in range(300_000, 320_000) if gcd(q, p) == 1])
+    survivors = set(cg_survivors(p, dense).tolist())
+    assert swept == [len(dense)]
+    rng = np.random.default_rng(p)
+    spread = rng.choice(coprime_qs(p), size=200, replace=False)
+    for qs in (dense[::500], spread, rng.permutation(np.concatenate([spread, dense[::500]]))):
+        swept.clear()
+        expected = [q for q in qs.tolist() if passes(p, q)]
+        assert cg_survivors(p, qs).tolist() == expected
+        assert swept == []
+    assert set(cg_survivors(p, dense[::500]).tolist()) == survivors.intersection(dense[::500])
 
 
 def floor_sum_lanes(n, m, a):
@@ -315,23 +332,14 @@ def test_cg_survivors_validates_its_input():
     assert cg_survivors(11, np.array([46, 12], dtype=np.uint16)).tolist() == [46, 12]
     bad = [(4, [3]), (1, [1]), (5, [5]), (5, [0]), (5, [25]), (9, [3]), (5, [1.5]), (5, [[2]]),
            (5, np.array([2], dtype=object))]
+    # q sharing a prime with p, amid valid q: each triangle holds a lattice point on
+    # its hypotenuse at some r < p, at r = 1 when gcd(q, p^2) >= p (45/135, 15/30);
+    # the kernels count none, so this check is their only guard
+    bad += [(45, [2, 135, 4]), (9, [1, 3, 2]), (9, [1, 2, 6, 4]), (21, [2, 7, 4]),
+            (25, [1, 5, 2]), (15, np.array([1, 2, 30, 4], dtype=np.uint16))]
     for p, qs in bad:
         with pytest.raises(DomainError):
             cg_survivors(p, qs)
-
-
-@pytest.mark.parametrize(
-    "p, q, r",
-    [
-        (5, 2, 5),  # r = p: a lattice apex
-        (9, 3, 4),  # gcd(q, p) = 3: lattice points on the open hypotenuse only
-    ],
-)
-def test_batched_invariant_check_raises(p, q, r):
-    # neither can happen under validated input
-    assert (_floorsum_quarters(p, q, r)[1] > 0) != _floorsum_quarters(p, q, r)[2]
-    with pytest.raises(InternalError):
-        _sigma_grid(p, np.array([1, q]), np.array([1, r]))
 
 
 @settings(deadline=None, max_examples=60)

@@ -147,6 +147,33 @@ def test_family_reps_are_the_least_members_the_conditions_accept():
             partial_knot(p, q)  # raises InternalError on distinct partial classes
 
 
+def lisca_reps(m):
+    """The least orbit members of Lisca's 2-bridge ribbon knots with determinant m^2.
+
+    P. Lisca, Lens spaces, rational balls and the ribbon conjecture, Geom.
+    Topol. 11 (2007) 429-472: K(m^2, q) is ribbon iff q is, up to orbit,
+    (1) m k +- 1 with m > k > 0 and gcd(m, k) = 1, (2) d (m +- 1) with d > 1
+    dividing 2m -+ 1, or (3) d (m +- 1) with d > 1 odd dividing m +- 1.
+    """
+    p = m * m
+    qs = [m * k + s for k in range(1, m) if gcd(m, k) == 1 for s in (1, -1)]
+    for s in (1, -1):
+        qs += [d * (m + s) for d in range(2, 2 * m + 2) if (2 * m - s) % d == 0]
+        qs += [d * (m + s) for d in range(3, m + 2, 2) if (m + s) % d == 0]
+    reps = set()
+    for q in qs:
+        if q < p:
+            inv = pow(q, -1, p)
+            reps.add(min(q, p - q, inv, p - inv))
+    return reps
+
+
+def test_family_reps_are_lisca_ribbon_knots():
+    # an independent statement of the set the scan compares its survivors with
+    for p in range(3, 402, 2):
+        assert family_reps(p) == lisca_reps(p), p
+
+
 def test_family_reps_validates_p():
     for p in (1, 2, 8, -3):
         with pytest.raises(DomainError):
