@@ -36,19 +36,24 @@ steps, term x stepping up at q = ceil(k p^2 / x), so one sweep over a
 window of consecutive q counts the steps between its ends and yields S
 at every q of the window at once (:func:`_first_round_sums`); the q of
 a window too sparse to repay its O(p + span) sweep take the floor-sum
-recursion instead.  The rounds from r = 2 on, of width 1, 2, 4, ...,
-run the floor-sum recursion elementwise over the q still alive.  Each window spans fewer
-than 2^18 q and each recursion call holds about 2^18 elements.  Every
-intermediate of the recursion and of the sigma formula stays below
-2 p^4, and the sweep's below p^3, so int64 is exact while p^4 < 2^62,
-that is p <= INT64_MAX_P = 46340, and :func:`cg_survivors` refuses
-larger p (the scan could not reach them: at p = 46,341 one q per orbit
-is still about 10^9 q).  :func:`cg_condition` and :func:`sigma` run on
-Python ints and stay exact for any p.
+recursion instead.  The rounds from r = 2 on, over r = 2, 3..4, 5..8,
+..., run the floor-sum recursion elementwise over the q still alive, at
+some log p steps per q and r.  Their width doubles until it reaches
+p / _TAIL_SWITCH; there the tail (:func:`_sigma_tail`) takes the q still
+alive through every remaining r at once, at O(p) per q: S_r splits into
+blocks of p terms, and one histogram of the q j mod p^2, j < p, gives
+every block's sum.  Each window spans fewer than 2^18 q, and each
+recursion call and each chunk of the tail holds about 2^18 elements.
+Every intermediate of the recursion, of the tail and of the sigma
+formula stays below 2 p^4, and the sweep's below p^3, so int64 is exact
+while p^4 < 2^62, that is p <= INT64_MAX_P = 46340, and
+:func:`cg_survivors` refuses larger p (the scan could not reach them: at
+p = 46,341 one q per orbit is still about 10^9 q).  :func:`cg_condition`
+and :func:`sigma` run on Python ints and stay exact for any p.
 
-The rounds stop at r = (p-1)/2 because sigma(p, q, r) = sigma(p, q, p-r).
-With N = p^2 and the sawtooth ((t)) = t - floor(t) - 1/2, the count
-above gives
+The rounds and the tail stop at r = (p-1)/2 because
+sigma(p, q, r) = sigma(p, q, p-r).  With N = p^2 and the sawtooth
+((t)) = t - floor(t) - 1/2, the count above gives
 
     sigma(p, q, r) = 4 * sum_{x=1}^{pr-1} ((q x / N)) + 2 ((q r / p)),
 
@@ -270,9 +275,19 @@ def cg_condition(p: int, q: int) -> SigmaReport:
 
 # p^4 < 2^62 bounds every kernel intermediate (at most 2 p^4) inside int64.
 INT64_MAX_P = 46340
-# Elements per floor-sum call, and the bound on a first-round window's span:
-# bounds the memory of one round.
+# Elements per floor-sum call and per chunk of the tail, and the bound on a
+# first-round window's span: bounds the memory of one round.
 _BATCH = 1 << 18
+# The rounds over r >= 2 hand over to the tail at the first round whose width
+# w has w * _TAIL_SWITCH >= p.  A round of width w ends at r = 2 w, so with
+# _TAIL_SWITCH >= 4 the rounds stay below r = p / 2.  Per q alive, the tail
+# costs about p elements and a round about w times the floor-sum step count,
+# while each round still drops q the tail would pay for.  Kernel time over
+# the scan blocks of one p by the constant 16 / 32 / 64 / 128, medians on a
+# shared 2-vCPU host: at p = 151 4.4 / 4.3 / 5.8 / 10.2 ms, at 2001
+# 0.36 / 0.35 / 0.36 / 0.43 s and at 4001 1.89 / 1.80 / 1.74 / 1.91 s
+# (2.84 s with no tail); the switch falls at r = 9, 65 and 129.
+_TAIL_SWITCH = 32
 
 
 def _floor_sum_batch(n: np.ndarray, m: int, a: np.ndarray) -> np.ndarray:
@@ -415,28 +430,86 @@ def _sigma_first_round(p: int, q: np.ndarray) -> np.ndarray:
     return 2 * q - _quarters(p, q, 1, s, 0)
 
 
+def _sigma_tail(p: int, q: np.ndarray, r0: int) -> np.ndarray:
+    """sigma(p, q[i], r) at [i, r - r0] for every r0 <= r <= (p-1)/2, at O(p) cost per q.
+
+    The count is that of :func:`_floorsum_quarters`, with S_r = sum_{x<pr}
+    floor(q x / p^2) taken at every r at once.  Split x = p r' + j with
+    0 <= j < p and write q r' = a p + b with 0 <= b < p; then
+    q x = a p^2 + (q j + b p), so
+
+        S_r = sum_{r'<r} (p a + T(b)),   T(b) = sum_{j<p} floor((q j + b p) / p^2).
+
+    T(b) takes O(p) for all b together.  Write q j = c_j p^2 + e_j with
+    0 <= e_j < p^2.  Then floor((q j + b p) / p^2) = c_j + floor((e_j + b p) / p^2),
+    and as 0 <= e_j + b p < 2 p^2 the last floor is 1 iff e_j >= (p - b) p,
+    that is iff floor(e_j / p) >= p - b, and 0 otherwise.  Summed over j,
+
+        T(b) = T(0) + #{j < p : floor(e_j / p) >= p - b},
+        T(0) = sum_j c_j = (q p (p-1) / 2 - sum_j e_j) / p^2,
+
+    and T(0) = S_1.  As e_0 = 0 never counts, each q takes one row of
+    residues e_j for j = 1..p-1, one histogram of p - floor(e_j / p) in
+    1..p whose cumulative sum is the count at every b, one gather at the b
+    of r' = 0..(p-3)/2, with p a = q r' - b, and one cumulative sum over r'.
+    The rows share one bincount: row i's bins are i (p + 1) + 1 ..
+    i (p + 1) + p, and its empty bin i (p + 1) is the base its counts are
+    read from.
+
+    In int64: q j, q r' and sum_j e_j are below p^3, q p (p-1) / 2 is below
+    p^4 / 2, S_r <= q r^2 / 2 < p^4 / 8 and 2 q r^2 < p^4 / 2, so 4 S_r and
+    every term of the sigma formula stay below p^4 < 2^62 for
+    p <= INT64_MAX_P.  The rows hold p + 1 bins each, so the caller bounds
+    len(q) (p + 1) by _BATCH.  No precondition checks: q prime to p, so
+    there is no hypotenuse point.
+    """
+    r_stop = (p - 1) // 2
+    p2 = p * p
+    base = np.arange(len(q), dtype=np.int64)[:, None] * (p + 1)
+    e = np.multiply.outer(q, np.arange(1, p, dtype=np.int64))
+    e %= p2
+    t0 = (q * (p * (p - 1) // 2) - e.sum(axis=1)) // p2
+    e //= p
+    np.subtract(base + p, e, out=e)
+    counts = np.cumsum(np.bincount(e.ravel(), minlength=len(q) * (p + 1)))
+    qr = np.multiply.outer(q, np.arange(r_stop, dtype=np.int64))
+    b = qr % p
+    qr -= b
+    b += base
+    terms = counts[b]
+    terms += qr
+    terms += (t0 - counts[base[:, 0]])[:, None]
+    s = np.cumsum(terms, axis=1)[:, r0 - 1 :]
+    r = np.arange(r0, r_stop + 1, dtype=np.int64)
+    return 2 * q[:, None] * r * r - _quarters(p, q[:, None], r, s, 0)
+
+
+def _keep_passing(q: np.ndarray, rows: int, sigmas) -> np.ndarray:
+    """The q whose ``sigmas`` are all +-1, in order, ``sigmas`` taking q in chunks of ``rows``."""
+    rows = max(1, rows)
+    parts = np.split(q, range(rows, len(q), rows))
+    return np.concatenate([part[(np.abs(sigmas(part)) == 1).all(axis=1)] for part in parts])
+
+
 def cg_survivors(p: int, qs) -> np.ndarray:
     """The q of ``qs`` whose knot p^2/q passes :func:`cg_condition`, in input order.
 
     Equal to ``[q for q in qs if cg_condition(p, q).passes]``, computed in
-    numpy: r = 1 by one sawtooth sweep per window of q, then the floor-sum
-    rounds over r = 2..(p-1)/2 (see the module docstring for the
-    batching, the int64 guard and the symmetry that ends the rounds).
-    p above INT64_MAX_P and q that are not of an integer dtype raise
+    numpy: r = 1 by one sawtooth sweep per window of q, then floor-sum
+    rounds over r = 2, 3..4, 5..8, ... while a round's width w is below
+    p / _TAIL_SWITCH, and from there the tail, every r up to (p-1)/2 in
+    one O(p) pass per q (see the module docstring for the batching, the
+    int64 guard and the symmetry that ends at (p-1)/2).  p above
+    INT64_MAX_P and q that are not of an integer dtype raise
     :class:`DomainError`.
     """
     q = _knot_array(p, qs)
     q = q[np.abs(_sigma_first_round(p, q)) == 1]
-    r_stop = (p - 1) // 2
-    r0 = 2
-    while len(q) and r0 <= r_stop:
-        r1 = min(r0 + max(1, r0 - 1), r_stop + 1)
-        rs = np.arange(r0, r1, dtype=np.int64)
-        rows = max(1, _BATCH // len(rs))
-        kept = []
-        for i in range(0, len(q), rows):
-            part = q[i : i + rows]
-            kept.append(part[(np.abs(_sigma_grid(p, part, rs)) == 1).all(axis=1)])
-        q = np.concatenate(kept)
-        r0 = r1
+    r0, width = 2, 1
+    while len(q) and width * _TAIL_SWITCH < p:
+        rs = np.arange(r0, r0 + width, dtype=np.int64)
+        q = _keep_passing(q, _BATCH // width, lambda part: _sigma_grid(p, part, rs))
+        r0, width = r0 + width, 2 * width
+    if len(q):
+        q = _keep_passing(q, _BATCH // (p + 1), lambda part: _sigma_tail(p, part, r0))
     return q

@@ -17,6 +17,7 @@ from twobridge.casson_gordon import (
     _oracle_quarters,
     _sigma_first_round,
     _sigma_grid,
+    _sigma_tail,
     cg_condition,
     cg_survivors,
     floor_sum,
@@ -191,7 +192,7 @@ def test_cg_survivors_match_cg_condition_exhaustive():
 
 
 def test_batched_sigma_matches_and_is_symmetric_in_r():
-    # every r, not only the r <= (p-1)/2 the rounds stop at
+    # every r, not only the r <= (p-1)/2 the rounds and the tail stop at
     for p in range(3, 42, 2):
         qs = coprime_qs(p)
         got = _sigma_grid(p, np.array(qs), np.arange(1, p))
@@ -275,6 +276,78 @@ def test_sparse_and_dense_input_give_the_same_survivors(monkeypatch):
     assert set(cg_survivors(p, dense[::500]).tolist()) == survivors.intersection(dense[::500])
 
 
+def test_tail_matches_the_grid_exhaustive():
+    # every knot with odd p <= 99, composite p (9, 15, 45, 75, ...) included,
+    # through every r <= (p-1)/2; r0 only picks the columns, so every r0 runs up
+    # to p = 45 and r0 = 1, 2, (p-1)/2, (p+1)/2 above (each call is O(p) per q)
+    for p in range(3, 100, 2):
+        qs = np.array(coprime_qs(p))
+        r_stop = (p - 1) // 2
+        expected = _sigma_grid(p, qs, np.arange(1, r_stop + 1))
+        r0s = range(1, r_stop + 2) if p <= 45 else [1, 2, r_stop, r_stop + 1]
+        for r0 in r0s:
+            assert np.array_equal(_sigma_tail(p, qs, r0), expected[:, r0 - 1 :]), (p, r0)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(1, (INT64_MAX_P - 1) // 2).map(lambda k: 2 * k + 1), st.data())
+def test_tail_matches_the_grid_up_to_the_int64_guard(p, data):
+    # q near p^2 and r near p/2 give the largest terms: S_r < p^4 / 8, 2 q r^2 < p^4 / 2
+    coprime = st.integers(1, p * p - 1).filter(lambda q: gcd(q, p) == 1)
+    qs = np.array(data.draw(st.lists(coprime, min_size=1, max_size=4)) + [p * p - 1])
+    r_stop = (p - 1) // 2
+    r0 = data.draw(st.integers(1, r_stop))
+    rs = sorted(set(data.draw(st.lists(st.integers(r0, r_stop), max_size=6)) + [r0, r_stop]))
+    got = _sigma_tail(p, qs, r0)[:, np.array(rs) - r0]
+    assert got.tolist() == _sigma_grid(p, qs, np.array(rs)).tolist()
+
+
+def spy_tail(monkeypatch):
+    """Record the r0 and the length of the q of every tail call."""
+    real = casson_gordon._sigma_tail
+    calls = []
+
+    def sigma_tail(p, q, r0):
+        calls.append((r0, len(q)))
+        return real(p, q, r0)
+
+    monkeypatch.setattr(casson_gordon, "_sigma_tail", sigma_tail)
+    return calls
+
+
+@pytest.mark.parametrize("rows", [1, 3, 50])
+def test_tail_chunks_keep_input_order(monkeypatch, rows):
+    # unsorted q with repeats, every survivor among them, in chunks of `rows`
+    p = 45
+    monkeypatch.setattr(casson_gordon, "_BATCH", rows * (p + 1))
+    calls = spy_tail(monkeypatch)
+    rng = np.random.default_rng(rows)
+    qs = coprime_qs(p)
+    survivors = [q for q in qs if passes(p, q)]
+    qs = rng.permutation(np.concatenate([rng.choice(qs, size=300), survivors, survivors]))
+    assert cg_survivors(p, qs).tolist() == [q for q in qs.tolist() if passes(p, q)]
+    assert len(calls) > 1 and max(n for _, n in calls) == rows
+
+
+def test_rounds_hand_over_to_the_tail_at_every_round_boundary(monkeypatch):
+    # a switch constant of ceil(p / w) hands over at the round of width w,
+    # r0 = w + 1, for every round boundary r0 <= (p-1)/2; the rounds reach
+    # r = 2 w, which stays below p / 2 because the constant is at least 4
+    switch = casson_gordon._TAIL_SWITCH
+    assert switch >= 4
+    calls = spy_tail(monkeypatch)
+    for p in range(3, 62, 2):
+        qs = coprime_qs(p)
+        expected = [q for q in qs if passes(p, q)]
+        widths = [1 << k for k in range(p.bit_length()) if 1 << k < (p - 1) // 2]
+        for constant in [switch] + [-(-p // width) for width in widths]:
+            monkeypatch.setattr(casson_gordon, "_TAIL_SWITCH", constant)
+            calls.clear()
+            assert cg_survivors(p, qs).tolist() == expected, (p, constant)
+            width = next(w for w in (1 << k for k in range(p.bit_length())) if w * constant >= p)
+            assert {r0 for r0, _ in calls} == {width + 1}, (p, constant)
+
+
 def floor_sum_lanes(n, m, a):
     with np.errstate(all="raise"):  # a frozen lane must not divide by zero
         got = _floor_sum_batch(np.array(n, dtype=np.int64), m, np.array(a, dtype=np.int64))
@@ -353,7 +426,7 @@ def test_cg_survivors_single_q_around_the_int64_guard(p, data):
 @pytest.mark.parametrize("p", [INT64_MAX_P - 1])
 def test_survivor_next_to_the_int64_guard(p):
     # q = p + 1 is condition i) with n = 1, so it and its orbit mate
-    # p^2 - p - 1 pass at every r; for the latter the rounds reach terms
+    # p^2 - p - 1 pass at every r; for the latter the tail reaches terms
     # near p^4 / 2, close to the int64 limit below the guard
     qs = [p + 1, p + 2, p * p - p - 1]
     expected = [q for q in qs if passes(p, q)]
