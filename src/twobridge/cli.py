@@ -114,7 +114,10 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--min-p", type=int, required=True)
     s.add_argument("--max-p", type=int, required=True)
     s.add_argument(
-        "--jobs", type=_positive_int, default=None, help="worker processes (default: all cores)"
+        "--jobs",
+        type=_positive_int,
+        default=None,
+        help="worker processes (default: the CPUs this process may use)",
     )
     s.add_argument("--checkpoint", default=None, help="JSONL checkpoint file (resumable)")
     s.add_argument("--format", choices=("text", "json"), default="text")
@@ -257,6 +260,13 @@ def _cmd_table(args) -> int:
     return 0
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity set where the OS has one, else all."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _cmd_scan(args) -> int:
     start = time.perf_counter()
 
@@ -267,7 +277,7 @@ def _cmd_scan(args) -> int:
         args.min_p,
         args.max_p,
         checkpoint=args.checkpoint,
-        jobs=args.jobs or os.cpu_count() or 1,
+        jobs=args.jobs or _usable_cpus(),
         progress=progress,
     )
     candidates = [(rec.p, q) for rec in records for q in rec.non_family]

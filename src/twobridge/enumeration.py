@@ -27,12 +27,17 @@ survive (the families are ribbon) and the least survivor is re-derived
 by the Python-int :func:`casson_gordon.cg_condition`; a disagreement
 raises :class:`InternalError`.
 
-With several jobs the pending p go to the workers largest first, so the
-costliest start early and the cheap ones fill the tail.  Records reach
-the checkpoint (one JSON line per p) as each p completes, so an
-interrupted scan loses no finished p; when the scan ends the file is
-rewritten in ascending p, and the result is in ascending p whatever the
-schedule, so resumed scans finish with byte-identical output.
+With several jobs the parent runs one worker process per job and sends
+each worker one p at a time over its own pipe, largest first, so the
+costliest start early and the cheap ones fill the tail; a worker gets its
+next p when its record comes back.  An exception raised in a worker is
+re-raised in the parent, and a worker that dies raises
+:class:`InternalError` naming its p (the CLI exits 2); either way every
+worker is stopped.  Records reach the checkpoint (one JSON line per p) as
+each p completes, so an interrupted scan loses no finished p; when the
+scan ends the file is rewritten in ascending p, and the result is in
+ascending p whatever the schedule, so resumed scans finish with
+byte-identical output.
 """
 
 from __future__ import annotations
@@ -40,8 +45,10 @@ from __future__ import annotations
 import json
 import multiprocessing
 import os
+import signal
 from collections import Counter
 from dataclasses import dataclass
+from itertools import islice
 from math import gcd, isqrt
 from typing import Callable, Iterator
 
@@ -305,6 +312,89 @@ def _scan_single_p(p: int) -> ScanRecord:
     return ScanRecord(p, tested, tuple(passing), tuple(non_family))
 
 
+class _WorkerTraceback(Exception):
+    """The traceback of an exception raised in a scan worker, as its text."""
+
+    def __str__(self) -> str:
+        return self.args[0]
+
+
+def _worker(conn) -> None:
+    """A scan worker: scans each p the parent sends until it sends None, and
+    sends back the record, or the exception :func:`_scan_single_p` raised
+    with the text of its traceback."""
+    # ^C reaches the whole process group; the parent alone handles it and stops the workers
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    while (p := conn.recv()) is not None:
+        try:
+            reply = _scan_single_p(p)
+        except Exception as exc:
+            import traceback  # only here, on the error path
+
+            reply = (exc, traceback.format_exc())
+        conn.send(reply)
+
+
+def _start_worker():
+    """A started :func:`_worker` process and the parent's end of its duplex pipe."""
+    ours, theirs = multiprocessing.Pipe()
+    proc = multiprocessing.Process(target=_worker, args=(theirs,), daemon=True)
+    proc.start()
+    theirs.close()  # the worker holds the only other end, so its death is an EOF here
+    return proc, ours
+
+
+def _scan_in_workers(todo: Iterator[int], jobs: int, finish: Callable[[ScanRecord], None]) -> None:
+    """Scan the p of ``todo`` on ``jobs`` worker processes, sending them in
+    that order, and pass each record to ``finish`` as it comes back.
+
+    A worker's exception is re-raised here, and a worker that dies raises
+    :class:`InternalError` naming its p.  Every worker is stopped and
+    reaped before this returns or raises.
+    """
+    # imported here, as it imports subprocess and locale, which import twobridge need not
+    from multiprocessing.connection import wait
+
+    # multiprocessing.Pool's handler thread spun while a result sat unread
+    # (Pool._maintain_pool ran 797-2,549 times for the 75 records of p = 3..151
+    # on a 2-core machine) and a dead worker hung it; here the parent wakes once per record
+    workers = {}  # the pipe end of each worker -> its process
+    held = {}  # the pipe end of each busy worker -> the p it scans
+    try:
+        for p in islice(todo, jobs):
+            proc, conn = _start_worker()
+            workers[conn] = proc
+            conn.send(p)
+            held[conn] = p
+        while held:
+            for conn in wait(list(held)):
+                p = held.pop(conn)
+                try:
+                    reply = conn.recv()
+                except (EOFError, OSError):
+                    proc = workers[conn]
+                    proc.join(1)  # its pipe closed as it exited: the code is there or soon will be
+                    raise InternalError(
+                        f"the scan worker for p = {p} died (exit code {proc.exitcode})"
+                    ) from None
+                if isinstance(reply, tuple):
+                    exc, trace = reply
+                    raise exc from _WorkerTraceback(trace)
+                finish(reply)
+                p = next(todo, None)
+                try:
+                    conn.send(p)
+                except OSError:
+                    pass  # the worker is gone: if it was sent a p, the next wait reports it
+                if p is not None:
+                    held[conn] = p
+    finally:
+        for conn, proc in workers.items():
+            proc.terminate()
+            proc.join()
+            conn.close()
+
+
 def _load_checkpoint(path: str) -> tuple[dict[int, ScanRecord], int]:
     """The records of a checkpoint's valid prefix by p, and the prefix's length in bytes.
 
@@ -352,11 +442,16 @@ def conjecture_scan(
 ) -> list[ScanRecord]:
     """Scan every knot p^2/q for odd p in [p_min, p_max].
 
-    Even bounds are rounded inward.  ``jobs`` distributes p values over
-    that many worker processes, largest p first (None means serial, and
-    a single pending p always runs in-process); the result is in
-    ascending p order either way.  ``progress`` sees the records loaded
-    from the checkpoint, then every new record as its p completes.
+    Even bounds are rounded inward.  ``jobs`` runs that many worker
+    processes, and the parent sends each one p at a time over a pipe,
+    largest p first, the next as its record comes back (None or 1 means
+    serial, and a single pending p always runs in-process); the result is
+    in ascending p order either way.  An exception raised in a worker
+    reaches the caller with its type and message; a worker that dies
+    raises :class:`InternalError` naming its p, which the CLI reports
+    with exit status 2.  No worker outlives the call, whether it returns
+    or raises (``progress`` included).  ``progress`` sees the records
+    loaded from the checkpoint, then every new record as its p completes.
 
     With ``checkpoint``, the file's valid prefix is reused (records
     outside [p_min, p_max] included), anything after it is cut off, and
@@ -411,10 +506,8 @@ def conjecture_scan(
                 if p in records:
                     progress(records[p])
         if jobs is not None and jobs > 1 and len(pending) > 1:
-            with multiprocessing.Pool(min(jobs, len(pending))) as pool:
-                # largest (costliest) p first, so the small ones fill the tail
-                for rec in pool.imap_unordered(_scan_single_p, pending[::-1]):
-                    finish(rec)
+            # largest (costliest) p first, so the small ones fill the tail
+            _scan_in_workers(iter(pending[::-1]), min(jobs, len(pending)), finish)
         else:
             for p in pending:
                 finish(_scan_single_p(p))

@@ -1,7 +1,9 @@
 import contextlib
 import io
 import json
+import multiprocessing
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -189,6 +191,80 @@ def test_scan_parallel_stdout_equals_serial(capsys):
     # progress follows completion order; stdout stays ascending
     done = sorted(int(line.split()[1][2:]) for line in err.splitlines()[:-1])
     assert done == list(range(3, 22, 2))
+
+
+# the patch reaches the workers only as they fork; every process the scan runs
+# appends its pid to the file argv[1] before it scans a p
+DYING_WORKER = """
+import multiprocessing, os, sys
+from twobridge import cli, enumeration
+
+real = enumeration._scan_single_p
+
+def dying(p):
+    with open(sys.argv[1], "a") as fh:
+        fh.write(f"{os.getpid()}\\n")
+    if p == 9:
+        os._exit(3)
+    return real(p)
+
+enumeration._scan_single_p = dying
+code = cli.execute(sys.argv[2:])
+print(multiprocessing.active_children())
+sys.exit(code)
+"""
+
+
+@pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="the patched _scan_single_p reaches the workers only when they fork",
+)
+def test_a_dead_worker_stops_the_scan(tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    pids = tmp_path / "pids"
+    argv = ["scan", "--min-p", "3", "--max-p", "41", "--jobs", "2"]
+    # a session of its own, so that a hung scan and its workers can all be killed
+    proc = subprocess.Popen(
+        [sys.executable, "-c", DYING_WORKER, str(pids), *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+        start_new_session=True,
+    )
+    try:
+        out, err = proc.communicate(timeout=60)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        pytest.fail("the scan hung after a worker died")
+    assert proc.returncode == 2 and out == "[]\n"
+    assert err.splitlines()[-1] == "internal error: the scan worker for p = 9 died (exit code 3)"
+    workers = {int(pid) for pid in pids.read_text().split()}
+    assert len(workers) == 2 and proc.pid not in workers
+    for pid in workers:
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
+
+
+@pytest.mark.parametrize("affinity, expected", [({0}, 1), ({0, 3, 5}, 3), (None, 8)])
+def test_scan_jobs_default_to_the_usable_cpus(capsys, monkeypatch, affinity, expected):
+    # an 8-core machine; the process may use only some cores (as under
+    # `taskset`), or the platform has no affinity call (None)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    if affinity is None:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    else:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: affinity, raising=False)
+    real, seen = enumeration.conjecture_scan, []
+
+    def recording_scan(*args, jobs, **kwargs):
+        seen.append(jobs)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(enumeration, "conjecture_scan", recording_scan)
+    argv = ["scan", "--min-p", "3", "--max-p", "5", "--format", "json"]
+    assert run(capsys, argv)[0] == 0
+    assert run(capsys, argv + ["--jobs", "2"])[0] == 0
+    assert seen == [expected, 2]
 
 
 @pytest.mark.parametrize("p, q", [(11, 46), (5, 2)])  # a passing and a failing knot

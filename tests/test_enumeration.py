@@ -1,5 +1,8 @@
 import hashlib
 import json
+import multiprocessing
+import os
+import time
 from collections import Counter
 from math import gcd
 from pathlib import Path
@@ -327,40 +330,94 @@ def test_scan_raises_when_the_batched_kernel_disagrees(monkeypatch, wrong):
         _scan_single_p(11)
 
 
-class RecordingPool:
-    """In-process stand-in for multiprocessing.Pool that records what it is sent."""
+class RecordingConn:
+    """A worker's pipe end that records, in ``sent``, what the scheduler sends it."""
 
-    sent: list = []
+    def __init__(self, conn, sent):
+        self.conn, self.sent = conn, sent
 
-    def __init__(self, processes):
-        pass
+    def fileno(self):
+        return self.conn.fileno()
 
-    def __enter__(self):
-        return self
+    def recv(self):
+        return self.conn.recv()
 
-    def __exit__(self, *exc):
-        return False
+    def close(self):
+        self.conn.close()
 
-    def imap_unordered(self, fn, items):
-        RecordingPool.sent = list(items)
-        return map(fn, RecordingPool.sent)
+    def send(self, p):
+        self.sent.append(p)
+        self.conn.send(p)
 
 
 def test_scan_dispatches_largest_p_first(monkeypatch):
-    monkeypatch.setattr(enumeration.multiprocessing, "Pool", RecordingPool)
+    real, sent = enumeration._start_worker, []
+
+    def recording_worker():
+        proc, conn = real()
+        return proc, RecordingConn(conn, sent)
+
+    monkeypatch.setattr(enumeration, "_start_worker", recording_worker)
     recs = conjecture_scan(3, 13, jobs=2)
-    assert RecordingPool.sent == [13, 11, 9, 7, 5, 3]
+    # each worker gets the next p as its record comes back, then None
+    assert [p for p in sent if p is not None] == [13, 11, 9, 7, 5, 3]
+    assert sent.count(None) == 2
     assert [r.p for r in recs] == [3, 5, 7, 9, 11, 13]
+    assert multiprocessing.active_children() == []
 
 
 def test_scan_runs_a_single_pending_p_in_process(monkeypatch, tmp_path):
-    def no_pool(processes):
-        raise AssertionError("a pool was started for one p")
+    def no_worker():
+        raise AssertionError("a worker was started for one p")
 
-    monkeypatch.setattr(enumeration.multiprocessing, "Pool", no_pool)
+    monkeypatch.setattr(enumeration, "_start_worker", no_worker)
     path = tmp_path / "ck.jsonl"
     conjecture_scan(3, 9, checkpoint=str(path))
     assert [r.p for r in conjecture_scan(3, 11, checkpoint=str(path), jobs=2)] == [3, 5, 7, 9, 11]
+
+
+needs_fork = pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="a patched _scan_single_p reaches the workers only when they fork",
+)
+
+
+@needs_fork
+@pytest.mark.parametrize("error", [InternalError, DomainError])
+def test_a_worker_error_reaches_the_caller_intact(monkeypatch, tmp_path, error):
+    real = enumeration._scan_single_p
+
+    def failing(p):
+        if p == 21:
+            raise error(f"no record for p = {p}")
+        return real(p)
+
+    monkeypatch.setattr(enumeration, "_scan_single_p", failing)
+    path = tmp_path / "ck.jsonl"
+    seen = []
+    with pytest.raises(error) as caught:
+        conjecture_scan(3, 41, checkpoint=str(path), jobs=2, progress=seen.append)
+    assert type(caught.value) is error and str(caught.value) == "no record for p = 21"
+    assert "in failing" in str(caught.value.__cause__)  # the worker's traceback
+    assert multiprocessing.active_children() == []
+    # 21 is dispatched as the 9th record comes back, largest first from 41
+    assert len(seen) >= 9 and all(rec == real(rec.p) for rec in seen)
+    on_disk = [ScanRecord.from_json_line(line) for line in path.read_text().splitlines()]
+    assert on_disk == seen
+
+
+@needs_fork
+def test_a_worker_gone_before_its_next_p_raises_internal_error(monkeypatch):
+    # each worker sends one record and exits while progress sleeps, so the
+    # next p goes into a closed pipe: that p is reported, not the pipe error
+    def one_record_worker(conn):
+        conn.send(enumeration._scan_single_p(conn.recv()))
+        os._exit(3)
+
+    monkeypatch.setattr(enumeration, "_worker", one_record_worker)
+    with pytest.raises(InternalError, match=r"^the scan worker for p = 3[57] died \(exit code 3\)$"):
+        conjecture_scan(3, 41, jobs=2, progress=lambda rec: time.sleep(0.2))
+    assert multiprocessing.active_children() == []
 
 
 class Stop(Exception):
@@ -383,6 +440,7 @@ def test_interrupted_parallel_scan_keeps_what_progress_saw(tmp_path, k):
 
     with pytest.raises(Stop):
         conjecture_scan(3, 41, checkpoint=str(path), jobs=2, progress=progress)
+    assert multiprocessing.active_children() == []
     on_disk = [ScanRecord.from_json_line(line).p for line in path.read_text().splitlines()]
     assert set(seen) <= set(on_disk)
     conjecture_scan(3, 41, checkpoint=str(path), jobs=2)
