@@ -24,9 +24,10 @@ triangle has no lattice point on its hypotenuse.  The apex (pr, qr/p)
 is one iff p | qr, impossible as p is prime to q and does not divide r;
 a point (x, qx/p^2) with 0 < x < pr is one iff p^2 | qx, that is
 p^2 | x, and x < pr < p^2 rules that out.  So the public functions
-validate once and the kernels count no hypotenuse point.  The private
-counting routes still implement both branches (weights 1/4 and 1/2),
-and the tests run them on relaxed inputs, r >= p, where they occur.
+validate once and the kernels count no hypotenuse point.  Only the
+oracle classifies hypotenuse and apex points (weights 1/2 and 1/4);
+the tests pin those weights by Pick's theorem on relaxed inputs, p | qr,
+where the triangle is a lattice triangle.
 
 The scan uses a batched route, :func:`cg_survivors`: it validates p and
 every q once, then works in numpy rounds over r, dropping the q that
@@ -160,35 +161,26 @@ def _oracle_quarters(p: int, q: int, r: int) -> int:
     return int(weights.sum())
 
 
-def _quarters(p, q, r, below, hyp):
+def _quarters(p, q, r, below):
     """The weighted count in quarters from its columns 0 < x < pr, on ints or numpy arrays.
 
-    ``below`` counts the lattice points with y > 0 on or under the hypotenuse
-    (weight 1), ``hyp`` those on it (1/2).  The rest is closed form: bottom
-    edge 1/2, corner (pr, 0) 1/4, right edge 1/2, and a lattice apex 1/4.
+    ``below`` counts the lattice points with y > 0 under the hypotenuse
+    (weight 1).  The rest is closed form: bottom edge 1/2, corner (pr, 0)
+    1/4 and right edge 1/2, with no point on the hypotenuse and no lattice
+    apex, as validated input has none (module docstring).
     """
-    return 4 * below - 2 * hyp + 2 * (p * r - 1) + 1 + 2 * ((q * r - 1) // p) + (q * r % p == 0)
+    return 4 * below + 2 * p * r - 1 + 2 * (q * r // p)
 
 
-def _column_quarters(p: int, q: int, r: int) -> tuple[int, int, bool]:
-    """Column decomposition.  Returns (quarters, hypotenuse points, lattice apex)."""
+def _column_quarters(p: int, q: int, r: int) -> int:
+    """Column decomposition: one floor term per column."""
     p2 = p * p
-    below = 0
-    hyp = 0
-    for x in range(1, p * r):
-        f, rem = divmod(q * x, p2)
-        below += f
-        hyp += rem == 0
-    return _quarters(p, q, r, below, hyp), hyp, (q * r) % p == 0
+    return _quarters(p, q, r, sum(q * x // p2 for x in range(1, p * r)))
 
 
-def _floorsum_quarters(p: int, q: int, r: int) -> tuple[int, int, bool]:
+def _floorsum_quarters(p: int, q: int, r: int) -> int:
     """Same count via the Euclidean floor-sum recursion (logarithmic)."""
-    p2 = p * p
-    n = p * r
-    below = floor_sum(n, p2, q, 0)
-    hyp = (n - 1) // (p2 // gcd(q, p2))
-    return _quarters(p, q, r, below, hyp), hyp, (q * r) % p == 0
+    return _quarters(p, q, r, floor_sum(p * r, p * p, q, 0))
 
 
 def weighted_count_oracle(p: int, q: int, r: int) -> int:
@@ -209,7 +201,7 @@ def weighted_count(p: int, q: int, r: int) -> int:
     :func:`weighted_count_oracle` agree with it exactly.
     """
     _validate(p, q, r)
-    return _floorsum_quarters(p, q, r)[0]
+    return _floorsum_quarters(p, q, r)
 
 
 def sigma(p: int, q: int, r: int) -> int:
@@ -268,7 +260,7 @@ def cg_condition(p: int, q: int) -> SigmaReport:
     must be odd and >= 3.
     """
     validate_knot(p, q)
-    terms = tuple(SigmaTerm.of(q, r, weighted_count(p, q, r)) for r in range(1, p))
+    terms = tuple(SigmaTerm.of(q, r, _floorsum_quarters(p, q, r)) for r in range(1, p))
     first_failure = next((t.r for t in terms if t.sigma not in (-1, 1)), None)
     return SigmaReport(p, q, terms, first_failure is None, first_failure)
 
@@ -340,7 +332,7 @@ def _sigma_grid(p: int, q: np.ndarray, rs: np.ndarray) -> np.ndarray:
     """
     qr = q[:, None] * rs[None, :]
     s = _floor_sum_batch(np.tile(p * rs, len(q)), p * p, np.repeat(q, len(rs)))
-    return 2 * qr * rs - _quarters(p, q[:, None], rs, s.reshape(qr.shape), 0)
+    return 2 * qr * rs - _quarters(p, q[:, None], rs, s.reshape(qr.shape))
 
 
 def coprime_mask(q: np.ndarray, p: int) -> np.ndarray:
@@ -427,7 +419,7 @@ def _sigma_first_round(p: int, q: np.ndarray) -> np.ndarray:
         for k in range(0, len(at), _BATCH):
             idx = at[k : k + _BATCH]
             s[idx] = _floor_sum_batch(np.full(len(idx), p, dtype=np.int64), p * p, q[idx])
-    return 2 * q - _quarters(p, q, 1, s, 0)
+    return 2 * q - _quarters(p, q, 1, s)
 
 
 def _sigma_tail(p: int, q: np.ndarray, r0: int) -> np.ndarray:
@@ -481,7 +473,7 @@ def _sigma_tail(p: int, q: np.ndarray, r0: int) -> np.ndarray:
     terms += (t0 - counts[base[:, 0]])[:, None]
     s = np.cumsum(terms, axis=1)[:, r0 - 1 :]
     r = np.arange(r0, r_stop + 1, dtype=np.int64)
-    return 2 * q[:, None] * r * r - _quarters(p, q[:, None], r, s, 0)
+    return 2 * q[:, None] * r * r - _quarters(p, q[:, None], r, s)
 
 
 def _keep_passing(q: np.ndarray, rows: int, sigmas) -> np.ndarray:

@@ -251,8 +251,9 @@ class ScanRecord:
     def from_json_line(cls, line: str) -> "ScanRecord":
         """The record a checkpoint line holds, read as outside input: nothing is coerced.
 
-        p and q_tested must be ints, both lists lists of ints (bools are none) and p odd
-        in 3..INT64_MAX_P; any other line raises ValueError, KeyError or TypeError."""
+        p and q_tested must be ints, both lists lists of ints (bools are none), p odd
+        in 3..INT64_MAX_P, every q in 0 < q < p^2 and every non-family q a passing one;
+        any other line raises ValueError, KeyError or TypeError."""
         obj = json.loads(line)
         p, tested = obj["p"], obj["q_tested"]
         passing, non_family = obj["cg_passing"], obj["non_family"]
@@ -261,7 +262,8 @@ class ScanRecord:
             and p % 2 == 1
             and 3 <= p <= INT64_MAX_P
             and type(passing) is type(non_family) is list
-            and all(type(q) is int for q in passing + non_family)
+            and all(type(q) is int and 0 < q < p * p for q in passing + non_family)
+            and set(non_family) <= set(passing)
         ):
             raise ValueError(f"not a scan record: {line.rstrip()}")
         return cls(p, tested, tuple(passing), tuple(non_family))

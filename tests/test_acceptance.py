@@ -106,10 +106,9 @@ def test_oracle_equivalence_exhaustive():
                 continue
             for r in range(1, p):
                 brute = _oracle_quarters(p, q, r)
-                columns, hyp_c, apex_c = _column_quarters(p, q, r)
-                floors, hyp_f, apex_f = _floorsum_quarters(p, q, r)
+                columns = _column_quarters(p, q, r)
+                floors = _floorsum_quarters(p, q, r)
                 assert brute == columns == floors, (p, q, r)
-                assert hyp_c == hyp_f == 0 and not (apex_c or apex_f)
 
 
 @criterion("desk-scale scan p = 3..99: no cg-passing class outside the families")

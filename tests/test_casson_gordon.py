@@ -13,7 +13,6 @@ from twobridge.casson_gordon import (
     _column_quarters,
     _floor_sum_batch,
     _first_round_sums,
-    _floorsum_quarters,
     _oracle_quarters,
     _sigma_first_round,
     _sigma_grid,
@@ -112,14 +111,15 @@ def test_report_serialization_schema():
 # --------------------------------------------------------- path equivalence
 
 def test_three_paths_agree_small_exhaustive():
-    for p in range(3, 12, 2):
+    # even p too: weighted_count and the sigma command accept them
+    for p in range(2, 14):
         p2 = p * p
         for q in range(1, p2):
             if gcd(q, p) != 1:
                 continue
             for r in range(1, p):
                 a = _oracle_quarters(p, q, r)
-                b = _column_quarters(p, q, r)[0]
+                b = _column_quarters(p, q, r)
                 c = weighted_count(p, q, r)
                 assert a == b == c, (p, q, r)
 
@@ -130,27 +130,28 @@ def test_three_paths_agree_property(pqr):
     p, q, r = pqr
     assert (
         weighted_count_oracle(p, q, r)
-        == _column_quarters(p, q, r)[0]
+        == _column_quarters(p, q, r)
         == weighted_count(p, q, r)
     )
 
 
-def test_relaxed_inputs_exercise_lattice_branches():
-    # with r >= p the apex and hypotenuse can be lattice points; the
-    # private paths still agree with the brute-force classification
-    saw_apex = saw_hyp = False
-    for p in (2, 3, 4, 5):
+def test_oracle_weights_lattice_triangles_by_pick():
+    # validated input has no hypotenuse or apex point, so only the oracle
+    # weighs them.  With p | qr (relaxed input) the triangle is a lattice
+    # triangle, and Pick's area = I + B/2 - 1 is exactly the weighted count:
+    # interior 1, edge 1/2, the two vertices other than the origin 1/4.
+    cases = with_hyp = 0
+    for p in range(2, 9):
         p2 = p * p
         for q in range(1, p2):
             for r in range(1, 2 * p + 1):
-                a = _oracle_quarters(p, q, r)
-                b, hyp_b, apex_b = _column_quarters(p, q, r)
-                c, hyp_c, apex_c = _floorsum_quarters(p, q, r)
-                assert a == b == c, (p, q, r)
-                assert (hyp_b, apex_b) == (hyp_c, apex_c)
-                saw_apex |= apex_b
-                saw_hyp |= hyp_b > 0
-    assert saw_apex and saw_hyp
+                if q * r % p:
+                    continue
+                assert _oracle_quarters(p, q, r) == 2 * q * r * r, (p, q, r)
+                cases += 1
+                # points (x, q x / p^2) with 0 < x < pr
+                with_hyp += (p * r - 1) // (p2 // gcd(q, p2)) > 0
+    assert (cases, with_hyp) == (808, 627)
 
 
 # ----------------------------------------------------------------- algebra

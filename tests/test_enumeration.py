@@ -254,6 +254,12 @@ def test_scan_resume_is_byte_identical(tmp_path):
         b'{"p": 13.0, "q_tested": true, "cg_passing": "1021", "non_family": []}\n',
         # p far above the int64 guard
         b'{"p": 1000000000000001, "q_tested": 1, "cg_passing": [], "non_family": []}\n',
+        # q outside 0 < q < p^2, or a non-family q that did not pass: a resume
+        # that kept such a line would report a counterexample never found
+        b'{"p": 13, "q_tested": 1, "cg_passing": [-3, 999], "non_family": [777]}\n',
+        b'{"p": 13, "q_tested": 1, "cg_passing": [0], "non_family": []}\n',
+        b'{"p": 13, "q_tested": 1, "cg_passing": [169], "non_family": [169]}\n',
+        b'{"p": 13, "q_tested": 1, "cg_passing": [5], "non_family": [7]}\n',
     ],
 )
 def test_scan_resume_stops_at_a_non_record_line(tmp_path, tail):
