@@ -268,7 +268,8 @@ def cg_condition(p: int, q: int) -> SigmaReport:
 # p^4 < 2^62 bounds every kernel intermediate (at most 2 p^4) inside int64.
 INT64_MAX_P = 46340
 # Elements per floor-sum call and per chunk of the tail, and the bound on a
-# first-round window's span: bounds the memory of one round.
+# first-round window's span, which enumeration's scan blocks are cut at:
+# bounds the memory of one round.
 _BATCH = 1 << 18
 # The rounds over r >= 2 hand over to the tail at the first round whose width
 # w has w * _TAIL_SWITCH >= p.  A round of width w ends at r = 2 w, so with

@@ -60,7 +60,7 @@ def _positive_int(text: str) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """A fresh parser for the whole command line."""
+    """A fresh parser for the whole command line; each subcommand sets its handler as ``run``."""
     parser = argparse.ArgumentParser(
         prog="twobridge",
         description="2-bridge knot fractions, the Casson-Gordon ribbon obstruction, "
@@ -73,15 +73,17 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("q", type=int)
     s.add_argument("--r", type=int, default=None, help="single r (default: all r = 1..p-1)")
     s.add_argument("--format", choices=("text", "json"), default="text")
+    s.set_defaults(run=_cmd_sigma)
 
     s = sub.add_parser("cg-check", help="Casson-Gordon condition for the knot p^2/q")
     s.add_argument("p", type=int)
     s.add_argument("q", type=int)
     s.add_argument("--format", choices=("text", "json"), default="text")
+    s.set_defaults(run=_cmd_cg_check)
 
-    for name, help_ in (
-        ("member", "membership of p^2/q in the known ribbon families"),
-        ("partial", "partial knot of the family member p^2/q"),
+    for name, help_, run in (
+        ("member", "membership of p^2/q in the known ribbon families", _cmd_member),
+        ("partial", "partial knot of the family member p^2/q", _cmd_partial),
     ):
         s = sub.add_parser(name, help=help_)
         s.add_argument("p", type=int, help="p (or the determinant p^2 with --det)")
@@ -92,23 +94,28 @@ def build_parser() -> argparse.ArgumentParser:
             help="interpret the first argument as the determinant (an odd perfect square)",
         )
         s.add_argument("--format", choices=("text", "json"), default="text")
+        s.set_defaults(run=run)
 
     s = sub.add_parser("generate", help="build a family word and its fraction")
     s.add_argument("--family", required=True, choices=("0", "1", "2"))
     s.add_argument("--params", required=True, help="comma-separated integers, e.g. 1,-2")
     s.add_argument("--format", choices=("text", "json"), default="text")
+    s.set_defaults(run=_cmd_generate)
 
     s = sub.add_parser("eval", help='evaluate a Conway word like "C(2,1,3)"')
     s.add_argument("word")
     s.add_argument("--format", choices=("text", "json"), default="text")
+    s.set_defaults(run=_cmd_eval)
 
     s = sub.add_parser("expand", help="all-positive Conway expansion of p/q")
     s.add_argument("fraction", metavar="p/q")
     s.add_argument("--format", choices=("text", "json"), default="text")
+    s.set_defaults(run=_cmd_expand)
 
     s = sub.add_parser("table", help="ribbon-knot counts per crossing number")
     s.add_argument("--max-crossing", type=int, required=True)
     s.add_argument("--format", choices=("text", "csv", "json"), default="text")
+    s.set_defaults(run=_cmd_table)
 
     s = sub.add_parser("scan", help="conjecture-verification scan over determinants")
     s.add_argument("--min-p", type=int, required=True)
@@ -121,10 +128,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     s.add_argument("--checkpoint", default=None, help="JSONL checkpoint file (resumable)")
     s.add_argument("--format", choices=("text", "json"), default="text")
+    s.set_defaults(run=_cmd_scan)
 
     s = sub.add_parser("crosscheck", help="amphicheiral counts vs family-0 counts at c+2")
     s.add_argument("--max-crossing", type=int, required=True)
     s.add_argument("--format", choices=("text", "csv", "json"), default="text")
+    s.set_defaults(run=_cmd_crosscheck)
 
     return parser
 
@@ -320,20 +329,6 @@ def _cmd_crosscheck(args) -> int:
     return 0 if all(row.equal for row in rows) else 1
 
 
-_HANDLERS = {
-    "sigma": _cmd_sigma,
-    "cg-check": _cmd_cg_check,
-    "member": _cmd_member,
-    "partial": _cmd_partial,
-    "generate": _cmd_generate,
-    "eval": _cmd_eval,
-    "expand": _cmd_expand,
-    "table": _cmd_table,
-    "scan": _cmd_scan,
-    "crosscheck": _cmd_crosscheck,
-}
-
-
 @cache
 def _parser() -> argparse.ArgumentParser:
     """The parser :func:`execute` reuses; parsing leaves no state on it."""
@@ -341,7 +336,7 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def execute(argv: list[str] | None = None) -> int:
-    """Parse argv and run the mapped operation; returns the exit code.
+    """Parse argv and run the subcommand's handler; returns the exit code.
 
     The parser is built on the first call and reused.  Building it costs
     far more than one parse, so this helps callers that run many queries
@@ -353,7 +348,7 @@ def execute(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return _HANDLERS[args.command](args)
+        return args.run(args)
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -17,9 +17,10 @@ misses, not a new ribbon knot.  It is not an error: it is the most
 interesting possible output and is reported with full sigma evidence via
 ``cg-check``.  One
 representative per orbit of q modulo p^2 is tested (pass/fail is a knot
-invariant), in ascending blocks of :data:`SCAN_BLOCK` consecutive q, so
-a worker's memory does not grow with p^2: the least orbit members of a
-block are picked in numpy, each inverse mod p^2 lifted once (Hensel)
+invariant), in ascending blocks of consecutive q, each one first-round
+window of the kernel (span below ``casson_gordon._BATCH``), so a worker's
+memory does not grow with p^2: the least orbit members of a block are
+picked in numpy, each inverse mod p^2 lifted once (Hensel)
 from a table of inverses mod p, and checked together in int64 by
 :func:`casson_gordon.cg_survivors`, so p is at most
 :data:`casson_gordon.INT64_MAX_P`.  At every p every family member must
@@ -54,8 +55,9 @@ from typing import Callable, Iterator
 
 import numpy as np
 
+from . import casson_gordon
 from .casson_gordon import INT64_MAX_P, cg_condition, cg_survivors, coprime_mask
-from .conway import BridgeFraction, KnotClass, is_amphicheiral
+from .conway import BridgeFraction, KnotClass, is_amphicheiral, orbit_qs
 # perfbench/spans.py traces cf_eval and canonical_class under this module's
 # names as well as conway's, so they stay bound here though nothing calls them
 from .conway import canonical_class, cf_eval  # noqa: F401
@@ -251,38 +253,48 @@ class ScanRecord:
     def from_json_line(cls, line: str) -> "ScanRecord":
         """The record a checkpoint line holds, read as outside input: nothing is coerced.
 
-        p and q_tested must be ints, both lists lists of ints (bools are none), p odd
-        in 3..INT64_MAX_P, every q in 0 < q < p^2 and every non-family q a passing one;
-        any other line raises ValueError, KeyError or TypeError."""
+        p and q_tested must be ints and both lists lists of ints (bools are none),
+        each strictly ascending, with no more survivors than q tested; p and every
+        q must pass the kernel's knot rule (:func:`casson_gordon.cg_survivors`:
+        odd p in 3..INT64_MAX_P, 0 < q < p^2, q prime to p); and every non-family
+        q must be a passing one, the least member of its orbit and outside
+        :func:`families.family_reps`.  Any other line raises ValueError, KeyError
+        or TypeError."""
         obj = json.loads(line)
         p, tested = obj["p"], obj["q_tested"]
         passing, non_family = obj["cg_passing"], obj["non_family"]
         if not (
             type(p) is type(tested) is int
-            and p % 2 == 1
-            and 3 <= p <= INT64_MAX_P
             and type(passing) is type(non_family) is list
-            and all(type(q) is int and 0 < q < p * p for q in passing + non_family)
+            and all(type(q) is int for q in passing + non_family)
+            and all(a < b for qs in (passing, non_family) for a, b in zip(qs, qs[1:]))
+            and len(passing) <= tested
             and set(non_family) <= set(passing)
         ):
             raise ValueError(f"not a scan record: {line.rstrip()}")
+        casson_gordon._knot_array(p, passing)
+        # only a line that reports a counterexample pays for the family set
+        if non_family:
+            fam = family_reps(p)
+            if any(orbit_qs(p * p, q)[0] != q or q in fam for q in non_family):
+                raise ValueError(f"not a scan record: {line.rstrip()}")
         return cls(p, tested, tuple(passing), tuple(non_family))
 
 
-# consecutive q per block of the scan's orbit selection and kernel call,
-# which bounds a worker's memory whatever p is
-SCAN_BLOCK = 1 << 18
-
-
 def _tested_blocks(p: int) -> Iterator[np.ndarray]:
-    """The q the scan tests at p, ascending, from blocks of SCAN_BLOCK consecutive q:
-    the least member of each orbit {q, q^-1, -q, -q^-1} mod p^2."""
+    """The q the scan tests at p, ascending: the least member of each orbit
+    {q, q^-1, -q, -q^-1} mod p^2.
+
+    Each block is cut from ``casson_gordon._BATCH`` consecutive q, read at call
+    time, so its span is below the kernel's bound on a first-round window:
+    a block is one window, and the memory of one round, whatever p is."""
+    block = casson_gordon._BATCH
     p2 = p * p
     table = np.array([pow(x, -1, p) if gcd(x, p) == 1 else 0 for x in range(p)], dtype=np.int64)
     # the least member of an orbit is below p^2/2 (q < p^2 - q, p^2 being odd)
     end = p2 // 2 + 1
-    for lo in range(1, end, SCAN_BLOCK):
-        q = np.arange(lo, min(lo + SCAN_BLOCK, end), dtype=np.int64)
+    for lo in range(1, end, block):
+        q = np.arange(lo, min(lo + block, end), dtype=np.int64)
         q = q[coprime_mask(q, p)]
         # Hensel: u = q^-1 mod p gives q u = 1 + k p, and q u (2 - q u) = 1 - k^2 p^2;
         # both products stay below p^3, far inside int64 for p <= INT64_MAX_P

@@ -260,6 +260,17 @@ def test_scan_resume_is_byte_identical(tmp_path):
         b'{"p": 13, "q_tested": 1, "cg_passing": [0], "non_family": []}\n',
         b'{"p": 13, "q_tested": 1, "cg_passing": [169], "non_family": [169]}\n',
         b'{"p": 13, "q_tested": 1, "cg_passing": [5], "non_family": [7]}\n',
+        # lists out of order, more survivors than q tested, or a negative count
+        b'{"p": 13, "q_tested": 40, "cg_passing": [12, 12], "non_family": []}\n',
+        b'{"p": 13, "q_tested": 40, "cg_passing": [14, 12], "non_family": []}\n',
+        b'{"p": 13, "q_tested": 1, "cg_passing": [12, 14], "non_family": []}\n',
+        b'{"p": 13, "q_tested": -5, "cg_passing": [], "non_family": []}\n',
+        # a non-family q that is a family knot (12) or not the least of its
+        # orbit (157 = 13^2 - 12, the mirror of 169/12), which the scan never writes
+        b'{"p": 13, "q_tested": 40, "cg_passing": [12], "non_family": [12]}\n',
+        b'{"p": 13, "q_tested": 40, "cg_passing": [157], "non_family": [157]}\n',
+        # a q sharing the factor 13 with p is no knot the kernel accepts
+        b'{"p": 13, "q_tested": 40, "cg_passing": [26], "non_family": []}\n',
     ],
 )
 def test_scan_resume_stops_at_a_non_record_line(tmp_path, tail):
@@ -294,14 +305,13 @@ def test_bulk_orbit_selection_matches_pow():
 
 def test_scan_by_small_blocks_gives_the_same_records(monkeypatch):
     whole = {p: _scan_single_p(p) for p in range(3, 100, 2)}
-    monkeypatch.setattr(enumeration, "SCAN_BLOCK", 64)
+    monkeypatch.setattr(casson_gordon, "_BATCH", 64)
     for p in range(3, 100, 2):
         assert _scan_single_p(p) == whole[p], p
 
 
 def test_each_scan_block_is_one_first_round_window(monkeypatch):
-    # p = 1001 has 2 blocks of SCAN_BLOCK consecutive q below p^2 / 2
-    assert enumeration.SCAN_BLOCK == casson_gordon._BATCH
+    # p = 1001 has 2 blocks of _BATCH consecutive q below p^2 / 2
     real = casson_gordon._first_round_sums
     calls = []
     monkeypatch.setattr(
