@@ -8,6 +8,12 @@ finding of interest (failed check, scan survivor outside the families,
 unequal crosscheck), 2 usage or domain error, 141 (128 + SIGPIPE) when
 the reader closes stdout before the output is written, as ``| head``
 does; that exit prints no traceback.
+
+JSON is ``json.dumps(..., indent=2)`` of each command's document.  The
+term documents of ``sigma`` and ``cg-check``, which hold one entry per
+r, are written by one hand layout with the same bytes; the tests and CI
+pin it against ``json.dumps`` of ``SigmaTerm.to_json_dict`` and
+``SigmaReport.to_json_dict``.
 """
 
 from __future__ import annotations
@@ -21,7 +27,13 @@ from functools import cache
 from math import isqrt
 
 from . import enumeration, families
-from .casson_gordon import SigmaTerm, cg_condition, validate_pq, weighted_count
+from .casson_gordon import (
+    SigmaTerm,
+    _floorsum_quarters,
+    cg_condition,
+    validate_pq,
+    weighted_count,
+)
 from .conway import cf_eval, cf_expand, parse_fraction, parse_word
 from .errors import DomainError, InternalError
 
@@ -40,6 +52,23 @@ def _quarters_str(quarters: int) -> str:
 
 def _print_json(obj) -> None:
     print(json.dumps(obj, indent=2))
+
+
+# One term of a term document, laid out as json.dumps(..., indent=2) lays out
+# SigmaTerm.to_json_dict() inside the "terms" list.
+_TERM_JSON = '    {\n      "r": %d,\n      "area": "%d/2",\n      "int": "%d/4",\n      "sigma": %d\n    }'
+
+
+def _print_terms_json(head: dict, terms) -> None:
+    """Print ``{**head, "terms": [t.to_json_dict() for t in terms]}`` as :func:`_print_json` would.
+
+    The same bytes for a non-empty ``terms``.  Python's C encoder has no
+    indent, so ``json.dumps(..., indent=2)`` runs the pure-Python one,
+    which takes longer than computing the terms it writes.
+    """
+    lines = [f"  {json.dumps(key)}: {json.dumps(value)},\n" for key, value in head.items()]
+    body = ",\n".join([_TERM_JSON % (t.r, t.area_halves, t.quarters, t.sigma) for t in terms])
+    print("{\n" + "".join(lines) + '  "terms": [\n' + body + "\n  ]\n}")
 
 
 def _print_csv(rows: list[dict]) -> None:
@@ -139,11 +168,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_sigma(args) -> int:
-    validate_pq(args.p, args.q)  # before the loop, which is empty for p < 2
-    rs = [args.r] if args.r is not None else range(1, args.p)
-    terms = [SigmaTerm.of(args.q, r, weighted_count(args.p, args.q, r)) for r in rs]
+    p, q = args.p, args.q
+    if args.r is None:
+        validate_pq(p, q)  # once for every r, and before the loop, which is empty for p < 2
+        terms = [SigmaTerm.of(q, r, _floorsum_quarters(p, q, r)) for r in range(1, p)]
+    else:
+        terms = [SigmaTerm.of(q, args.r, weighted_count(p, q, args.r))]  # checks r as well
     if args.format == "json":
-        _print_json({"p": args.p, "q": args.q, "terms": [t.to_json_dict() for t in terms]})
+        _print_terms_json({"p": p, "q": q}, terms)
     else:
         for t in terms:
             print(
@@ -156,7 +188,10 @@ def _cmd_sigma(args) -> int:
 def _cmd_cg_check(args) -> int:
     report = cg_condition(args.p, args.q)
     if args.format == "json":
-        _print_json(report.to_json_dict())
+        _print_terms_json(
+            {"p": report.p, "q": report.q, "passes": report.passes, "first_failure": report.first_failure},
+            report.terms,
+        )
     elif report.passes:
         print(f"PASS {args.p * args.p}/{args.q}: sigma = +-1 for all r = 1..{args.p - 1}")
     else:

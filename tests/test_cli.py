@@ -6,6 +6,7 @@ import os
 import signal
 import subprocess
 import sys
+from math import gcd
 from pathlib import Path
 
 import hypothesis.strategies as st
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 
 from twobridge import cli, enumeration
+from twobridge.casson_gordon import SigmaTerm, cg_condition, weighted_count
 from twobridge.cli import execute
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -56,6 +58,21 @@ def test_sigma_without_r_validates_p_and_q(capsys, p, q):
     code, out, err = run(capsys, ["sigma", str(p), str(q)])
     assert code == 2 and out == ""
     assert err == f"error: need p >= 2, got {p}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["1", "0"], "need p >= 2, got 1"),
+        (["9", "3"], "need gcd(q, p) = 1, got q=3, p=9"),
+        (["5", "25"], "need 0 < q < p^2, got q=25, p=5"),
+        (["5", "3", "--r", "0"], "need 1 <= r <= p-1, got r=0, p=5"),
+        (["5", "3", "--r", "5"], "need 1 <= r <= p-1, got r=5, p=5"),
+    ],
+)
+def test_sigma_refuses_bad_input(capsys, argv, message):
+    code, out, err = run(capsys, ["sigma", *argv, "--format", "json"])
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 def test_cg_check_failure_exits_1(capsys):
@@ -267,11 +284,26 @@ def test_scan_jobs_default_to_the_usable_cpus(capsys, monkeypatch, affinity, exp
     assert seen == [expected, 2]
 
 
-@pytest.mark.parametrize("p, q", [(11, 46), (5, 2)])  # a passing and a failing knot
-def test_sigma_terms_equal_cg_check_terms(capsys, p, q):
-    _, sigma_out, _ = run(capsys, ["sigma", str(p), str(q), "--format", "json"])
-    _, check_out, _ = run(capsys, ["cg-check", str(p), str(q), "--format", "json"])
-    assert json.loads(sigma_out)["terms"] == json.loads(check_out)["terms"]
+def _sigma_document(p, q, rs):
+    terms = [SigmaTerm.of(q, r, weighted_count(p, q, r)).to_json_dict() for r in rs]
+    return {"p": p, "q": q, "terms": terms}
+
+
+def test_term_documents_are_json_dumps_byte_for_byte(capsys):
+    # sigma and cg-check lay their JSON out by hand; json.dumps(..., indent=2)
+    # of the public dict form is the reference, and both commands' terms agree
+    for p in range(2, 26):
+        for q in (q for q in range(1, p * p) if gcd(q, p) == 1):
+            sigma_doc = _sigma_document(p, q, range(1, p))
+            code, out, _ = run(capsys, ["sigma", str(p), str(q), "--format", "json"])
+            assert (code, out) == (0, json.dumps(sigma_doc, indent=2) + "\n")
+            if p % 2:
+                report = cg_condition(p, q).to_json_dict()
+                assert report["terms"] == sigma_doc["terms"]
+                code, out, _ = run(capsys, ["cg-check", str(p), str(q), "--format", "json"])
+                assert (code, out) == (0 if report["passes"] else 1, json.dumps(report, indent=2) + "\n")
+    code, out, _ = run(capsys, ["sigma", "11", "46", "--r", "2", "--format", "json"])
+    assert (code, out) == (0, json.dumps(_sigma_document(11, 46, [2]), indent=2) + "\n")
 
 
 def test_python_dash_m_runs_the_cli():
