@@ -23,10 +23,11 @@ memory does not grow with p^2: the least orbit members of a block are
 picked in numpy, each inverse mod p^2 lifted once (Hensel)
 from a table of inverses mod p, and checked together in int64 by
 :func:`casson_gordon.cg_survivors`, so p is at most
-:data:`casson_gordon.INT64_MAX_P`.  At every p every family member must
-survive (the families are ribbon) and the least survivor is re-derived
-by the Python-int :func:`casson_gordon.cg_condition`; a disagreement
-raises :class:`InternalError`.
+:data:`casson_gordon.INT64_MAX_P`.  At every p the number of q tested
+must be the number of orbits, in closed form by :func:`_orbit_count`,
+every family member must survive (the families are ribbon) and the least
+survivor is re-derived by the Python-int :func:`casson_gordon.cg_condition`;
+a disagreement raises :class:`InternalError`.
 
 With several jobs the parent runs one worker process per job and sends
 each worker one p at a time over its own pipe, largest first, so the
@@ -244,7 +245,7 @@ class ScanRecord:
     def audit(self) -> bool:
         """Whether the record tests all p*phi(p) knots (the removed ``--audit`` mode);
         one q per orbit tests at most half as many, every orbit having >= 2 members."""
-        return self.q_tested == self.p * int(coprime_mask(np.arange(self.p), self.p).sum())
+        return self.q_tested == self.p * _phi(self.p)
 
     def to_json_line(self) -> str:
         return json.dumps(vars(self))
@@ -259,7 +260,9 @@ class ScanRecord:
         odd p in 3..INT64_MAX_P, 0 < q < p^2, q prime to p); and every non-family
         q must be a passing one, the least member of its orbit and outside
         :func:`families.family_reps`.  Any other line raises ValueError, KeyError
-        or TypeError."""
+        or TypeError.  q_tested must be the count a scan of one q per orbit writes,
+        :func:`_orbit_count`, or the p*phi(p) of an audit record, which loads so
+        that :func:`conjecture_scan` can refuse it without cutting the file."""
         obj = json.loads(line)
         p, tested = obj["p"], obj["q_tested"]
         passing, non_family = obj["cg_passing"], obj["non_family"]
@@ -273,12 +276,49 @@ class ScanRecord:
         ):
             raise ValueError(f"not a scan record: {line.rstrip()}")
         casson_gordon._knot_array(p, passing)
+        if tested not in (_orbit_count(p), p * _phi(p)):
+            raise ValueError(f"not a scan record: {line.rstrip()}")
         # only a line that reports a counterexample pays for the family set
         if non_family:
             fam = family_reps(p)
             if any(orbit_qs(p * p, q)[0] != q or q in fam for q in non_family):
                 raise ValueError(f"not a scan record: {line.rstrip()}")
         return cls(p, tested, tuple(passing), tuple(non_family))
+
+
+def _prime_factors(p: int) -> list[int]:
+    """The distinct primes dividing p >= 1, by trial division."""
+    primes = []
+    d = 2
+    while d * d <= p:
+        if p % d == 0:
+            primes.append(d)
+            while p % d == 0:
+                p //= d
+        d += 1
+    return primes + [p] if p > 1 else primes
+
+
+def _phi(p: int) -> int:
+    """Euler's phi(p): the residues mod p prime to p."""
+    phi = p
+    for prime in _prime_factors(p):
+        phi = phi // prime * (prime - 1)
+    return phi
+
+
+def _orbit_count(p: int) -> int:
+    """The number of q the scan tests at odd p: the orbits of {+-q, +-q^-1} on the
+    p*phi(p) units mod p^2.
+
+    Burnside: q -> -q fixes no unit (p is odd); q -> q^-1 fixes the 2^k roots of
+    1, k the number of primes dividing p; q -> -q^-1 fixes the roots of -1, of
+    which there are 2^k if each prime dividing p is 1 mod 4 and none otherwise.
+    So the count is (p*phi(p) + 2^k + eps*2^k) / 4, eps = 1 in the first case."""
+    primes = _prime_factors(p)
+    fixed = 2 ** len(primes)
+    eps = all(prime % 4 == 1 for prime in primes)
+    return (p * _phi(p) + fixed + eps * fixed) // 4
 
 
 def _tested_blocks(p: int) -> Iterator[np.ndarray]:
@@ -311,6 +351,8 @@ def _scan_single_p(p: int) -> ScanRecord:
     for qs in _tested_blocks(p):
         tested += len(qs)
         passing += cg_survivors(p, qs).tolist()
+    if tested != _orbit_count(p):
+        raise InternalError(f"orbit selection at p={p} tested {tested} q, not {_orbit_count(p)}")
     fam = family_reps(p)
     # tie the batched kernel to the ribbon families and the Python-int kernel at
     # every p: family knots are ribbon, so each passes at every r, and the

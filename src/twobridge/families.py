@@ -30,8 +30,10 @@ The generator side enumerates the family words by crossing number:
 family-0 words have crossing exactly 2*s + 2 for parameter sum s, and
 family 1/2 words crossing at least 4*max(|a|, |b|) + 4 (tested
 exhaustively for |a|, |b| <= 41).  :func:`build_family_index` takes every
-crossing up to its bound; the family lookup of :func:`is_family_member`
-enumerates only its own knot's crossing, with no index and no cache.
+crossing up to its bound.  The family lookup of :func:`is_family_member`
+enumerates nothing by crossing: it reads family 0 off the knot's own two
+all-positive expansions and tries only the family 1/2 pairs (a, b) whose
+ring can reach its crossing, with no index and no cache.
 """
 
 from __future__ import annotations
@@ -48,6 +50,7 @@ from .conway import (
     KnotClass,
     canonical_class,
     cf_eval,
+    cf_expand,
     normalize,
     orbit_qs,
     same_knot,
@@ -68,8 +71,9 @@ __all__ = [
     "FamilyMembership",
 ]
 
-# Generator-family lookup is exponential in the crossing bound (family 0
-# enumerates compositions), so it is only attempted below this crossing.
+# Generator-family lookup costs O(crossing^2) (the family 1/2 ring) and
+# could run at any crossing; it stays at or below 32 because a higher limit
+# would fill ``families`` for larger knots and so change ``member`` output.
 AUTO_LOOKUP_LIMIT = 32
 
 
@@ -232,6 +236,46 @@ def _partial_from_matches(p: int, matches: Sequence[ConditionMatch]) -> KnotClas
     return next(iter(classes.values()))
 
 
+def _member_families(p2: int, q: int, crossing: int) -> set[int]:
+    """The generator families producing the knot p2/q, whose crossing number is given.
+
+    Family 0: p2/q' has exactly two all-positive expansions, cf_expand's and
+    the same with its last entry e split as (e - 1, 1), and a family-0 word is
+    one of them for some q' of the orbit; so the knot is in family 0 iff one of
+    these has the shape (a,...,w,x,x+2,w,...,a).  Families 1 and 2: every pair
+    on the ring |a|, |b| <= (crossing - 4)//4 + 1 of :func:`_family_classes` is
+    evaluated and kept when its fraction lies in the orbit; a pair on the
+    outermost ring that produces the knot raises InternalError.  Agrees with
+    ``_family_classes(crossing, crossing)`` (tested), which enumerates every
+    family word of that crossing instead.
+    """
+    orbit = orbit_qs(p2, q)
+    families: set[int] = set()
+    for q_rep in orbit:
+        entries = cf_expand(BridgeFraction(p2, q_rep)).entries
+        for word in (entries, entries[:-1] + (entries[-1] - 1, 1)):
+            m = len(word) // 2
+            if len(word) % 2 == 0 and word[m] == word[m - 1] + 2 and word[: m - 1] == word[:m:-1]:
+                families.add(0)
+    bound = (crossing - 4) // 4 + 1
+    for family in (1, 2):
+        for a in range(-bound, bound + 1):
+            if a == 0:
+                continue
+            for b in range(-bound, bound + 1):
+                if b == 0:
+                    continue
+                _, frac = generate(family, (a, b))
+                if frac.p == p2 and frac.q in orbit:
+                    if max(abs(a), abs(b)) == bound:
+                        raise InternalError(
+                            f"family-{family} parameters ({a}, {b}) beyond the bound produce "
+                            f"{p2}/{q} of crossing {crossing}: bound too small"
+                        )
+                    families.add(family)
+    return families
+
+
 def is_family_member(p: int, q: int, family_lookup: bool = True) -> FamilyMembership:
     """Orbit-closed membership test for the knot p^2/q.
 
@@ -239,8 +283,9 @@ def is_family_member(p: int, q: int, family_lookup: bool = True) -> FamilyMember
     modulo p^2 (the family list includes mirror images).  When
     ``family_lookup`` is set and the knot's crossing number c is at most
     AUTO_LOOKUP_LIMIT, the generator families containing the class are
-    found among the family classes of crossing exactly c, enumerated
-    afresh for this call (not through :func:`build_family_index`).
+    found by :func:`_member_families` from the knot's own words (not
+    through :func:`build_family_index`); a member no generator produces
+    raises InternalError.
     """
     validate_knot(p, q)
     matches = _orbit_matches(p, q)
@@ -250,7 +295,7 @@ def is_family_member(p: int, q: int, family_lookup: bool = True) -> FamilyMember
     if member and family_lookup:
         cls = canonical_class(normalize(p * p, q))
         if cls.crossing <= AUTO_LOOKUP_LIMIT:
-            families = frozenset(_family_classes(cls.crossing, cls.crossing).get(cls, ()))
+            families = frozenset(_member_families(p * p, cls.canonical.q, cls.crossing))
             if not families:
                 raise InternalError(
                     f"{p * p}/{q} satisfies {[str(m) for m in matches]} but no generator "

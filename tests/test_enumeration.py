@@ -15,6 +15,7 @@ from twobridge.casson_gordon import INT64_MAX_P, cg_survivors
 from twobridge.conway import ConwayWord, canonical_class, cf_eval
 from twobridge.enumeration import (
     ScanRecord,
+    _orbit_count,
     _scan_single_p,
     _tested_blocks,
     amphicheiral_crosscheck,
@@ -271,6 +272,10 @@ def test_scan_resume_is_byte_identical(tmp_path):
         b'{"p": 13, "q_tested": 40, "cg_passing": [157], "non_family": [157]}\n',
         # a q sharing the factor 13 with p is no knot the kernel accepts
         b'{"p": 13, "q_tested": 40, "cg_passing": [26], "non_family": []}\n',
+        # p = 13's real survivors with a count no scan writes: one q per orbit
+        # tests _orbit_count(13) = 40, an audit 13 * phi(13) = 156
+        b'{"p": 13, "q_tested": 10, "cg_passing": [12, 25, 36, 38, 50, 51, 64, 70, 77], '
+        b'"non_family": []}\n',
     ],
 )
 def test_scan_resume_stops_at_a_non_record_line(tmp_path, tail):
@@ -301,6 +306,21 @@ def test_bulk_orbit_selection_matches_pow():
             if q == min(q, inv, p2 - q, p2 - inv):
                 expected.append(q)
         assert np.concatenate(list(_tested_blocks(p))).tolist() == expected, p
+
+
+def test_orbit_count_is_the_number_of_q_tested():
+    # Burnside's count, with every prime factor 1 mod 4 (5, 13, 65, 325) or not
+    for p in [*range(3, 402, 2), 4001]:
+        assert _orbit_count(p) == sum(map(len, _tested_blocks(p))), p
+    assert _orbit_count(4001) == 4_001_001
+
+
+def test_scan_raises_when_orbit_selection_miscounts(monkeypatch):
+    real = enumeration._tested_blocks
+    # one q lost from the last block: p = 11 tests 27 q, not 28
+    monkeypatch.setattr(enumeration, "_tested_blocks", lambda p: (qs[:-1] for qs in real(p)))
+    with pytest.raises(InternalError, match="tested 27 q, not 28"):
+        _scan_single_p(11)
 
 
 def test_scan_by_small_blocks_gives_the_same_records(monkeypatch):

@@ -4,12 +4,14 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from twobridge import families
 from twobridge.casson_gordon import cg_condition
 from twobridge.conway import canonical_class, cf_expand, orbit_qs, parse_fraction, same_knot
 from twobridge.errors import DomainError, InternalError
 from twobridge.families import (
     ConditionMatch,
     _family_classes,
+    _member_families,
     _partial_from_matches,
     build_family_index,
     family0_identity_holds,
@@ -116,6 +118,22 @@ def test_member_via_condition_iv():
 def test_member_with_generator_families():
     mem = is_family_member(5, 18)
     assert mem.member and mem.families == frozenset({1, 2})
+    # crossing 32 = AUTO_LOOKUP_LIMIT, the largest crossing the lookup labels
+    assert canonical_class(parse_fraction(f"{1597 * 1597}/1576240")).crossing == 32
+    assert is_family_member(1597, 1576240).families == {0}
+
+
+def test_member_lookup_guards_its_ring():
+    # 25/7 = 25/18 comes from (a, b) = (-1, -1) in families 1 and 2; told
+    # crossing 4, the lookup searches only the ring |a|, |b| <= 1, its outermost
+    with pytest.raises(InternalError, match="bound too small"):
+        _member_families(25, 7, 4)
+
+
+def test_a_member_no_generator_produces_raises(monkeypatch):
+    monkeypatch.setattr(families, "_member_families", lambda p2, q, crossing: set())
+    with pytest.raises(InternalError, match="no generator produces"):
+        is_family_member(5, 18)
 
 
 def test_non_member():
@@ -325,10 +343,22 @@ def test_family12_crossing_is_at_least_four_per_ring_plus_four():
 
 
 def test_family_layers_are_slices_of_the_index():
+    # and the member lookup reads the same families off each knot's own words
     index = build_family_index(24)
-    for c in range(3, 25):
-        want = {cls: set(fams) for cls, fams in index.items() if cls.crossing == c}
-        assert _family_classes(c, c) == want, c
+    for c in range(3, 29):
+        layer = _family_classes(c, c)
+        if c <= 24:
+            assert layer == {cls: set(fams) for cls, fams in index.items() if cls.crossing == c}, c
+        for cls, fams in layer.items():
+            assert _member_families(cls.determinant, cls.canonical.q, c) == fams, cls
+    # every knot class of crossing <= 24 at odd p < 60, family or not
+    for p in range(3, 60, 2):
+        p2 = p * p
+        for q in range(1, p2 // 2 + 1):
+            if gcd(q, p) == 1 and orbit_qs(p2, q)[0] == q:
+                cls = canonical_class(parse_fraction(f"{p2}/{q}"))
+                if cls.crossing <= 24:
+                    assert _member_families(p2, q, cls.crossing) == index.get(cls, set()), cls
 
 
 def _full_sweep_index(max_crossing):
