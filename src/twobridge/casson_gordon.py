@@ -336,18 +336,24 @@ def _sigma_grid(p: int, q: np.ndarray, rs: np.ndarray) -> np.ndarray:
     return 2 * qr * rs - _quarters(p, q[:, None], rs, s.reshape(qr.shape))
 
 
+def _prime_factors(p: int) -> list[int]:
+    """The distinct primes dividing p >= 1, by trial division."""
+    primes = []
+    d = 2
+    while d * d <= p:
+        if p % d == 0:
+            primes.append(d)
+            while p % d == 0:
+                p //= d
+        d += 1
+    return primes + [p] if p > 1 else primes
+
+
 def coprime_mask(q: np.ndarray, p: int) -> np.ndarray:
     """gcd(q[k], p) == 1 for every k, by the prime factors of p (np.gcd is far slower)."""
     mask = np.ones(len(q), dtype=bool)
-    rest, f = p, 2
-    while f * f <= rest:
-        if rest % f == 0:
-            mask &= q % f != 0
-            while rest % f == 0:
-                rest //= f
-        f += 1
-    if rest > 1:
-        mask &= q % rest != 0
+    for prime in _prime_factors(p):
+        mask &= q % prime != 0
     return mask
 
 

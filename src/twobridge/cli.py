@@ -101,13 +101,11 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("p", type=int)
     s.add_argument("q", type=int)
     s.add_argument("--r", type=int, default=None, help="single r (default: all r = 1..p-1)")
-    s.add_argument("--format", choices=("text", "json"), default="text")
     s.set_defaults(run=_cmd_sigma)
 
     s = sub.add_parser("cg-check", help="Casson-Gordon condition for the knot p^2/q")
     s.add_argument("p", type=int)
     s.add_argument("q", type=int)
-    s.add_argument("--format", choices=("text", "json"), default="text")
     s.set_defaults(run=_cmd_cg_check)
 
     for name, help_, run in (
@@ -122,28 +120,23 @@ def build_parser() -> argparse.ArgumentParser:
             action="store_true",
             help="interpret the first argument as the determinant (an odd perfect square)",
         )
-        s.add_argument("--format", choices=("text", "json"), default="text")
         s.set_defaults(run=run)
 
     s = sub.add_parser("generate", help="build a family word and its fraction")
     s.add_argument("--family", required=True, choices=("0", "1", "2"))
     s.add_argument("--params", required=True, help="comma-separated integers, e.g. 1,-2")
-    s.add_argument("--format", choices=("text", "json"), default="text")
     s.set_defaults(run=_cmd_generate)
 
     s = sub.add_parser("eval", help='evaluate a Conway word like "C(2,1,3)"')
     s.add_argument("word")
-    s.add_argument("--format", choices=("text", "json"), default="text")
     s.set_defaults(run=_cmd_eval)
 
     s = sub.add_parser("expand", help="all-positive Conway expansion of p/q")
     s.add_argument("fraction", metavar="p/q")
-    s.add_argument("--format", choices=("text", "json"), default="text")
     s.set_defaults(run=_cmd_expand)
 
     s = sub.add_parser("table", help="ribbon-knot counts per crossing number")
     s.add_argument("--max-crossing", type=int, required=True)
-    s.add_argument("--format", choices=("text", "csv", "json"), default="text")
     s.set_defaults(run=_cmd_table)
 
     s = sub.add_parser("scan", help="conjecture-verification scan over determinants")
@@ -156,14 +149,15 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker processes (default: the CPUs this process may use)",
     )
     s.add_argument("--checkpoint", default=None, help="JSONL checkpoint file (resumable)")
-    s.add_argument("--format", choices=("text", "json"), default="text")
     s.set_defaults(run=_cmd_scan)
 
     s = sub.add_parser("crosscheck", help="amphicheiral counts vs family-0 counts at c+2")
     s.add_argument("--max-crossing", type=int, required=True)
-    s.add_argument("--format", choices=("text", "csv", "json"), default="text")
     s.set_defaults(run=_cmd_crosscheck)
 
+    for name, s in sub.choices.items():  # last, so that it ends every help screen
+        formats = ("text", "csv", "json") if name in ("table", "crosscheck") else ("text", "json")
+        s.add_argument("--format", choices=formats, default="text")
     return parser
 
 

@@ -24,6 +24,7 @@ depend on this convention and are flagged as such where exposed.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from math import gcd
 
@@ -143,7 +144,8 @@ def parse_fraction(text: str, allow_even: bool = False) -> BridgeFraction:
     m = _FRACTION_RE.match(text)
     if not m:
         raise DomainError(f"cannot parse fraction {text!r}, expected 'p/q'")
-    return normalize(int(m.group(1)), int(m.group(2)), allow_even=allow_even)
+    p, q = _ints(m.groups())
+    return normalize(p, q, allow_even=allow_even)
 
 
 _WORD_RE = re.compile(r"^\s*C\(\s*(-?\d+(?:\s*,\s*-?\d+)*)\s*\)\s*$")
@@ -154,7 +156,17 @@ def parse_word(text: str) -> ConwayWord:
     m = _WORD_RE.match(text)
     if not m:
         raise DomainError(f"cannot parse Conway word {text!r}, expected 'C(a1,a2,...)'")
-    return ConwayWord(tuple(int(tok) for tok in m.group(1).split(",")))
+    return ConwayWord(_ints(m.group(1).split(",")))
+
+
+def _ints(tokens) -> tuple[int, ...]:
+    """The matched decimal tokens as ints; DomainError for one longer than Python's
+    int-string limit (``sys.get_int_max_str_digits``), the only ValueError left."""
+    try:
+        return tuple(int(tok) for tok in tokens)
+    except ValueError as exc:
+        limit = sys.get_int_max_str_digits()
+        raise DomainError(f"integers of more than {limit} digits are not supported") from exc
 
 
 def cf_eval(word: ConwayWord, allow_even: bool = True) -> BridgeFraction:

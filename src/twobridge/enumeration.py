@@ -57,7 +57,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from . import casson_gordon
-from .casson_gordon import INT64_MAX_P, cg_condition, cg_survivors, coprime_mask
+from .casson_gordon import INT64_MAX_P, _prime_factors, cg_condition, cg_survivors, coprime_mask
 from .conway import BridgeFraction, KnotClass, is_amphicheiral, orbit_qs
 # perfbench/spans.py traces cf_eval and canonical_class under this module's
 # names as well as conway's, so they stay bound here though nothing calls them
@@ -260,7 +260,8 @@ class ScanRecord:
         odd p in 3..INT64_MAX_P, 0 < q < p^2, q prime to p); and every non-family
         q must be a passing one, the least member of its orbit and outside
         :func:`families.family_reps`.  Any other line raises ValueError, KeyError
-        or TypeError.  q_tested must be the count a scan of one q per orbit writes,
+        or TypeError, or RecursionError if nested deeper than the recursion
+        limit.  q_tested must be the count a scan of one q per orbit writes,
         :func:`_orbit_count`, or the p*phi(p) of an audit record, which loads so
         that :func:`conjecture_scan` can refuse it without cutting the file."""
         obj = json.loads(line)
@@ -284,19 +285,6 @@ class ScanRecord:
             if any(orbit_qs(p * p, q)[0] != q or q in fam for q in non_family):
                 raise ValueError(f"not a scan record: {line.rstrip()}")
         return cls(p, tested, tuple(passing), tuple(non_family))
-
-
-def _prime_factors(p: int) -> list[int]:
-    """The distinct primes dividing p >= 1, by trial division."""
-    primes = []
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            primes.append(d)
-            while p % d == 0:
-                p //= d
-        d += 1
-    return primes + [p] if p > 1 else primes
 
 
 def _phi(p: int) -> int:
@@ -467,7 +455,7 @@ def _load_checkpoint(path: str) -> tuple[dict[int, ScanRecord], int]:
                 if raw.strip():
                     try:
                         rec = ScanRecord.from_json_line(raw.decode("utf-8"))
-                    except (KeyError, TypeError, ValueError):
+                    except (KeyError, TypeError, ValueError, RecursionError):
                         break
                     records.setdefault(rec.p, rec)
                 size += len(raw)

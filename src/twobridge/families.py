@@ -28,12 +28,12 @@ its survivors with that set.
 
 The generator side enumerates the family words by crossing number:
 family-0 words have crossing exactly 2*s + 2 for parameter sum s, and
-family 1/2 words crossing at least 4*max(|a|, |b|) + 4 (tested
-exhaustively for |a|, |b| <= 41).  :func:`build_family_index` takes every
-crossing up to its bound.  The family lookup of :func:`is_family_member`
-enumerates nothing by crossing: it reads family 0 off the knot's own two
-all-positive expansions and tries only the family 1/2 pairs (a, b) whose
-ring can reach its crossing, with no index and no cache.
+the family 1/2 pairs (a, b) that can reach a crossing come from
+:func:`_ring`.  :func:`build_family_index` takes every crossing up to its
+bound.  The family lookup of :func:`is_family_member` enumerates nothing
+by crossing: it reads family 0 off the knot's own two all-positive
+expansions and tries only the pairs of the ring of its crossing, with no
+index and no cache.
 """
 
 from __future__ import annotations
@@ -243,11 +243,9 @@ def _member_families(p2: int, q: int, crossing: int) -> set[int]:
     the same with its last entry e split as (e - 1, 1), and a family-0 word is
     one of them for some q' of the orbit; so the knot is in family 0 iff one of
     these has the shape (a,...,w,x,x+2,w,...,a).  Families 1 and 2: every pair
-    on the ring |a|, |b| <= (crossing - 4)//4 + 1 of :func:`_family_classes` is
-    evaluated and kept when its fraction lies in the orbit; a pair on the
-    outermost ring that produces the knot raises InternalError.  Agrees with
-    ``_family_classes(crossing, crossing)`` (tested), which enumerates every
-    family word of that crossing instead.
+    of ``_ring(crossing)`` is kept when its fraction lies in the orbit; a pair
+    on the outermost ring that produces the knot raises InternalError.  Agrees
+    with :func:`build_family_index` on every class of crossing <= 28 (tested).
     """
     orbit = orbit_qs(p2, q)
     families: set[int] = set()
@@ -257,22 +255,14 @@ def _member_families(p2: int, q: int, crossing: int) -> set[int]:
             m = len(word) // 2
             if len(word) % 2 == 0 and word[m] == word[m - 1] + 2 and word[: m - 1] == word[:m:-1]:
                 families.add(0)
-    bound = (crossing - 4) // 4 + 1
-    for family in (1, 2):
-        for a in range(-bound, bound + 1):
-            if a == 0:
-                continue
-            for b in range(-bound, bound + 1):
-                if b == 0:
-                    continue
-                _, frac = generate(family, (a, b))
-                if frac.p == p2 and frac.q in orbit:
-                    if max(abs(a), abs(b)) == bound:
-                        raise InternalError(
-                            f"family-{family} parameters ({a}, {b}) beyond the bound produce "
-                            f"{p2}/{q} of crossing {crossing}: bound too small"
-                        )
-                    families.add(family)
+    for family, a, b, frac, outer in _ring(crossing):
+        if frac.p == p2 and frac.q in orbit:
+            if outer:
+                raise InternalError(
+                    f"family-{family} parameters ({a}, {b}) beyond the bound produce "
+                    f"{p2}/{q} of crossing {crossing}: bound too small"
+                )
+            families.add(family)
     return families
 
 
@@ -354,20 +344,40 @@ def iter_compositions(total: int) -> Iterator[tuple[int, ...]]:
             yield (first,) + rest
 
 
-def _family_classes(lo: int, hi: int) -> dict[KnotClass, set[int]]:
-    """The families producing each family knot class with crossing in lo..hi.
+def _ring(hi: int) -> Iterator[tuple[int, int, int, BridgeFraction, bool]]:
+    """(family, a, b, fraction, outer) for every family 1/2 pair with |a|, |b| <= (hi - 4)//4 + 1.
+
+    Families 1 and 2 give crossing at least 4*max(|a|, |b|) + 4 (tested
+    exhaustively for |a|, |b| <= 41 in tests/test_families.py, beyond every
+    ring a crossing <= 40 needs, and met with equality by many pairs), so
+    these are all the pairs whose knot can have crossing <= hi.  ``outer``
+    marks the outermost ring, on which the bound gives crossing > hi: a caller
+    that finds it producing a knot of crossing <= hi raises InternalError.
+    """
+    bound = (hi - 4) // 4 + 1
+    for family in (1, 2):
+        for a in range(-bound, bound + 1):
+            for b in range(-bound, bound + 1):
+                if a and b:
+                    yield family, a, b, generate(family, (a, b))[1], max(abs(a), abs(b)) == bound
+
+
+@lru_cache(maxsize=None)
+def build_family_index(max_crossing: int) -> Mapping[KnotClass, frozenset[int]]:
+    """Map every family knot class with crossing <= max_crossing to its families.
 
     Family 0 is enumerated by parameter sum s; its all-positive word has
-    crossing exactly 2*s + 2 (asserted), so only the compositions of the
-    s with lo <= 2*s + 2 <= hi are built.  Families 1 and 2 give crossing
-    at least 4*max(|a|, |b|) + 4 (tested exhaustively for |a|, |b| <= 41
-    in tests/test_families.py, beyond every ring a crossing <= 40 needs,
-    and met with equality by many pairs), so they run over
-    |a|, |b| <= (hi - 4)//4 + 1 with a crossing post-filter; the outermost
-    ring must contribute nothing (raises InternalError otherwise).
+    crossing exactly 2*s + 2 (asserted), so only the compositions of the s
+    with 2*s + 2 <= max_crossing are built.  Families 1 and 2 run over
+    ``_ring(max_crossing)`` with a crossing post-filter; the outermost ring
+    must contribute nothing (raises InternalError otherwise).  Frozen and
+    cached per bound for the table and the crosscheck; membership lookups
+    do not use it.
     """
+    if not 3 <= max_crossing <= 40:
+        raise DomainError(f"crossing bound must be in 3..40, got {max_crossing}")
     classes: dict[KnotClass, set[int]] = {}
-    for s in range(max(1, (lo - 1) // 2), (hi - 2) // 2 + 1):
+    for s in range(1, (max_crossing - 2) // 2 + 1):
         for params in iter_compositions(s):
             _, frac = generate(0, params)
             if frac.is_link:
@@ -378,39 +388,16 @@ def _family_classes(lo: int, hi: int) -> dict[KnotClass, set[int]]:
                     f"family-0 word for {params} has crossing {cls.crossing}, expected {2 * s + 2}"
                 )
             classes.setdefault(cls, set()).add(0)
-    bound = (hi - 4) // 4 + 1
-    for family in (1, 2):
-        for a in range(-bound, bound + 1):
-            if a == 0:
-                continue
-            for b in range(-bound, bound + 1):
-                if b == 0:
-                    continue
-                _, frac = generate(family, (a, b))
-                if frac.is_link:
-                    continue
-                cls = canonical_class(frac)
-                if cls.crossing > hi:
-                    continue
-                if max(abs(a), abs(b)) == bound:
-                    raise InternalError(
-                        f"family-{family} parameters ({a}, {b}) beyond the bound produce "
-                        f"crossing {cls.crossing} <= {hi}: bound too small"
-                    )
-                if cls.crossing >= lo:
-                    classes.setdefault(cls, set()).add(family)
-    return classes
-
-
-@lru_cache(maxsize=None)
-def build_family_index(max_crossing: int) -> Mapping[KnotClass, frozenset[int]]:
-    """Map every family knot class with crossing <= max_crossing to its families.
-
-    Built by :func:`_family_classes` over crossings 3..max_crossing (see
-    there for the family-0 crossing assertion and the 4*max(|a|, |b|) + 4
-    ring bound of families 1 and 2), frozen, and cached per bound for the
-    table and the crosscheck.  Membership lookups do not use it.
-    """
-    if not 3 <= max_crossing <= 40:
-        raise DomainError(f"crossing bound must be in 3..40, got {max_crossing}")
-    return {cls: frozenset(fams) for cls, fams in _family_classes(3, max_crossing).items()}
+    for family, a, b, frac, outer in _ring(max_crossing):
+        if frac.is_link:
+            continue
+        cls = canonical_class(frac)
+        if cls.crossing > max_crossing:
+            continue
+        if outer:
+            raise InternalError(
+                f"family-{family} parameters ({a}, {b}) beyond the bound produce "
+                f"crossing {cls.crossing} <= {max_crossing}: bound too small"
+            )
+        classes.setdefault(cls, set()).add(family)
+    return {cls: frozenset(fams) for cls, fams in classes.items()}

@@ -1,5 +1,5 @@
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 
 import pytest
 from hypothesis import given, settings
@@ -14,11 +14,13 @@ from twobridge.casson_gordon import (
     _floor_sum_batch,
     _first_round_sums,
     _oracle_quarters,
+    _prime_factors,
     _sigma_first_round,
     _sigma_grid,
     _sigma_tail,
     cg_condition,
     cg_survivors,
+    coprime_mask,
     floor_sum,
     sigma,
     weighted_count,
@@ -398,6 +400,22 @@ def test_int64_guard_is_the_largest_p_with_p4_below_2_62():
     assert INT64_MAX_P**4 < 2**62 <= (INT64_MAX_P + 1) ** 4
     with pytest.raises(DomainError, match="int64"):
         cg_survivors(INT64_MAX_P + 1, [1])  # the least odd p above the guard
+
+
+def test_coprime_mask_and_prime_factors_up_to_1000():
+    q = np.arange(-1000, 3001, dtype=np.int64)
+    for p in range(1, 1001):
+        assert np.array_equal(coprime_mask(q, p), np.gcd(q, p) == 1), p
+        primes = _prime_factors(p)
+        assert len(set(primes)) == len(primes), p
+        assert all(f > 1 and all(f % d for d in range(2, isqrt(f) + 1)) for f in primes), p
+        rebuilt = 1
+        for f in primes:
+            power = f
+            while p % (power * f) == 0:
+                power *= f
+            rebuilt *= power
+        assert rebuilt == p, p
 
 
 def test_cg_survivors_validates_its_input():

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -383,6 +384,37 @@ def test_output_is_byte_stable(capsys):
     assert first == second
 
 
+# the least valid argv of each command
+_MINIMAL_ARGV = {
+    "sigma": ["sigma", "5", "2"],
+    "cg-check": ["cg-check", "5", "2"],
+    "member": ["member", "5", "2"],
+    "partial": ["partial", "5", "4"],
+    "generate": ["generate", "--family", "1", "--params", "1,1"],
+    "eval": ["eval", "C(2,1)"],
+    "expand": ["expand", "5/2"],
+    "table": ["table", "--max-crossing", "6"],
+    "scan": ["scan", "--min-p", "3", "--max-p", "5"],
+    "crosscheck": ["crosscheck", "--max-crossing", "6"],
+}
+
+
+def test_format_choices_per_command(capsys):
+    parser = cli.build_parser()
+    (commands,) = [a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert list(commands) == list(_MINIMAL_ARGV)
+    for name, argv in _MINIMAL_ARGV.items():
+        code, out, err = run(capsys, argv + ["--format", "xml"])
+        assert code == 2 and out == "" and "invalid choice: 'xml'" in err, name
+        if name in ("table", "crosscheck"):
+            assert parser.parse_args(argv + ["--format", "csv"]).format == "csv"
+        else:
+            code, out, err = run(capsys, argv + ["--format", "csv"])
+            assert code == 2 and out == "" and "invalid choice: 'csv'" in err, name
+        lines = commands[name].format_help().splitlines()
+        assert [line.split()[0] for line in lines if line.startswith("  -")][-1] == "--format", name
+
+
 _REUSE_SEQUENCE = [
     ["member", "11", "84", "--format", "json"],
     ["sigma", "5", "3", "--r", "1"],
@@ -475,6 +507,9 @@ def test_internal_error_exits_2(capsys, monkeypatch):
         ["table", "--max-crossing", "2"],
         ["crosscheck", "--max-crossing", "25"],
         ["generate", "--family", "0", "--params", "1,,2"],
+        # beyond Python's int-string digit limit
+        ["eval", "C(" + "9" * 5000 + ")"],
+        ["expand", "9" * 5000 + "/2"],
     ],
 )
 def test_bad_bounds_and_parameters_exit_2(capsys, argv):

@@ -276,6 +276,8 @@ def test_scan_resume_is_byte_identical(tmp_path):
         # tests _orbit_count(13) = 40, an audit 13 * phi(13) = 156
         b'{"p": 13, "q_tested": 10, "cg_passing": [12, 25, 36, 38, 50, 51, 64, 70, 77], '
         b'"non_family": []}\n',
+        # nested deeper than the recursion limit: json.loads raises RecursionError
+        b"[" * 200_000 + b"\n",
     ],
 )
 def test_scan_resume_stops_at_a_non_record_line(tmp_path, tail):

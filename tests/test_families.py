@@ -10,7 +10,6 @@ from twobridge.conway import canonical_class, cf_expand, orbit_qs, parse_fractio
 from twobridge.errors import DomainError, InternalError
 from twobridge.families import (
     ConditionMatch,
-    _family_classes,
     _member_families,
     _partial_from_matches,
     build_family_index,
@@ -330,7 +329,7 @@ def test_every_family_index_class_passes_cg():
 # ------------------------------------------------------------ family index
 
 def test_family12_crossing_is_at_least_four_per_ring_plus_four():
-    # the ring bound of _family_classes, over the old sweep's whole domain
+    # the ring bound of _ring, over the old sweep's whole domain
     # (|a|, |b| <= bound + 1 for every bound up to 40)
     for family in (1, 2):
         for a in range(-41, 42):
@@ -342,15 +341,11 @@ def test_family12_crossing_is_at_least_four_per_ring_plus_four():
                     assert canonical_class(frac).crossing >= 4 * max(abs(a), abs(b)) + 4, (family, a, b)
 
 
-def test_family_layers_are_slices_of_the_index():
-    # and the member lookup reads the same families off each knot's own words
-    index = build_family_index(24)
-    for c in range(3, 29):
-        layer = _family_classes(c, c)
-        if c <= 24:
-            assert layer == {cls: set(fams) for cls, fams in index.items() if cls.crossing == c}, c
-        for cls, fams in layer.items():
-            assert _member_families(cls.determinant, cls.canonical.q, c) == fams, cls
+def test_member_lookup_agrees_with_the_index():
+    # the member lookup reads each family class's families off its own words
+    index = build_family_index(28)
+    for cls, fams in index.items():
+        assert _member_families(cls.determinant, cls.canonical.q, cls.crossing) == fams, cls
     # every knot class of crossing <= 24 at odd p < 60, family or not
     for p in range(3, 60, 2):
         p2 = p * p
