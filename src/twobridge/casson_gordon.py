@@ -50,7 +50,14 @@ formula stays below 2 p^4, and the sweep's below p^3, so int64 is exact
 while p^4 < 2^62, that is p <= INT64_MAX_P = 46340, and
 :func:`cg_survivors` refuses larger p (the scan could not reach them: at
 p = 46,341 one q per orbit is still about 10^9 q).  :func:`cg_condition`
-and :func:`sigma` run on Python ints and stay exact for any p.
+and :func:`sigma` run on Python ints and stay exact for any p.  The report
+of :func:`cg_condition`, like the all-r output of the ``sigma`` command,
+counts the terms at r = 1..floor(p/2) by the floor-sum recursion and
+mirrors each term at r > p/2 from the term at p - r, by the symmetry
+below, the same proved identity the rounds and the tail stop at; at
+even p, r = p/2 is its own mirror and is counted.
+:func:`weighted_count` and :func:`sigma` count every r they are given,
+so they stay the independent reference for the mirror.
 
 The rounds and the tail stop at r = (p-1)/2 because
 sigma(p, q, r) = sigma(p, q, p-r).  With N = p^2 and the sawtooth
@@ -64,7 +71,8 @@ into the sum for r plus ((q r / p)), while ((q (p-r) / p)) = -((q r / p));
 the two changes cancel.  This is the conjugate-character symmetry of the
 Casson-Gordon signatures (chi^(p-r) is the conjugate of chi^r); for
 sawtooth sums see Rademacher and Grosswald, *Dedekind Sums* (1972).
-The tests check it exhaustively for p <= 41.
+The argument holds at even p too.  The tests check it exhaustively for
+every q at p <= 50, even p included, against the count at every r.
 """
 
 from __future__ import annotations
@@ -253,14 +261,33 @@ class SigmaReport:
         }
 
 
+def _sigma_terms(p: int, q: int) -> tuple[SigmaTerm, ...]:
+    """The terms at r = 1..p-1 for a validated p >= 2 and q.
+
+    r <= p/2 are counted by the floor-sum recursion; each r > p/2 takes
+    the sigma of the term at p - r, as sigma(p, q, r) = sigma(p, q, p-r)
+    (module docstring), and the area of its own r.  At even p, r = p/2 is
+    its own mirror and is counted.
+    """
+    terms = [SigmaTerm.of(q, r, _floorsum_quarters(p, q, r)) for r in range(1, p // 2 + 1)]
+    for r in range(p // 2 + 1, p):
+        s = terms[p - r - 1].sigma
+        area_halves = q * r * r
+        terms.append(SigmaTerm(r, area_halves, 2 * area_halves - s, s))
+    return tuple(terms)
+
+
 def cg_condition(p: int, q: int) -> SigmaReport:
     """Evaluate sigma(p, q, r) for r = 1..p-1; passes iff every value is +-1.
 
     The knot under test is p^2/q (double branched cover L(p^2, q)), so p
-    must be odd and >= 3.
+    must be odd and >= 3.  The terms at r = 1..(p-1)/2 are counted, the
+    same r the batched kernel evaluates; those at r > p/2 are mirrored
+    from p - r by the proved identity sigma(p, q, r) = sigma(p, q, p-r)
+    that the kernel stops at (module docstring).
     """
     validate_knot(p, q)
-    terms = tuple(SigmaTerm.of(q, r, _floorsum_quarters(p, q, r)) for r in range(1, p))
+    terms = _sigma_terms(p, q)
     first_failure = next((t.r for t in terms if t.sigma not in (-1, 1)), None)
     return SigmaReport(p, q, terms, first_failure is None, first_failure)
 

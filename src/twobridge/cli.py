@@ -29,7 +29,7 @@ from math import isqrt
 from . import enumeration, families
 from .casson_gordon import (
     SigmaTerm,
-    _floorsum_quarters,
+    _sigma_terms,
     cg_condition,
     validate_pq,
     weighted_count,
@@ -164,8 +164,8 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_sigma(args) -> int:
     p, q = args.p, args.q
     if args.r is None:
-        validate_pq(p, q)  # once for every r, and before the loop, which is empty for p < 2
-        terms = [SigmaTerm.of(q, r, _floorsum_quarters(p, q, r)) for r in range(1, p)]
+        validate_pq(p, q)
+        terms = _sigma_terms(p, q)
     else:
         terms = [SigmaTerm.of(q, args.r, weighted_count(p, q, args.r))]  # checks r as well
     if args.format == "json":

@@ -10,6 +10,7 @@ import numpy as np
 from twobridge import casson_gordon
 from twobridge.casson_gordon import (
     INT64_MAX_P,
+    SigmaTerm,
     _column_quarters,
     _floor_sum_batch,
     _first_round_sums,
@@ -18,6 +19,7 @@ from twobridge.casson_gordon import (
     _sigma_first_round,
     _sigma_grid,
     _sigma_tail,
+    _sigma_terms,
     cg_condition,
     cg_survivors,
     coprime_mask,
@@ -173,6 +175,34 @@ def test_area_halves_exact_in_terms():
     for term in cg_condition(11, 46).terms:
         assert term.area_halves == 46 * term.r * term.r
         assert term.sigma == 2 * term.area_halves - term.quarters
+
+
+# ------------------------------------------------------------ mirrored terms
+
+def test_mirrored_terms_equal_the_count_at_every_r_exhaustive():
+    # every q at p <= 50, even p included (the sigma command takes them):
+    # the terms at r > p/2 are mirrored from p - r, and at even p the term
+    # at r = p/2 is its own mirror and must be counted.  About 10 s; p <= 60
+    # (44,230 cases) takes twice that
+    cases = 0
+    for p in range(2, 51):
+        for q in range(1, p * p):
+            if gcd(q, p) == 1:
+                counted = tuple(SigmaTerm.of(q, r, weighted_count(p, q, r)) for r in range(1, p))
+                assert _sigma_terms(p, q) == counted, (p, q)
+                cases += 1
+    assert cases == 26020
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(2, 3001), st.data())
+def test_mirrored_terms_equal_the_count_up_to_p_3001(p, data):
+    q = data.draw(st.integers(1, p * p - 1).filter(lambda q: gcd(q, p) == 1))
+    terms = _sigma_terms(p, q)
+    assert len(terms) == p - 1
+    rs = data.draw(st.lists(st.integers(p // 2, p - 1), min_size=1, max_size=4)) + [p - 1]
+    for r in rs:
+        assert terms[r - 1] == SigmaTerm.of(q, r, weighted_count(p, q, r)), (p, q, r)
 
 
 # ------------------------------------------------------------ batched kernel

@@ -41,6 +41,17 @@ def test_sigma_all_r(capsys):
     assert lines[1] == "r=2 area=92 int=91.75 sigma=1"
 
 
+@pytest.mark.parametrize("p, q", [(4, 3), (11, 46), (60, 1001), (570, 1001), (571, 1000)])
+def test_sigma_all_r_above_p_half_equal_the_single_r_output(capsys, p, q):
+    # the all-r output mirrors r > p/2 from p - r; --r counts each r directly
+    code, out, _ = run(capsys, ["sigma", str(p), str(q)])
+    assert code == 0
+    lines = out.splitlines()
+    assert len(lines) == p - 1
+    for r in range(p // 2, p):
+        assert run(capsys, ["sigma", str(p), str(q), "--r", str(r)]) == (0, lines[r - 1] + "\n", ""), r
+
+
 def test_sigma_half_integer_area(capsys):
     code, out, _ = run(capsys, ["sigma", "5", "3", "--r", "1"])
     assert code == 0
