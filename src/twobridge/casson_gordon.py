@@ -52,12 +52,14 @@ while p^4 < 2^62, that is p <= INT64_MAX_P = 46340, and
 p = 46,341 one q per orbit is still about 10^9 q).  :func:`cg_condition`
 and :func:`sigma` run on Python ints and stay exact for any p.  The report
 of :func:`cg_condition`, like the all-r output of the ``sigma`` command,
-counts the terms at r = 1..floor(p/2) by the floor-sum recursion and
-mirrors each term at r > p/2 from the term at p - r, by the symmetry
-below, the same proved identity the rounds and the tail stop at; at
-even p, r = p/2 is its own mirror and is counted.
-:func:`weighted_count` and :func:`sigma` count every r they are given,
-so they stay the independent reference for the mirror.
+counts the terms at r = 1..floor(p/2) in one O(p) pass over the blocks of
+the tail, on Python ints, and mirrors each term at r > p/2 from the term
+at p - r, by the symmetry below, the same proved identity the rounds and
+the tail stop at; at even p, r = p/2 is its own mirror and is counted.
+:func:`weighted_count`, :func:`sigma` and ``sigma --r`` stay per-r
+floor sums: they count every r they are given, so they are the
+independent reference for the block pass and the mirror, and the scan
+re-derives its least survivor with :func:`sigma`.
 
 The rounds and the tail stop at r = (p-1)/2 because
 sigma(p, q, r) = sigma(p, q, p-r).  With N = p^2 and the sawtooth
@@ -78,6 +80,7 @@ every q at p <= 50, even p included, against the count at every r.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from math import gcd
 
 import numpy as np
@@ -264,12 +267,36 @@ class SigmaReport:
 def _sigma_terms(p: int, q: int) -> tuple[SigmaTerm, ...]:
     """The terms at r = 1..p-1 for a validated p >= 2 and q.
 
-    r <= p/2 are counted by the floor-sum recursion; each r > p/2 takes
-    the sigma of the term at p - r, as sigma(p, q, r) = sigma(p, q, p-r)
-    (module docstring), and the area of its own r.  At even p, r = p/2 is
-    its own mirror and is counted.
+    r <= p/2 are counted in one O(p) pass over the blocks of
+    :func:`_sigma_tail`'s docstring: with e_j = q j mod p^2 for j = 1..p-1,
+    counts[b] = #{j : floor(e_j / p) >= p - b} and
+    T(0) = (q p (p-1) / 2 - sum_j e_j) / p^2, the block of columns
+    p (r-1) <= x < p r gives S_r = S_{r-1} + p a + T(0) + counts[b], where
+    (a, b) = divmod(q (r-1), p).
+    That proof uses neither gcd(q, p) = 1 nor odd p, and on Python ints it
+    holds at any p, even p included.  Each r > p/2 takes the sigma of the
+    term at p - r, as sigma(p, q, r) = sigma(p, q, p-r) (module docstring),
+    and the area of its own r.  At even p, r = p/2 is its own mirror and is
+    counted.
     """
-    terms = [SigmaTerm.of(q, r, _floorsum_quarters(p, q, r)) for r in range(1, p // 2 + 1)]
+    p2 = p * p
+    counts = [0] * (p + 1)
+    e = total = 0
+    for _ in range(p - 1):
+        e += q
+        if e >= p2:
+            e -= p2
+        total += e
+        counts[p - e // p] += 1
+    counts = list(accumulate(counts))
+    t0 = (q * (p * (p - 1) // 2) - total) // p2
+    terms = []
+    s = qr = 0  # S_r and q (r - 1)
+    for r in range(1, p // 2 + 1):
+        b = qr % p
+        s += qr - b + t0 + counts[b]
+        terms.append(SigmaTerm.of(q, r, _quarters(p, q, r, s)))
+        qr += q
     for r in range(p // 2 + 1, p):
         s = terms[p - r - 1].sigma
         area_halves = q * r * r
@@ -281,10 +308,12 @@ def cg_condition(p: int, q: int) -> SigmaReport:
     """Evaluate sigma(p, q, r) for r = 1..p-1; passes iff every value is +-1.
 
     The knot under test is p^2/q (double branched cover L(p^2, q)), so p
-    must be odd and >= 3.  The terms at r = 1..(p-1)/2 are counted, the
-    same r the batched kernel evaluates; those at r > p/2 are mirrored
-    from p - r by the proved identity sigma(p, q, r) = sigma(p, q, p-r)
-    that the kernel stops at (module docstring).
+    must be odd and >= 3.  The terms at r = 1..(p-1)/2, the same r the
+    batched kernel evaluates, are counted in one O(p) pass by the block
+    identity of the kernel's tail, on Python ints; those at r > p/2 are
+    mirrored from p - r by the proved identity sigma(p, q, r) = sigma(p, q, p-r)
+    that the kernel stops at (module docstring).  :func:`sigma` counts
+    each r by the floor sum instead, as an independent reference.
     """
     validate_knot(p, q)
     terms = _sigma_terms(p, q)

@@ -26,8 +26,10 @@ from a table of inverses mod p, and checked together in int64 by
 :data:`casson_gordon.INT64_MAX_P`.  At every p the number of q tested
 must be the number of orbits, in closed form by :func:`_orbit_count`,
 every family member must survive (the families are ribbon) and the least
-survivor is re-derived by the Python-int :func:`casson_gordon.cg_condition`;
-a disagreement raises :class:`InternalError`.
+survivor is re-derived at every r < p/2 by the Python-int floor-sum
+:func:`casson_gordon.sigma`, which shares nothing with the kernel's tail;
+its :func:`casson_gordon.cg_condition` report must give the same terms there.
+A disagreement raises :class:`InternalError`.
 
 With several jobs the parent runs one worker process per job and sends
 each worker one p at a time over its own pipe, largest first, so the
@@ -57,7 +59,14 @@ from typing import Callable, Iterator
 import numpy as np
 
 from . import casson_gordon
-from .casson_gordon import INT64_MAX_P, _prime_factors, cg_condition, cg_survivors, coprime_mask
+from .casson_gordon import (
+    INT64_MAX_P,
+    _prime_factors,
+    cg_condition,
+    cg_survivors,
+    coprime_mask,
+    sigma,
+)
 from .conway import BridgeFraction, KnotClass, is_amphicheiral, orbit_qs
 # perfbench/spans.py traces cf_eval and canonical_class under this module's
 # names as well as conway's, so they stay bound here though nothing calls them
@@ -342,15 +351,23 @@ def _scan_single_p(p: int) -> ScanRecord:
     if tested != _orbit_count(p):
         raise InternalError(f"orbit selection at p={p} tested {tested} q, not {_orbit_count(p)}")
     fam = family_reps(p)
-    # tie the batched kernel to the ribbon families and the Python-int kernel at
-    # every p: family knots are ribbon, so each passes at every r, and the
-    # least survivor must pass cg_condition
+    # tie the batched kernel to the ribbon families and the Python-int kernels at
+    # every p: family knots are ribbon, so each passes at every r; the least
+    # survivor must pass the floor-sum sigma at every r < p/2, which shares
+    # nothing with the tail's histogram, and its cg_condition report, counted
+    # by the same histogram, must give the same terms there
     missing = fam.difference(passing)
     if missing:
         raise InternalError(f"the batched kernel rejects the ribbon knot {p * p}/{min(missing)}")
-    if not cg_condition(p, passing[0]).passes:
+    least = passing[0]
+    counted = [sigma(p, least, r) for r in range(1, (p + 1) // 2)]
+    if any(abs(s) != 1 for s in counted):
         raise InternalError(
-            f"the batched kernel passes {p * p}/{passing[0]}, which cg_condition rejects"
+            f"the batched kernel passes {p * p}/{least}, which the floor-sum sigma rejects"
+        )
+    if [t.sigma for t in cg_condition(p, least).terms[: len(counted)]] != counted:
+        raise InternalError(
+            f"the cg_condition report of {p * p}/{least} differs from the floor-sum sigma"
         )
     non_family = [q for q in passing if q not in fam]
     return ScanRecord(p, tested, tuple(passing), tuple(non_family))

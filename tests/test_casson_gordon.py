@@ -196,13 +196,27 @@ def test_mirrored_terms_equal_the_count_at_every_r_exhaustive():
 
 @settings(deadline=None, max_examples=60)
 @given(st.integers(2, 3001), st.data())
-def test_mirrored_terms_equal_the_count_up_to_p_3001(p, data):
+def test_terms_equal_the_count_at_every_r_up_to_p_3001(p, data):
+    # r <= p/2 from the block pass, r > p/2 from the mirror
     q = data.draw(st.integers(1, p * p - 1).filter(lambda q: gcd(q, p) == 1))
     terms = _sigma_terms(p, q)
     assert len(terms) == p - 1
-    rs = data.draw(st.lists(st.integers(p // 2, p - 1), min_size=1, max_size=4)) + [p - 1]
+    rs = data.draw(st.lists(st.integers(1, p - 1), min_size=1, max_size=6)) + [1, p // 2, p - 1]
     for r in rs:
         assert terms[r - 1] == SigmaTerm.of(q, r, weighted_count(p, q, r)), (p, q, r)
+
+
+@pytest.mark.parametrize("q", [46348, 123456789, 46349**2 - 2])
+def test_terms_equal_the_count_above_the_int64_guard(q):
+    # the report route runs on Python ints, where the batched kernel cannot go
+    p = 46349
+    assert p > INT64_MAX_P and _prime_factors(p) == [p]
+    terms = _sigma_terms(p, q)
+    assert len(terms) == p - 1
+    rng = np.random.default_rng(q)
+    rs = [1, 2, 3, p // 2 - 1, p // 2, p - 1] + rng.integers(1, p, size=4).tolist()
+    for r in rs:
+        assert terms[r - 1] == SigmaTerm.of(q, r, weighted_count(p, q, r)), (q, r)
 
 
 # ------------------------------------------------------------ batched kernel

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import multiprocessing
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 from twobridge import casson_gordon, enumeration
-from twobridge.casson_gordon import INT64_MAX_P, cg_survivors
+from twobridge.casson_gordon import INT64_MAX_P, SigmaTerm, cg_survivors
 from twobridge.conway import ConwayWord, canonical_class, cf_eval
 from twobridge.enumeration import (
     ScanRecord,
@@ -352,19 +353,36 @@ def test_scan_matches_the_benchmark_reference_digest():
 
 
 @pytest.mark.parametrize(
-    "wrong",
+    "wrong, match",
     [
-        lambda p, qs, real: real(p, qs)[1:],  # loses the ribbon knot p^2/(p-1)
-        lambda p, qs, real: np.setdiff1d(real(p, qs), [46]),  # loses the family knot 121/46
-        lambda p, qs, real: qs[:0],  # rejects every q
-        lambda p, qs, real: qs,  # passes every q
+        (lambda p, qs, real: real(p, qs)[1:], "rejects the ribbon knot 121/10"),
+        (lambda p, qs, real: np.setdiff1d(real(p, qs), [46]), "rejects the ribbon knot 121/46"),
+        (lambda p, qs, real: qs[:0], "rejects the ribbon knot"),
+        # 121/1 fails at r = 1, found by the floor-sum sigma
+        (lambda p, qs, real: qs, "passes 121/1, which the floor-sum sigma rejects"),
     ],
     ids=["drops-p-1", "drops-46", "rejects-all", "passes-all"],
 )
-def test_scan_raises_when_the_batched_kernel_disagrees(monkeypatch, wrong):
+def test_scan_raises_when_the_batched_kernel_disagrees(monkeypatch, wrong, match):
     real = enumeration.cg_survivors
     monkeypatch.setattr(enumeration, "cg_survivors", lambda p, qs: wrong(p, qs, real))
-    with pytest.raises(InternalError):
+    with pytest.raises(InternalError, match=match):
+        _scan_single_p(11)
+
+
+def test_scan_raises_when_the_report_differs_from_the_floor_sum(monkeypatch):
+    # a report that still passes, with the sign of its term at r = (p-1)/2 flipped
+    real = enumeration.cg_condition
+
+    def flipped(p, q):
+        report = real(p, q)
+        terms = list(report.terms)
+        t = terms[(p - 1) // 2 - 1]
+        terms[(p - 1) // 2 - 1] = SigmaTerm(t.r, t.area_halves, t.quarters, -t.sigma)
+        return dataclasses.replace(report, terms=tuple(terms))
+
+    monkeypatch.setattr(enumeration, "cg_condition", flipped)
+    with pytest.raises(InternalError, match="report of 121/10 differs from the floor-sum sigma"):
         _scan_single_p(11)
 
 
