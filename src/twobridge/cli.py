@@ -387,6 +387,15 @@ def execute(argv: list[str] | None = None) -> int:
 
 
 def main() -> None:
+    """The ``twobridge`` command: run :func:`execute` on sys.argv and exit with its code.
+
+    The command's process keeps the heap memory it frees (glibc only, by
+    ``enumeration._keep_freed_memory``), as scan workers do, so a scan run
+    in-process stops faulting its numpy temporaries in again; library
+    callers of :func:`execute` and the scan functions keep their allocator
+    as it was.
+    """
+    enumeration._keep_freed_memory()
     try:
         code = execute()
         sys.stdout.flush()

@@ -41,7 +41,11 @@ worker is stopped.  Records reach the checkpoint (one JSON line per p) as
 each p completes, so an interrupted scan loses no finished p; when the
 scan ends the file is rewritten in ascending p, and the result is in
 ascending p whatever the schedule, so resumed scans finish with
-byte-identical output.
+byte-identical output.  Each worker process, and the CLI's own process,
+keeps the heap memory it frees (glibc only, :func:`_keep_freed_memory`),
+so the kernel's numpy temporaries are not faulted in afresh at every
+chunk; a library caller's process, serial scans included, keeps its
+allocator as it was.
 """
 
 from __future__ import annotations
@@ -373,6 +377,45 @@ def _scan_single_p(p: int) -> ScanRecord:
     return ScanRecord(p, tested, tuple(passing), tuple(non_family))
 
 
+# (parameter, value) for glibc's mallopt: M_MMAP_THRESHOLD, M_TRIM_THRESHOLD
+# and M_TOP_PAD, numbered as in malloc.h
+_MALLOPT_SETTINGS = ((-3, 64 << 20), (-1, 256 << 20), (-2, 64 << 20))
+
+
+def _keep_freed_memory() -> tuple[int, ...]:
+    """Have glibc's malloc keep the heap memory this process frees, and
+    return what ``mallopt`` returned for each setting (1 is success).
+
+    The scan kernel allocates and frees numpy temporaries of megabytes per
+    chunk.  By default glibc serves large ones by mmap and hands freed heap
+    top back to the kernel, so every chunk faults its pages in again: one
+    p = 6001 took 476k minor faults and 0.9 s of system time in 4.4 s of
+    wall on a 2-vCPU host, and 10k faults and 0.05 s with these settings.
+    Arrays up to 64 MiB now come from the heap, which is trimmed only
+    above 256 MiB of free top and grows 64 MiB at a time.  Setting any one
+    of these turns off glibc's dynamic mmap threshold, so the mmap threshold
+    must be set with the others: the trim threshold alone faulted more than
+    the default.  A no-op, returning (), off glibc or where ``mallopt`` is
+    missing.  It changes the whole process, so only scan workers and
+    :func:`cli.main` call it, never code a library user calls.
+    """
+    try:
+        libc = os.confstr("CS_GNU_LIBC_VERSION")
+    except (AttributeError, ValueError, OSError):
+        return ()
+    if not libc or not libc.startswith("glibc "):
+        return ()
+    import ctypes  # numpy has imported it already
+
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError):
+        return ()
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    return tuple(mallopt(param, value) for param, value in _MALLOPT_SETTINGS)
+
+
 class _WorkerTraceback(Exception):
     """The traceback of an exception raised in a scan worker, as its text."""
 
@@ -384,6 +427,7 @@ def _worker(conn) -> None:
     """A scan worker: scans each p the parent sends until it sends None, and
     sends back the record, or the exception :func:`_scan_single_p` raised
     with the text of its traceback."""
+    _keep_freed_memory()
     # ^C reaches the whole process group; the parent alone handles it and stops the workers
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     while (p := conn.recv()) is not None:

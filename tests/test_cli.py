@@ -499,6 +499,25 @@ def test_scan_reports_a_counterexample_candidate(capsys, monkeypatch):
     assert json.loads(out.splitlines()[-1])["non_family"] == [46]
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_execute_scan_keeps_the_callers_allocator(capsys, monkeypatch, jobs):
+    # workers may call it in their own processes; the caller's is never touched
+    calls = []
+    monkeypatch.setattr(enumeration, "_keep_freed_memory", lambda: calls.append(os.getpid()))
+    argv = ["scan", "--min-p", "3", "--max-p", "31", "--jobs", jobs, "--format", "json"]
+    assert run(capsys, argv)[0] == 0
+    assert calls == []
+
+
+def test_main_keeps_freed_memory_before_it_executes(monkeypatch):
+    order = []
+    monkeypatch.setattr(enumeration, "_keep_freed_memory", lambda: order.append("keep"))
+    monkeypatch.setattr(cli, "execute", lambda: order.append("execute") or 0)
+    with pytest.raises(SystemExit) as caught:
+        cli.main()
+    assert caught.value.code == 0 and order == ["keep", "execute"]
+
+
 def test_internal_error_exits_2(capsys, monkeypatch):
     real = enumeration.cg_survivors
 

@@ -3,6 +3,8 @@ import hashlib
 import json
 import multiprocessing
 import os
+import subprocess
+import sys
 import time
 from collections import Counter
 from math import gcd
@@ -474,6 +476,80 @@ def test_a_worker_gone_before_its_next_p_raises_internal_error(monkeypatch):
     with pytest.raises(InternalError, match=r"^the scan worker for p = 3[57] died \(exit code 3\)$"):
         conjecture_scan(3, 41, jobs=2, progress=lambda rec: time.sleep(0.2))
     assert multiprocessing.active_children() == []
+
+
+def _is_glibc():
+    try:
+        return (os.confstr("CS_GNU_LIBC_VERSION") or "").startswith("glibc ")
+    except (AttributeError, ValueError, OSError):
+        return False
+
+
+@pytest.mark.skipif(not _is_glibc(), reason="mallopt is glibc's")
+def test_keep_freed_memory_applies_all_three_settings():
+    # in a process of its own: the setting is for the whole process
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = "from twobridge import enumeration; print(enumeration._keep_freed_memory())"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True, timeout=60
+    ).stdout
+    assert out == "(1, 1, 1)\n"
+
+
+def _no_cdll(*args, **kwargs):
+    raise AssertionError("mallopt was looked up")
+
+
+def _raises(exc):
+    def confstr(name):
+        raise exc
+
+    return confstr
+
+
+@pytest.mark.parametrize(
+    "confstr",
+    [_raises(ValueError("unrecognized configuration name")), _raises(OSError(22, "EINVAL")),
+     lambda name: None, lambda name: "musl libc 1.2.4", None],
+)
+def test_keep_freed_memory_is_a_no_op_off_glibc(monkeypatch, confstr):
+    import ctypes
+
+    if confstr is None:  # a platform without confstr
+        monkeypatch.delattr(os, "confstr", raising=False)
+    else:
+        monkeypatch.setattr(os, "confstr", confstr)
+    monkeypatch.setattr(ctypes, "CDLL", _no_cdll)
+    assert enumeration._keep_freed_memory() == ()
+
+
+@pytest.mark.parametrize("cdll", [lambda name: object(), _raises(OSError("no libc handle"))])
+def test_keep_freed_memory_is_a_no_op_without_mallopt(monkeypatch, cdll):
+    import ctypes
+
+    monkeypatch.setattr(os, "confstr", lambda name: "glibc 2.36")
+    monkeypatch.setattr(ctypes, "CDLL", cdll)
+    assert enumeration._keep_freed_memory() == ()
+
+
+def test_an_in_process_scan_keeps_the_allocator(monkeypatch):
+    calls = []
+    monkeypatch.setattr(enumeration, "_keep_freed_memory", lambda: calls.append(os.getpid()))
+    assert conjecture_scan(3, 31)[-1].p == 31
+    assert calls == []
+
+
+@needs_fork
+def test_each_scan_worker_keeps_freed_memory(monkeypatch, tmp_path):
+    def keep():
+        (tmp_path / str(os.getpid())).touch()
+
+    monkeypatch.setattr(enumeration, "_keep_freed_memory", keep)
+    assert conjecture_scan(3, 31, jobs=2) == conjecture_scan(3, 31)
+    pids = {int(path.name) for path in tmp_path.iterdir()}
+    assert len(pids) == 2 and os.getpid() not in pids
 
 
 class Stop(Exception):
