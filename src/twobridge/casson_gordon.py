@@ -42,12 +42,16 @@ recursion instead.  The rounds from r = 2 on, over r = 2, 3..4, 5..8,
 some log p steps per q and r.  Their width doubles until it reaches
 p / _TAIL_SWITCH; there the tail (:func:`_sigma_tail`) takes the q still
 alive through every remaining r at once, at O(p) per q: S_r splits into
-blocks of p terms, and one histogram of the q j mod p^2, j < p, gives
-every block's sum.  Each window spans fewer than 2^18 q, and each
-recursion call and each chunk of the tail holds about 2^18 elements.
-Every intermediate of the recursion, of the tail and of the sigma
-formula stays below 2 p^4, and the sweep's below p^3, so int64 is exact
-while p^4 < 2^62, that is p <= INT64_MAX_P = 46340, and
+blocks of p terms, one histogram of the q j mod p^2, j < p, gives every
+block's sum, and sigma steps from r - 1 to r by a difference of those
+sums.  Each window spans fewer than 2^18 q, and each recursion call and
+each chunk of the tail holds about 2^18 elements.  Every intermediate of
+the recursion and of the rounds' sigma formula 2 q r^2 - quarters stays
+below 2 p^4, and the sweep's below p^3.  The tail has no such formula:
+its products q j stay below p^3, every sigma it carries below p^2 in
+absolute value, and its largest intermediate, q p (p-1) / 2 in its
+T(0), below p^4 / 2.  So int64 is exact while p^4 < 2^62, that is
+p <= INT64_MAX_P = 46340, and
 :func:`cg_survivors` refuses larger p (the scan could not reach them: at
 p = 46,341 one q per orbit is still about 10^9 q).  :func:`cg_condition`
 and :func:`sigma` run on Python ints and stay exact for any p.  The report
@@ -217,7 +221,7 @@ def weighted_count(p: int, q: int, r: int) -> int:
 
 def sigma(p: int, q: int, r: int) -> int:
     """4 * (area - weighted count).  Exact: 2*q*r^2 - quarters, an integer."""
-    return SigmaTerm.of(q, r, weighted_count(p, q, r)).sigma
+    return 2 * q * r * r - weighted_count(p, q, r)
 
 
 @dataclass(frozen=True)
@@ -332,10 +336,10 @@ _BATCH = 1 << 18
 # _TAIL_SWITCH >= 4 the rounds stay below r = p / 2.  Per q alive, the tail
 # costs about p elements and a round about w times the floor-sum step count,
 # while each round still drops q the tail would pay for.  Kernel time over
-# the scan blocks of one p by the constant 16 / 32 / 64 / 128, medians on a
-# shared 2-vCPU host: at p = 151 4.4 / 4.3 / 5.8 / 10.2 ms, at 2001
-# 0.36 / 0.35 / 0.36 / 0.43 s and at 4001 1.89 / 1.80 / 1.74 / 1.91 s
-# (2.84 s with no tail); the switch falls at r = 9, 65 and 129.
+# the scan blocks of one p by the constant 16 / 32 / 64, medians on a shared
+# 2-vCPU host with the recurrence tail: at p = 151 3.3 / 2.7 / 3.0 ms, at
+# 2001 0.231 / 0.220 / 0.224 s and at 4001 1.35 / 1.24 / 1.16 s; the switch
+# falls at r = 9, 65 and 129.
 _TAIL_SWITCH = 32
 
 
@@ -488,12 +492,22 @@ def _sigma_first_round(p: int, q: np.ndarray) -> np.ndarray:
 def _sigma_tail(p: int, q: np.ndarray, r0: int) -> np.ndarray:
     """sigma(p, q[i], r) at [i, r - r0] for every r0 <= r <= (p-1)/2, at O(p) cost per q.
 
-    The count is that of :func:`_floorsum_quarters`, with S_r = sum_{x<pr}
-    floor(q x / p^2) taken at every r at once.  Split x = p r' + j with
-    0 <= j < p and write q r' = a p + b with 0 <= b < p; then
-    q x = a p^2 + (q j + b p), so
+    sigma is carried from r = 0 by a recurrence.  With S_r = sum_{x<pr}
+    floor(q x / p^2), the count of :func:`_floorsum_quarters` gives
+    sigma_r = 2 q r^2 - 4 S_r - 2 p r + 1 - 2 floor(q r / p), so sigma_0 = 1.
+    Split x = p (r-1) + j with 0 <= j < p and write q (r-1) = a p + b with
+    0 <= b < p; then q x = a p^2 + (q j + b p), so
 
-        S_r = sum_{r'<r} (p a + T(b)),   T(b) = sum_{j<p} floor((q j + b p) / p^2).
+        S_r - S_{r-1} = p a + T(b),   T(b) = sum_{j<p} floor((q j + b p) / p^2),
+
+    and sigma_r = sigma_{r-1} + D(b) with
+
+        D(b) = 2 q + 4 b - 4 T(b) - 2 p - 2 floor((b + q) / p):
+
+    the area and block terms in a cancel, as 2 q (2r-1) - 4 p a = 2 q + 4 b,
+    and floor(q r / p) - floor(q (r-1) / p) = floor((b + q) / p).  Here
+    floor((b + q) / p) = floor(q / p) + [b >= p - (q mod p)], and b is
+    (q mod p)(r-1) mod p.
 
     T(b) takes O(p) for all b together.  Write q j = c_j p^2 + e_j with
     0 <= e_j < p^2.  Then floor((q j + b p) / p^2) = c_j + floor((e_j + b p) / p^2),
@@ -501,24 +515,23 @@ def _sigma_tail(p: int, q: np.ndarray, r0: int) -> np.ndarray:
     that is iff floor(e_j / p) >= p - b, and 0 otherwise.  Summed over j,
 
         T(b) = T(0) + #{j < p : floor(e_j / p) >= p - b},
-        T(0) = sum_j c_j = (q p (p-1) / 2 - sum_j e_j) / p^2,
+        T(0) = sum_j c_j = (q p (p-1) / 2 - sum_j e_j) / p^2.
 
-    and T(0) = S_1.  As e_0 = 0 never counts, each q takes one row of
-    residues e_j for j = 1..p-1, one histogram of p - floor(e_j / p) in
-    1..p whose cumulative sum is the count at every b, one gather at the b
-    of r' = 0..(p-3)/2, with p a = q r' - b, and one cumulative sum over r'.
-    The rows share one bincount: row i's bins are i (p + 1) + 1 ..
-    i (p + 1) + p, and its empty bin i (p + 1) is the base its counts are
-    read from.
+    As e_0 = 0 never counts, each q takes one row of residues e_j for
+    j = 1..p-1, one histogram of p - floor(e_j / p) in 1..p whose cumulative
+    sum is the count at every b, one gather at the b of r = 1..(p-1)/2 and
+    one cumulative sum of the D(b) over r.  The rows share one bincount:
+    row i's bins are i (p + 1) + 1 .. i (p + 1) + p, and its empty bin
+    i (p + 1) is the base its counts are read from.
 
-    In int64: q j, q r' and sum_j e_j are below p^3, q p (p-1) / 2 is below
-    p^4 / 2, S_r <= q r^2 / 2 < p^4 / 8 and 2 q r^2 < p^4 / 2, so 4 S_r and
-    every term of the sigma formula stay below p^4 < 2^62 for
-    p <= INT64_MAX_P.  The rows hold p + 1 bins each, so the caller bounds
+    In int64: q j and sum_j e_j are below p^3 and 4 T(0) below 2 p^3, and
+    T(0)'s q p (p-1) / 2, below p^4 / 2, is the largest intermediate.  By
+    the sawtooth form of the module docstring |sigma_r| <= 2 p r - 1 < p^2,
+    so every cumulative sum, a sigma_r, is below p^2 and every D(b) below
+    2 p^2.  The rows hold p + 1 bins each, so the caller bounds
     len(q) (p + 1) by _BATCH.  No precondition checks: q prime to p, so
     there is no hypotenuse point.
     """
-    r_stop = (p - 1) // 2
     p2 = p * p
     base = np.arange(len(q), dtype=np.int64)[:, None] * (p + 1)
     e = np.multiply.outer(q, np.arange(1, p, dtype=np.int64))
@@ -527,16 +540,17 @@ def _sigma_tail(p: int, q: np.ndarray, r0: int) -> np.ndarray:
     e //= p
     np.subtract(base + p, e, out=e)
     counts = np.cumsum(np.bincount(e.ravel(), minlength=len(q) * (p + 1)))
-    qr = np.multiply.outer(q, np.arange(r_stop, dtype=np.int64))
-    b = qr % p
-    qr -= b
-    b += base
-    terms = counts[b]
-    terms += qr
-    terms += (t0 - counts[base[:, 0]])[:, None]
-    s = np.cumsum(terms, axis=1)[:, r0 - 1 :]
-    r = np.arange(r0, r_stop + 1, dtype=np.int64)
-    return 2 * q[:, None] * r * r - _quarters(p, q[:, None], r, s)
+    q1, q0 = np.divmod(q, p)
+    d = np.multiply.outer(q0, np.arange((p - 1) // 2, dtype=np.int64))
+    d %= p  # b at r = 1..(p-1)/2
+    wrap = d >= (p - q0)[:, None]
+    d -= counts[d + base]  # b - T(b) + T(0) - counts[base]
+    d <<= 1
+    d -= wrap
+    d <<= 1
+    d += (2 * (q - p - q1) - 4 * (t0 - counts[base[:, 0]]))[:, None]
+    d[:, 0] += 1  # sigma_0
+    return np.cumsum(d, axis=1)[:, r0 - 1 :]
 
 
 def _keep_passing(q: np.ndarray, rows: int, sigmas) -> np.ndarray:

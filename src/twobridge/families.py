@@ -165,10 +165,14 @@ def family_reps(p: int) -> set[int]:
     """The least orbit member (mod p^2, mirrors included) of every family knot p^2/q.
 
     The q with 0 < q < p^2 that meet a condition i..iii are built, not
-    searched for: n*p +- 1 for every n < p/2 prime to p (n and p - n give
-    mirror images, (p - n)*p +- 1 = p^2 - (n*p -+ 1)), and n*(p +- 1) for
-    the divisors n that conditions ii and iii name.  Each is prime to p, as
-    p +- 1 and their divisors are.
+    searched for.  Condition i takes n*p +- 1 for n prime to p, and its
+    orbits are in closed form: (n*p + 1)((p - n)*p + 1) = 1 (mod p^2), so the
+    orbit of n*p + 1 is {n*p +- 1, (p - n)*p +- 1}, mirrors being
+    p^2 - q.  Both signs and both of n, p - n give that one orbit, and its
+    least member is n*p - 1 for the n < p/2.  The n*(p +- 1) for the
+    divisors n that conditions ii and iii name take their least orbit member
+    from :func:`conway.orbit_qs`.  Each is prime to p, as p +- 1 and their
+    divisors are.
 
     Condition iv adds no orbit.  Let q = n*(2p + s) with d*n = p - s, d odd,
     s = +-1.  Then q' = d*(p - s) = d^2 n meets iii with the sign -s and
@@ -179,11 +183,10 @@ def family_reps(p: int) -> set[int]:
     """
     validate_knot(p, 1)
     p2 = p * p
-    qs = [n * p + sign for n in range(1, p // 2 + 1) if gcd(n, p) == 1 for sign in (1, -1)]
-    for sign in (1, -1):
-        qs += [n * (p + sign) for n in _divisors(2 * p - sign)]  # ii
-        qs += [n * (p + sign) for n in _divisors(p + sign) if n % 2]  # iii
-    return {orbit_qs(p2, q)[0] for q in qs if q < p2}
+    reps = {n * p - 1 for n in range(1, p // 2 + 1) if gcd(n, p) == 1}  # i
+    qs = [n * (p + s) for s in (1, -1) for n in _divisors(2 * p - s)]  # ii
+    qs += [n * (p + s) for s in (1, -1) for n in _divisors(p + s) if n % 2]  # iii
+    return reps | {orbit_qs(p2, q)[0] for q in qs if q < p2}
 
 
 def _orbit_matches(p: int, q: int) -> tuple[ConditionMatch, ...]:

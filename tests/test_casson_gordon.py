@@ -339,7 +339,7 @@ def test_tail_matches_the_grid_exhaustive():
 @settings(deadline=None, max_examples=60)
 @given(st.integers(1, (INT64_MAX_P - 1) // 2).map(lambda k: 2 * k + 1), st.data())
 def test_tail_matches_the_grid_up_to_the_int64_guard(p, data):
-    # q near p^2 and r near p/2 give the largest terms: S_r < p^4 / 8, 2 q r^2 < p^4 / 2
+    # q near p^2 gives the tail's largest intermediate, T(0)'s q p (p-1) / 2 < p^4 / 2
     coprime = st.integers(1, p * p - 1).filter(lambda q: gcd(q, p) == 1)
     qs = np.array(data.draw(st.lists(coprime, min_size=1, max_size=4)) + [p * p - 1])
     r_stop = (p - 1) // 2
@@ -347,6 +347,81 @@ def test_tail_matches_the_grid_up_to_the_int64_guard(p, data):
     rs = sorted(set(data.draw(st.lists(st.integers(r0, r_stop), max_size=6)) + [r0, r_stop]))
     got = _sigma_tail(p, qs, r0)[:, np.array(rs) - r0]
     assert got.tolist() == _sigma_grid(p, qs, np.array(rs)).tolist()
+
+
+def dedekind12k(h, k):
+    """12 k s(h, k) for gcd(h, k) = 1 and k >= 2, in O(log k) by the continued fraction.
+
+    With h mod k = [0; a_1, ..., a_n] by Euclid and hbar = h^-1 mod k,
+    12 k s(h, k) = h + hbar + k (sum_i (-1)^(i+1) a_i - (3 if n is odd, else 1));
+    Rademacher and Grosswald, Dedekind Sums (1972), and Knuth, TAOCP vol. 2,
+    3.3.3.  This shares nothing with the kernels' histogram or floor sums.
+    """
+    h %= k
+    x, y, alternating, n = k, h, 0, 0
+    while y:
+        n += 1
+        alternating += (x // y) * (-1) ** (n + 1)
+        x, y = y, x % y
+    return h + pow(h, -1, k) + k * (alternating - (3 if n % 2 else 1))
+
+
+def test_dedekind_continued_fraction_matches_the_definition():
+    # s(h, k) = sum_{i<k} ((i/k)) ((h i/k)); 12 k s(h, k) as an exact Fraction
+    def saw(t):
+        return t - (t.numerator // t.denominator) - Fraction(1, 2) if t.denominator > 1 else 0
+
+    for k in range(2, 60):
+        for h in range(1, 2 * k):
+            if gcd(h, k) == 1:
+                s = sum(saw(Fraction(i, k)) * saw(Fraction(h * i, k)) for i in range(1, k))
+                assert dedekind12k(h, k) == 12 * k * s, (h, k)
+
+
+def half_row_checksum(p, q):
+    """6 p times sum_{r=1}^{(p-1)/2} sigma(p, q, r), by the Dedekind sums:
+    the sum is 2 (s(q, p) - p s(q, p^2)), so 6 p times it is
+    12 p s(q, p) - 12 p^2 s(q, p^2)."""
+    return dedekind12k(q, p) - dedekind12k(q, p * p)
+
+
+def test_half_row_checksum_against_the_floor_sum_sigma_exhaustive():
+    # every q at odd p <= 25, the per-r floor sums as the reference
+    for p in range(3, 26, 2):
+        for q in coprime_qs(p):
+            half = sum(sigma(p, q, r) for r in range(1, (p + 1) // 2))
+            assert 6 * p * half == half_row_checksum(p, q), (p, q)
+
+
+@settings(deadline=None, max_examples=80)
+@given(st.integers(1, 1500).map(lambda k: 2 * k + 1), st.data())
+def test_sigma_terms_half_rows_meet_the_dedekind_checksum(p, data):
+    q = data.draw(st.integers(1, p * p - 1).filter(lambda q: gcd(q, p) == 1))
+    terms = _sigma_terms(p, q)[: (p - 1) // 2]
+    assert 6 * p * sum(t.sigma for t in terms) == half_row_checksum(p, q)
+
+
+def assert_tail_rows_meet_the_checksum(p, qs):
+    qs = np.array(qs, dtype=np.int64)
+    halves = _sigma_first_round(p, qs) + _sigma_tail(p, qs, 2).sum(axis=1)
+    expected = [half_row_checksum(p, q) for q in qs.tolist()]
+    assert (6 * p * halves).tolist() == expected, p
+
+
+def test_tail_rows_meet_the_dedekind_checksum_exhaustive():
+    # every q at odd p <= 51, composite p included, rejections and survivors alike
+    for p in range(3, 52, 2):
+        assert_tail_rows_meet_the_checksum(p, coprime_qs(p))
+
+
+@pytest.mark.parametrize("p", [151, 2001, INT64_MAX_P - 1])
+def test_tail_rows_meet_the_dedekind_checksum_up_to_the_int64_guard(p):
+    # random q, the extremes and a few survivors; at p = INT64_MAX_P - 1 the
+    # tail's T(0) reaches its largest intermediate, q p (p-1) / 2 near p^4 / 2
+    rng = np.random.default_rng(p)
+    qs = [q for q in rng.integers(1, p * p, 40).tolist() if gcd(q, p) == 1][:8 if p > 5000 else 30]
+    qs += [1, p + 1, p - 1, p * p - 1, p * p - p - 1, p * p - 2]
+    assert_tail_rows_meet_the_checksum(p, qs)
 
 
 def spy_tail(monkeypatch):
@@ -489,8 +564,8 @@ def test_cg_survivors_single_q_around_the_int64_guard(p, data):
 @pytest.mark.parametrize("p", [INT64_MAX_P - 1])
 def test_survivor_next_to_the_int64_guard(p):
     # q = p + 1 is condition i) with n = 1, so it and its orbit mate
-    # p^2 - p - 1 pass at every r; for the latter the tail reaches terms
-    # near p^4 / 2, close to the int64 limit below the guard
+    # p^2 - p - 1 pass at every r; for the latter the tail's T(0) reaches an
+    # intermediate near p^4 / 2, close to the int64 limit below the guard
     qs = [p + 1, p + 2, p * p - p - 1]
     expected = [q for q in qs if passes(p, q)]
     assert expected == [p + 1, p * p - p - 1]

@@ -191,6 +191,32 @@ def test_family_reps_are_lisca_ribbon_knots():
         assert family_reps(p) == lisca_reps(p), p
 
 
+def orbit_family_reps(p):
+    """family_reps by orbit_qs on every q it builds, condition i included:
+    the set of condition-i least members, and the whole set."""
+    p2 = p * p
+    divisors = range(1, 2 * p + 2)  # every divisor of 2p +- 1 and p +- 1
+    cond_i = {
+        orbit_qs(p2, n * p + sign)[0]
+        for n in range(1, p // 2 + 1)
+        if gcd(n, p) == 1
+        for sign in (1, -1)
+    }
+    qs = []
+    for sign in (1, -1):
+        qs += [n * (p + sign) for n in divisors if (2 * p - sign) % n == 0]  # ii
+        qs += [n * (p + sign) for n in divisors if (p + sign) % n == 0 and n % 2]  # iii
+    return cond_i, cond_i | {orbit_qs(p2, q)[0] for q in qs if q < p2}
+
+
+def test_family_reps_closed_form_matches_the_orbits():
+    # condition i's orbits are {n p +- 1, (p - n) p +- 1}, least member n p - 1
+    for p in range(3, 1002, 2):
+        cond_i, reps = orbit_family_reps(p)
+        assert cond_i == {n * p - 1 for n in range(1, p // 2 + 1) if gcd(n, p) == 1}, p
+        assert family_reps(p) == reps, p
+
+
 def test_family_reps_validates_p():
     for p in (1, 2, 8, -3):
         with pytest.raises(DomainError):
