@@ -56,13 +56,10 @@ p <= INT64_MAX_P = 46340, and
 p = 46,341 one q per orbit is still about 10^9 q).  :func:`cg_condition`
 and :func:`sigma` run on Python ints and stay exact for any p.  The report
 of :func:`cg_condition`, like the all-r output of the ``sigma`` command,
-counts the terms at r = 1..floor(p/2) in one O(p) pass over the blocks of
-the tail, on Python ints, and mirrors each term at r > p/2 from the term
-at p - r, by the symmetry below, the same proved identity the rounds and
-the tail stop at; at even p, r = p/2 is its own mirror and is counted.
-:func:`weighted_count`, :func:`sigma` and ``sigma --r`` stay per-r
-floor sums: they count every r they are given, so they are the
-independent reference for the block pass and the mirror, and the scan
+counts every term at r = 1..p-1 in one O(p) pass over the blocks of the
+tail, on Python ints.  :func:`weighted_count`, :func:`sigma` and
+``sigma --r`` stay per-r floor sums: they count every r they are given,
+so they are the independent reference for the block pass, and the scan
 re-derives its least survivor with :func:`sigma`.
 
 The rounds and the tail stop at r = (p-1)/2 because
@@ -271,17 +268,14 @@ class SigmaReport:
 def _sigma_terms(p: int, q: int) -> tuple[SigmaTerm, ...]:
     """The terms at r = 1..p-1 for a validated p >= 2 and q.
 
-    r <= p/2 are counted in one O(p) pass over the blocks of
+    Every r is counted in one O(p) pass over the blocks of
     :func:`_sigma_tail`'s docstring: with e_j = q j mod p^2 for j = 1..p-1,
     counts[b] = #{j : floor(e_j / p) >= p - b} and
     T(0) = (q p (p-1) / 2 - sum_j e_j) / p^2, the block of columns
     p (r-1) <= x < p r gives S_r = S_{r-1} + p a + T(0) + counts[b], where
     (a, b) = divmod(q (r-1), p).
     That proof uses neither gcd(q, p) = 1 nor odd p, and on Python ints it
-    holds at any p, even p included.  Each r > p/2 takes the sigma of the
-    term at p - r, as sigma(p, q, r) = sigma(p, q, p-r) (module docstring),
-    and the area of its own r.  At even p, r = p/2 is its own mirror and is
-    counted.
+    holds at any p, even p included.
     """
     p2 = p * p
     counts = [0] * (p + 1)
@@ -296,15 +290,13 @@ def _sigma_terms(p: int, q: int) -> tuple[SigmaTerm, ...]:
     t0 = (q * (p * (p - 1) // 2) - total) // p2
     terms = []
     s = qr = 0  # S_r and q (r - 1)
-    for r in range(1, p // 2 + 1):
+    for r in range(1, p):
         b = qr % p
         s += qr - b + t0 + counts[b]
-        terms.append(SigmaTerm.of(q, r, _quarters(p, q, r, s)))
+        area = q * r * r
+        quarters = _quarters(p, q, r, s)
+        terms.append(SigmaTerm(r, area, quarters, 2 * area - quarters))
         qr += q
-    for r in range(p // 2 + 1, p):
-        s = terms[p - r - 1].sigma
-        area_halves = q * r * r
-        terms.append(SigmaTerm(r, area_halves, 2 * area_halves - s, s))
     return tuple(terms)
 
 
@@ -312,12 +304,11 @@ def cg_condition(p: int, q: int) -> SigmaReport:
     """Evaluate sigma(p, q, r) for r = 1..p-1; passes iff every value is +-1.
 
     The knot under test is p^2/q (double branched cover L(p^2, q)), so p
-    must be odd and >= 3.  The terms at r = 1..(p-1)/2, the same r the
-    batched kernel evaluates, are counted in one O(p) pass by the block
-    identity of the kernel's tail, on Python ints; those at r > p/2 are
-    mirrored from p - r by the proved identity sigma(p, q, r) = sigma(p, q, p-r)
-    that the kernel stops at (module docstring).  :func:`sigma` counts
-    each r by the floor sum instead, as an independent reference.
+    must be odd and >= 3.  Every term is counted in one O(p) pass by the
+    block identity of the kernel's tail, on Python ints, so the report
+    shows counted evidence at each r, beyond the r <= (p-1)/2 the kernel
+    stops at by the symmetry of the module docstring.  :func:`sigma`
+    counts each r by the floor sum instead, as an independent reference.
     """
     validate_knot(p, q)
     terms = _sigma_terms(p, q)
@@ -349,40 +340,29 @@ def _floor_sum_batch(n: np.ndarray, m: int, a: np.ndarray) -> np.ndarray:
     The recursion of :func:`floor_sum`, elementwise; each step reduces a
     and b at its end, which the first step, with a < m and b = 0, skips.
 
-    A lane is live while y = a n + b >= m.  Lanes are compacted out only
-    once at most half of them are live; until then a finished lane rides
-    along frozen, with y forced to 0.  Its step then gives n = 0, so its
-    acc gains (n - 1) n / 2 * k + n * k = 0, and b = 0; from then on
-    y = a * 0 + 0 = 0 < m, so it stays finished with its acc final.  The
-    swap makes the old a the new divisor m, and a live lane always has
-    a >= 1 (with a = 0, y = b < m); a frozen lane's a may be 0, so a is
-    clamped to >= 1 before the swap, which changes no live lane and keeps
-    a frozen lane free of division by zero.
+    A lane is live while y = a n + b >= m.  At each step where some lane
+    has finished, its acc is written out and it is dropped from the
+    arrays.  The swap makes the old a the new divisor m, and a live lane
+    has a >= 1 (with a = 0, y = b < m), so no lane divides by zero.
     """
     out = np.empty_like(n)
     acc = np.zeros_like(n)
     b = np.zeros_like(n)
     m = np.full_like(n, m)
     idx = np.arange(len(n))
-    while True:
+    while len(idx):
         y = a * n + b
         live = y >= m
-        count = np.count_nonzero(live)
-        if count == 0:
-            out[idx] = acc
-            return out
-        if 2 * count <= len(live):
+        if not live.all():
             out[idx[~live]] = acc[~live]
             idx, y, a, m, acc = idx[live], y[live], a[live], m[live], acc[live]
-        else:
-            y *= live
-            a = np.maximum(a, 1)
         n, b = np.divmod(y, m)
         a, m = m, a
         k, a = np.divmod(a, m)
         acc += (n - 1) * n // 2 * k
         k, b = np.divmod(b, m)
         acc += n * k
+    return out
 
 
 def _sigma_grid(p: int, q: np.ndarray, rs: np.ndarray) -> np.ndarray:

@@ -276,7 +276,11 @@ class ScanRecord:
         or TypeError, or RecursionError if nested deeper than the recursion
         limit.  q_tested must be the count a scan of one q per orbit writes,
         :func:`_orbit_count`, or the p*phi(p) of an audit record, which loads so
-        that :func:`conjecture_scan` can refuse it without cutting the file."""
+        that :func:`conjecture_scan` can refuse it without cutting the file.  A
+        record of one q per orbit must hold what :func:`_scan_single_p` writes:
+        every q of ``family_reps(p)`` among the passing ones, and as non-family
+        q exactly the passing q outside it, so a resume cannot hide a survivor
+        outside the families or drop a family knot."""
         obj = json.loads(line)
         p, tested = obj["p"], obj["q_tested"]
         passing, non_family = obj["cg_passing"], obj["non_family"]
@@ -290,13 +294,13 @@ class ScanRecord:
         ):
             raise ValueError(f"not a scan record: {line.rstrip()}")
         casson_gordon._knot_array(p, passing)
-        if tested not in (_orbit_count(p), p * _phi(p)):
+        fam = family_reps(p)
+        if tested == _orbit_count(p):
+            ok = fam.issubset(passing) and non_family == [q for q in passing if q not in fam]
+        else:
+            ok = tested == p * _phi(p)
+        if not ok or any(orbit_qs(p * p, q)[0] != q or q in fam for q in non_family):
             raise ValueError(f"not a scan record: {line.rstrip()}")
-        # only a line that reports a counterexample pays for the family set
-        if non_family:
-            fam = family_reps(p)
-            if any(orbit_qs(p * p, q)[0] != q or q in fam for q in non_family):
-                raise ValueError(f"not a scan record: {line.rstrip()}")
         return cls(p, tested, tuple(passing), tuple(non_family))
 
 
@@ -377,9 +381,9 @@ def _scan_single_p(p: int) -> ScanRecord:
     return ScanRecord(p, tested, tuple(passing), tuple(non_family))
 
 
-# (parameter, value) for glibc's mallopt: M_MMAP_THRESHOLD, M_TRIM_THRESHOLD
-# and M_TOP_PAD, numbered as in malloc.h
-_MALLOPT_SETTINGS = ((-3, 64 << 20), (-1, 256 << 20), (-2, 64 << 20))
+# (parameter, value) for glibc's mallopt: M_MMAP_THRESHOLD and M_TRIM_THRESHOLD,
+# numbered as in malloc.h
+_MALLOPT_SETTINGS = ((-3, 64 << 20), (-1, 256 << 20))
 
 
 def _keep_freed_memory() -> tuple[int, ...]:
@@ -392,12 +396,13 @@ def _keep_freed_memory() -> tuple[int, ...]:
     p = 6001 took 476k minor faults and 0.9 s of system time in 4.4 s of
     wall on a 2-vCPU host, and 10k faults and 0.05 s with these settings.
     Arrays up to 64 MiB now come from the heap, which is trimmed only
-    above 256 MiB of free top and grows 64 MiB at a time.  Setting any one
-    of these turns off glibc's dynamic mmap threshold, so the mmap threshold
-    must be set with the others: the trim threshold alone faulted more than
-    the default.  A no-op, returning (), off glibc or where ``mallopt`` is
-    missing.  It changes the whole process, so only scan workers and
-    :func:`cli.main` call it, never code a library user calls.
+    above 256 MiB of free top.  Setting either turns off glibc's dynamic
+    mmap threshold, so the mmap threshold must be set with the trim
+    threshold: the trim threshold alone faulted more than the default.  The
+    heap's growth step (M_TOP_PAD) keeps glibc's default, as 64 MiB made no
+    measured difference.  A no-op, returning (), off glibc or where
+    ``mallopt`` is missing.  It changes the whole process, so only scan
+    workers and :func:`cli.main` call it, never code a library user calls.
     """
     try:
         libc = os.confstr("CS_GNU_LIBC_VERSION")

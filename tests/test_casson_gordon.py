@@ -177,19 +177,22 @@ def test_area_halves_exact_in_terms():
         assert term.sigma == 2 * term.area_halves - term.quarters
 
 
-# ------------------------------------------------------------ mirrored terms
+# ------------------------------------------------------------ report terms
 
-def test_mirrored_terms_equal_the_count_at_every_r_exhaustive():
+def test_terms_equal_the_count_and_are_symmetric_in_r_exhaustive():
     # every q at p <= 50, even p included (the sigma command takes them):
-    # the terms at r > p/2 are mirrored from p - r, and at even p the term
-    # at r = p/2 is its own mirror and must be counted.  About 10 s; p <= 60
-    # (44,230 cases) takes twice that
+    # the block pass equals the floor sum at every r, and its sigmas meet
+    # sigma(p, q, r) = sigma(p, q, p - r), the identity the batched kernel
+    # stops at.  About 10 s; p <= 60 (44,230 cases) takes twice that
     cases = 0
     for p in range(2, 51):
         for q in range(1, p * p):
             if gcd(q, p) == 1:
                 counted = tuple(SigmaTerm.of(q, r, weighted_count(p, q, r)) for r in range(1, p))
-                assert _sigma_terms(p, q) == counted, (p, q)
+                terms = _sigma_terms(p, q)
+                assert terms == counted, (p, q)
+                sigmas = [t.sigma for t in terms]
+                assert sigmas == sigmas[::-1], (p, q)
                 cases += 1
     assert cases == 26020
 
@@ -197,7 +200,7 @@ def test_mirrored_terms_equal_the_count_at_every_r_exhaustive():
 @settings(deadline=None, max_examples=60)
 @given(st.integers(2, 3001), st.data())
 def test_terms_equal_the_count_at_every_r_up_to_p_3001(p, data):
-    # r <= p/2 from the block pass, r > p/2 from the mirror
+    # the block pass at every r up to r = p - 1
     q = data.draw(st.integers(1, p * p - 1).filter(lambda q: gcd(q, p) == 1))
     terms = _sigma_terms(p, q)
     assert len(terms) == p - 1
@@ -471,14 +474,14 @@ def test_rounds_hand_over_to_the_tail_at_every_round_boundary(monkeypatch):
 
 
 def floor_sum_lanes(n, m, a):
-    with np.errstate(all="raise"):  # a frozen lane must not divide by zero
+    with np.errstate(all="raise"):  # no lane may divide by zero
         got = _floor_sum_batch(np.array(n, dtype=np.int64), m, np.array(a, dtype=np.int64))
     return got.tolist(), [floor_sum(nn, m, aa, 0) for nn, aa in zip(n, a)]
 
 
 def test_floor_sum_batch_on_lanes_that_finish_many_steps_apart():
     # a Fibonacci pair is the longest recursion, a = 0 or 1 the shortest; the
-    # counts make the batch both freeze lanes (most live) and compact them
+    # counts make the batch compact a few lanes out of many and many out of few
     fib = [1, 1]
     while fib[-1] < 10**9:
         fib.append(fib[-1] + fib[-2])
@@ -493,7 +496,7 @@ def test_floor_sum_batch_on_lanes_that_finish_many_steps_apart():
 
 def test_floor_sum_batch_on_lanes_that_reach_a_zero():
     # a | m makes a = 0 after one step, and a = 0 lanes finish at once;
-    # frozen, their swapped-in divisor would be 0 without the clamp
+    # kept past their finish, their swapped-in divisor would be 0
     p = 21
     m = p * p
     a = [0, p, 3 * p, 7, 49, 63, 1, m - 1, m - p, 2 * p]
@@ -502,6 +505,17 @@ def test_floor_sum_batch_on_lanes_that_reach_a_zero():
     assert got == expected
     got, expected = floor_sum_lanes(n[::-1], m, a)
     assert got == expected
+
+
+def test_floor_sum_batch_on_an_empty_batch_and_lanes_done_at_once():
+    # the loop ends when no lane is left: at once on an empty batch, and after
+    # one step when every lane has y = a n < m there
+    assert floor_sum_lanes([], 7, []) == ([], [])
+    m = 21 * 21
+    for n, a in [([5], [0]), ([1, 2, 3, 20], [1, 7, 100, 22]), ([7] * 5, [0, 1, 2, 3, 62])]:
+        assert all(nn * aa < m for nn, aa in zip(n, a))
+        got, expected = floor_sum_lanes(n, m, a)
+        assert got == expected, (n, a)
 
 
 @pytest.mark.parametrize("p", [INT64_MAX_P - 1, INT64_MAX_P - 3])

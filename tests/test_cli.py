@@ -43,7 +43,7 @@ def test_sigma_all_r(capsys):
 
 @pytest.mark.parametrize("p, q", [(4, 3), (11, 46), (60, 1001), (570, 1001), (571, 1000)])
 def test_sigma_all_r_above_p_half_equal_the_single_r_output(capsys, p, q):
-    # the all-r output mirrors r > p/2 from p - r; --r counts each r directly
+    # the all-r output counts by the block pass; --r counts each r by the floor sum
     code, out, _ = run(capsys, ["sigma", str(p), str(q)])
     assert code == 0
     lines = out.splitlines()
