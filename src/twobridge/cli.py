@@ -148,7 +148,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="worker processes (default: the CPUs this process may use)",
     )
-    s.add_argument("--checkpoint", default=None, help="JSONL checkpoint file (resumable)")
+    s.add_argument("--checkpoint", default=None, help="JSONL checkpoint of this scan (resumable)")
     s.set_defaults(run=_cmd_scan)
 
     s = sub.add_parser("crosscheck", help="amphicheiral counts vs family-0 counts at c+2")

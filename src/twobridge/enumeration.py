@@ -41,11 +41,13 @@ worker is stopped.  Records reach the checkpoint (one JSON line per p) as
 each p completes, so an interrupted scan loses no finished p; when the
 scan ends the file is rewritten in ascending p, and the result is in
 ascending p whatever the schedule, so resumed scans finish with
-byte-identical output.  Each worker process, and the CLI's own process,
-keeps the heap memory it frees (glibc only, :func:`_keep_freed_memory`),
-so the kernel's numpy temporaries are not faulted in afresh at every
-chunk; a library caller's process, serial scans included, keeps its
-allocator as it was.
+byte-identical output.  A resume takes back only lines that are exactly
+what the scan writes (:meth:`ScanRecord.from_json_line`), and refuses a
+file that does not start with one rather than overwrite it.  Each worker
+process, and the CLI's own process, keeps the heap memory it frees
+(glibc only, :func:`_keep_freed_memory`), so the kernel's numpy
+temporaries are not faulted in afresh at every chunk; a library caller's
+process, serial scans included, keeps its allocator as it was.
 """
 
 from __future__ import annotations
@@ -246,19 +248,14 @@ class ScanRecord:
     hold every 2-bridge ribbon knot (Lisca, see the module docstring), so a
     ``non_family`` q would be a non-ribbon knot the obstruction misses, and
     empty means that at p the obstruction alone rules out every knot that
-    is not ribbon.
+    is not ribbon.  Its JSON line is the checkpoint's line for p, and
+    :meth:`from_json_line` reads back no other.
     """
 
     p: int
     q_tested: int
     cg_passing: tuple[int, ...]
     non_family: tuple[int, ...]
-
-    @property
-    def audit(self) -> bool:
-        """Whether the record tests all p*phi(p) knots (the removed ``--audit`` mode);
-        one q per orbit tests at most half as many, every orbit having >= 2 members."""
-        return self.q_tested == self.p * _phi(self.p)
 
     def to_json_line(self) -> str:
         return json.dumps(vars(self))
@@ -267,41 +264,39 @@ class ScanRecord:
     def from_json_line(cls, line: str) -> "ScanRecord":
         """The record a checkpoint line holds, read as outside input: nothing is coerced.
 
-        p and q_tested must be ints and both lists lists of ints (bools are none),
-        each strictly ascending, with no more survivors than q tested; p and every
-        q must pass the kernel's knot rule (:func:`casson_gordon.cg_survivors`:
-        odd p in 3..INT64_MAX_P, 0 < q < p^2, q prime to p); and every non-family
-        q must be a passing one, the least member of its orbit and outside
-        :func:`families.family_reps`.  Any other line raises ValueError, KeyError
-        or TypeError, or RecursionError if nested deeper than the recursion
-        limit.  q_tested must be the count a scan of one q per orbit writes,
-        :func:`_orbit_count`, or the p*phi(p) of an audit record, which loads so
-        that :func:`conjecture_scan` can refuse it without cutting the file.  A
-        record of one q per orbit must hold what :func:`_scan_single_p` writes:
-        every q of ``family_reps(p)`` among the passing ones, and as non-family
-        q exactly the passing q outside it, so a resume cannot hide a survivor
-        outside the families or drop a family knot."""
+        The line must be, up to its newline, exactly the line of the record
+        :func:`_scan_single_p` writes for its p and ``cg_passing`` (both build
+        it by :func:`_record`): that record tests :func:`_orbit_count` q and
+        lists as non-family q the passing q outside :func:`families.family_reps`.
+        p and every q must be ints (bools are none), ``cg_passing`` strictly
+        ascending, p and every passing q must pass the kernel's knot rule
+        (:func:`casson_gordon.cg_survivors`: odd p in 3..INT64_MAX_P,
+        0 < q < p^2, q prime to p), every q of ``family_reps(p)`` must pass,
+        and every non-family q must be the least member of its orbit.
+        Any other line raises ValueError, KeyError or TypeError, or
+        RecursionError if nested deeper than the recursion limit.  So a resume
+        cannot drop a family knot or keep a survivor outside the families out
+        of ``non_family``; a survivor left out of both lists, though, looks like
+        a true record, and only a rescan finds it."""
         obj = json.loads(line)
-        p, tested = obj["p"], obj["q_tested"]
-        passing, non_family = obj["cg_passing"], obj["non_family"]
+        p, passing = obj["p"], obj["cg_passing"]
         if not (
-            type(p) is type(tested) is int
-            and type(passing) is type(non_family) is list
-            and all(type(q) is int for q in passing + non_family)
-            and all(a < b for qs in (passing, non_family) for a, b in zip(qs, qs[1:]))
-            and len(passing) <= tested
-            and set(non_family) <= set(passing)
+            type(p) is int
+            and type(passing) is list
+            and all(type(q) is int for q in passing)
+            and all(a < b for a, b in zip(passing, passing[1:]))
         ):
             raise ValueError(f"not a scan record: {line.rstrip()}")
         casson_gordon._knot_array(p, passing)
         fam = family_reps(p)
-        if tested == _orbit_count(p):
-            ok = fam.issubset(passing) and non_family == [q for q in passing if q not in fam]
-        else:
-            ok = tested == p * _phi(p)
-        if not ok or any(orbit_qs(p * p, q)[0] != q or q in fam for q in non_family):
+        rec = _record(p, passing, fam)
+        if (
+            rec.to_json_line() != line.removesuffix("\n")
+            or not fam.issubset(passing)
+            or any(orbit_qs(p * p, q)[0] != q for q in rec.non_family)
+        ):
             raise ValueError(f"not a scan record: {line.rstrip()}")
-        return cls(p, tested, tuple(passing), tuple(non_family))
+        return rec
 
 
 def _phi(p: int) -> int:
@@ -324,6 +319,11 @@ def _orbit_count(p: int) -> int:
     fixed = 2 ** len(primes)
     eps = all(prime % 4 == 1 for prime in primes)
     return (p * _phi(p) + fixed + eps * fixed) // 4
+
+
+def _record(p: int, passing: list[int], fam: set[int]) -> ScanRecord:
+    """The record the scan writes at p for the survivors and family set given."""
+    return ScanRecord(p, _orbit_count(p), tuple(passing), tuple(q for q in passing if q not in fam))
 
 
 def _tested_blocks(p: int) -> Iterator[np.ndarray]:
@@ -377,8 +377,7 @@ def _scan_single_p(p: int) -> ScanRecord:
         raise InternalError(
             f"the cg_condition report of {p * p}/{least} differs from the floor-sum sigma"
         )
-    non_family = [q for q in passing if q not in fam]
-    return ScanRecord(p, tested, tuple(passing), tuple(non_family))
+    return _record(p, passing, fam)
 
 
 # (parameter, value) for glibc's mallopt: M_MMAP_THRESHOLD and M_TRIM_THRESHOLD,
@@ -509,10 +508,14 @@ def _load_checkpoint(path: str) -> tuple[dict[int, ScanRecord], int]:
     """The records of a checkpoint's valid prefix by p, and the prefix's length in bytes.
 
     The prefix ends before the first line that is not a whole record with
-    its newline: a torn tail from an interrupted write, or not a record.
+    its newline (:meth:`ScanRecord.from_json_line`): a torn tail from an
+    interrupted write, or not a record.  A file whose first non-blank line
+    is not one holds no finished p and may not be the scan's (an old
+    ``--audit`` checkpoint, say), so it raises :class:`DomainError`.
     """
     records: dict[int, ScanRecord] = {}
     size = 0
+    raw = b""  # the line the prefix ends before, or a blank last line
     try:
         with open(path, "rb") as fh:
             for raw in fh:
@@ -529,6 +532,11 @@ def _load_checkpoint(path: str) -> tuple[dict[int, ScanRecord], int]:
         return {}, 0
     except OSError as exc:
         raise DomainError(f"cannot read checkpoint {path}: {exc}") from exc
+    if not records and raw.strip():
+        raise DomainError(
+            f"checkpoint {path} does not start with a whole scan record, so it cannot resume "
+            "a scan; delete it to start afresh"
+        )
     return records, size
 
 
@@ -569,9 +577,11 @@ def conjecture_scan(
     interrupted scan loses no finished p.  When the scan ends the file
     is rewritten in ascending p through a temp file and ``os.replace``,
     so a resumed scan finishes with byte-identical content.  A p_max above
-    :data:`casson_gordon.INT64_MAX_P`, and a checkpoint holding a record
-    that tests every q (written by the removed ``--audit`` mode), are
-    refused with :class:`DomainError` before the file is touched.
+    :data:`casson_gordon.INT64_MAX_P`, and a checkpoint whose first
+    non-blank line is not a whole record the scan writes (a record of the
+    removed ``--audit`` mode, a lone torn line, or any file the scan did
+    not write), are refused with :class:`DomainError` before the file is
+    touched.
     """
     if p_min % 2 == 0:
         p_min += 1
@@ -583,12 +593,6 @@ def conjecture_scan(
         raise DomainError(f"need p_max <= {INT64_MAX_P}, the kernel's int64 bound, got {p_max}")
 
     records, valid = _load_checkpoint(checkpoint) if checkpoint else ({}, 0)
-    audited = sorted(p for p, rec in records.items() if rec.audit)
-    if audited:
-        raise DomainError(
-            f"checkpoint {checkpoint} holds records that test every q (p={audited[0]}), "
-            "so it cannot resume a scan of one q per orbit"
-        )
     all_p = list(range(p_min, p_max + 1, 2))
     pending = [p for p in all_p if p not in records]
 

@@ -43,7 +43,7 @@ from functools import lru_cache
 from math import gcd, isqrt
 from typing import Iterator, Mapping, Sequence
 
-from .casson_gordon import validate_knot
+from .casson_gordon import _prime_factors, validate_knot
 from .conway import (
     BridgeFraction,
     ConwayWord,
@@ -183,7 +183,9 @@ def family_reps(p: int) -> set[int]:
     """
     validate_knot(p, 1)
     p2 = p * p
-    reps = {n * p - 1 for n in range(1, p // 2 + 1) if gcd(n, p) == 1}  # i
+    end = p * (p // 2)  # i: n*p - 1 for n < p/2, less the n that a prime f of p divides
+    reps = set(range(p - 1, end, p))
+    reps.difference_update(*(range(f * p - 1, end, f * p) for f in _prime_factors(p)))
     qs = [n * (p + s) for s in (1, -1) for n in _divisors(2 * p - s)]  # ii
     qs += [n * (p + s) for s in (1, -1) for n in _divisors(p + s) if n % 2]  # iii
     return reps | {orbit_qs(p2, q)[0] for q in qs if q < p2}

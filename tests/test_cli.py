@@ -460,6 +460,25 @@ def test_scan_resume_of_an_audit_checkpoint_exits_2(capsys, tmp_path):
     assert path.read_bytes() == before
 
 
+@pytest.mark.parametrize(
+    "content",
+    [
+        b"scan notes\nresume from p = 11\n",
+        b"[3, 5, 7]\n",
+        # p = 3's real record with compact separators
+        b'{"p":3,"q_tested":2,"cg_passing":[2],"non_family":[]}\n',
+    ],
+)
+def test_scan_refuses_a_checkpoint_it_did_not_write(capsys, tmp_path, content):
+    path = tmp_path / "notes.txt"
+    path.write_bytes(content)
+    argv = ["scan", "--min-p", "3", "--max-p", "11", "--jobs", "2", "--checkpoint", str(path)]
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == ""
+    assert "cannot resume a scan" in err
+    assert path.read_bytes() == content
+
+
 def test_scan_resumed_past_a_huge_p_line_matches_a_fresh_scan(capsys, tmp_path):
     argv = ["scan", "--min-p", "3", "--max-p", "11", "--jobs", "1", "--checkpoint"]
     fresh, resumed = tmp_path / "fresh.jsonl", tmp_path / "resumed.jsonl"

@@ -290,6 +290,15 @@ def test_scan_resume_is_byte_identical(tmp_path):
         b'"non_family": []}\n',
         # nested deeper than the recursion limit: json.loads raises RecursionError
         b"[" * 200_000 + b"\n",
+        # p = 13's real record, reformatted: a line is a record only if it is
+        # byte for byte the line the scan writes
+        b'{"p":13,"q_tested":40,"cg_passing":[12,25,36,38,50,51,64,70,77],"non_family":[]}\n',
+        b'{"q_tested": 40, "p": 13, "cg_passing": [12, 25, 36, 38, 50, 51, 64, 70, 77], '
+        b'"non_family": []}\n',
+        b'{"p": 13, "q_tested": 40, "cg_passing": [12, 25, 36, 38, 50, 51, 64, 70, 77], '
+        b'"non_family": [], "audit": false}\n',
+        b'{"p": 13, "q_tested": 40, "cg_passing": [12, 25, 36, 38, 50, 51, 64, 70, 77], '
+        b'"non_family": []} \n',
     ],
 )
 def test_scan_resume_stops_at_a_non_record_line(tmp_path, tail):
@@ -299,6 +308,35 @@ def test_scan_resume_stops_at_a_non_record_line(tmp_path, tail):
     path.write_bytes(full_bytes + tail)
     assert conjecture_scan(3, 11, checkpoint=str(path)) == recs
     assert path.read_bytes() == full_bytes
+
+
+# the first record of a 3..11 scan, with compact separators
+_COMPACT_P3 = b'{"p":3,"q_tested":2,"cg_passing":[2],"non_family":[]}\n'
+
+
+def test_every_scan_record_reloads_equal():
+    recs = conjecture_scan(3, 99)
+    for rec in recs:
+        assert ScanRecord.from_json_line(rec.to_json_line() + "\n") == rec, rec.p
+    assert json.loads(_COMPACT_P3) == json.loads(recs[0].to_json_line())
+
+
+@pytest.mark.parametrize(
+    "content",
+    [
+        b"scan notes\nresume from p = 11\n",
+        b"[3, 5, 7]\n",
+        _COMPACT_P3,
+        # a lone torn line holds no finished p
+        b'{"p": 3, "q_te',
+    ],
+)
+def test_resume_refuses_a_file_the_scan_did_not_write(tmp_path, content):
+    path = tmp_path / "ck.jsonl"
+    path.write_bytes(content)
+    with pytest.raises(DomainError, match="cannot resume a scan"):
+        conjecture_scan(3, 11, checkpoint=str(path))
+    assert path.read_bytes() == content
 
 
 def test_scan_checkpoint_io_error(tmp_path):
@@ -616,13 +654,6 @@ def test_resume_drops_a_torn_tail_before_appending(tmp_path):
     assert on_disk == [3, 7, 5, 9, 11, 13, 15]
     conjecture_scan(3, 15, checkpoint=str(path))
     assert path.read_bytes() == full_bytes
-
-
-def test_a_record_tells_its_mode():
-    # an old audit tested all p * phi(p) coprime q, one q per orbit at most half
-    for p in range(3, 100, 2):
-        assert not ScanRecord(p, sum(map(len, _tested_blocks(p))), (), ()).audit, p
-        assert ScanRecord(p, sum(1 for q in range(1, p * p) if gcd(q, p) == 1), (), ()).audit, p
 
 
 def test_resume_refuses_an_audit_checkpoint(tmp_path):
