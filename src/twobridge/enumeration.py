@@ -37,13 +37,17 @@ costliest start early and the cheap ones fill the tail; a worker gets its
 next p when its record comes back.  An exception raised in a worker is
 re-raised in the parent, and a worker that dies raises
 :class:`InternalError` naming its p (the CLI exits 2); either way every
-worker is stopped.  Records reach the checkpoint (one JSON line per p) as
-each p completes, so an interrupted scan loses no finished p; when the
-scan ends the file is rewritten in ascending p, and the result is in
-ascending p whatever the schedule, so resumed scans finish with
-byte-identical output.  A resume takes back only lines that are exactly
-what the scan writes (:meth:`ScanRecord.from_json_line`), and refuses a
-file that does not start with one rather than overwrite it.  Each worker
+worker is stopped.  One function, :func:`_write_checkpoint`, writes every
+whole checkpoint (one JSON line per p, ascending, through a temp file): a
+resume writes back the records it takes from the file before it scans,
+so a checkpoint that cannot be rewritten fails before the first p.
+Records are then appended as each p completes, so an interrupted scan
+loses no finished p; when the scan ends the file is rewritten in
+ascending p, and the result is in ascending p whatever the schedule, so
+resumed scans finish with byte-identical output.  A resume takes back
+only the lines, up to the first other one, that are exactly what the
+scan writes (:meth:`ScanRecord.from_json_line`), and refuses a file that
+does not start with one rather than overwrite it.  Each worker
 process, and the CLI's own process, keeps the heap memory it frees
 (glibc only, :func:`_keep_freed_memory`), so the kernel's numpy
 temporaries are not faulted in afresh at every chunk; a library caller's
@@ -57,6 +61,7 @@ import multiprocessing
 import os
 import signal
 from collections import Counter
+from contextlib import suppress
 from dataclasses import dataclass
 from itertools import islice
 from math import gcd, isqrt
@@ -268,31 +273,30 @@ class ScanRecord:
         :func:`_scan_single_p` writes for its p and ``cg_passing`` (both build
         it by :func:`_record`): that record tests :func:`_orbit_count` q and
         lists as non-family q the passing q outside :func:`families.family_reps`.
-        p and every q must be ints (bools are none), ``cg_passing`` strictly
-        ascending, p and every passing q must pass the kernel's knot rule
-        (:func:`casson_gordon.cg_survivors`: odd p in 3..INT64_MAX_P,
-        0 < q < p^2, q prime to p), every q of ``family_reps(p)`` must pass,
-        and every non-family q must be the least member of its orbit.
-        Any other line raises ValueError, KeyError or TypeError, or
+        Each property is checked once.  p must be an int (a bool is none).
+        ``cg_passing`` must pass the kernel's knot rule
+        (:func:`casson_gordon._knot_array`: odd p in 3..INT64_MAX_P, a flat
+        list of integers within int64, 0 < q < p^2, q prime to p) and
+        strictly ascend in the int64 array that rule returns; the record is
+        rebuilt from that array, so a bool among the q (``true`` comes back
+        as ``1``) fails the byte comparison.  Every q of ``family_reps(p)``
+        must pass, and every non-family q must be the least member of its
+        orbit.  Any other line raises ValueError, KeyError or TypeError, or
         RecursionError if nested deeper than the recursion limit.  So a resume
         cannot drop a family knot or keep a survivor outside the families out
         of ``non_family``; a survivor left out of both lists, though, looks like
         a true record, and only a rescan finds it."""
         obj = json.loads(line)
-        p, passing = obj["p"], obj["cg_passing"]
-        if not (
-            type(p) is int
-            and type(passing) is list
-            and all(type(q) is int for q in passing)
-            and all(a < b for a, b in zip(passing, passing[1:]))
-        ):
+        p = obj["p"]
+        if type(p) is not int:
             raise ValueError(f"not a scan record: {line.rstrip()}")
-        casson_gordon._knot_array(p, passing)
+        arr = casson_gordon._knot_array(p, obj["cg_passing"])
         fam = family_reps(p)
-        rec = _record(p, passing, fam)
+        rec = _record(p, arr.tolist(), fam)
         if (
-            rec.to_json_line() != line.removesuffix("\n")
-            or not fam.issubset(passing)
+            (arr[1:] <= arr[:-1]).any()
+            or rec.to_json_line() != line.removesuffix("\n")
+            or not fam.issubset(rec.cg_passing)
             or any(orbit_qs(p * p, q)[0] != q for q in rec.non_family)
         ):
             raise ValueError(f"not a scan record: {line.rstrip()}")
@@ -504,44 +508,52 @@ def _scan_in_workers(todo: Iterator[int], jobs: int, finish: Callable[[ScanRecor
             conn.close()
 
 
-def _load_checkpoint(path: str) -> tuple[dict[int, ScanRecord], int]:
-    """The records of a checkpoint's valid prefix by p, and the prefix's length in bytes.
+def _load_checkpoint(path: str) -> dict[int, ScanRecord]:
+    """The records of a checkpoint's valid prefix by p.
 
     The prefix ends before the first line that is not a whole record with
     its newline (:meth:`ScanRecord.from_json_line`): a torn tail from an
-    interrupted write, or not a record.  A file whose first non-blank line
-    is not one holds no finished p and may not be the scan's (an old
-    ``--audit`` checkpoint, say), so it raises :class:`DomainError`.
+    interrupted write, a blank line, or any other line the scan does not
+    write.  A non-empty file whose first line is not a record holds no
+    finished p and may not be the scan's (an old ``--audit`` checkpoint,
+    say), so it raises :class:`DomainError`; a missing or empty file holds
+    no records.
     """
     records: dict[int, ScanRecord] = {}
-    size = 0
-    raw = b""  # the line the prefix ends before, or a blank last line
     try:
         with open(path, "rb") as fh:
-            for raw in fh:
-                if not raw.endswith(b"\n"):
+            for line in fh:
+                if not line.endswith(b"\n"):
                     break
-                if raw.strip():
-                    try:
-                        rec = ScanRecord.from_json_line(raw.decode("utf-8"))
-                    except (KeyError, TypeError, ValueError, RecursionError):
-                        break
-                    records.setdefault(rec.p, rec)
-                size += len(raw)
+                try:
+                    rec = ScanRecord.from_json_line(line.decode("utf-8"))
+                except (KeyError, TypeError, ValueError, RecursionError):
+                    break
+                records.setdefault(rec.p, rec)
+            else:
+                return records
     except FileNotFoundError:
-        return {}, 0
+        return records
     except OSError as exc:
         raise DomainError(f"cannot read checkpoint {path}: {exc}") from exc
-    if not records and raw.strip():
+    if not records:
         raise DomainError(
             f"checkpoint {path} does not start with a whole scan record, so it cannot resume "
             "a scan; delete it to start afresh"
         )
-    return records, size
+    return records
 
 
 def _write_checkpoint(path: str, records: dict[int, ScanRecord]) -> None:
-    """Replace the checkpoint by ``records`` in ascending p, through a temp file."""
+    """Replace the checkpoint by ``records`` in ascending p, through a temp
+    file (``path`` + ".tmp") and ``os.replace``.
+
+    The one writer of a whole checkpoint: :func:`conjecture_scan` calls it
+    on the loaded records before it scans and on all records when it ends,
+    so new records are appended right after the valid prefix, and a
+    checkpoint that cannot be rewritten raises :class:`DomainError` before
+    any p is scanned.
+    """
     tmp = path + ".tmp"
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
@@ -571,17 +583,21 @@ def conjecture_scan(
     or raises (``progress`` included).  ``progress`` sees the records
     loaded from the checkpoint, then every new record as its p completes.
 
-    With ``checkpoint``, the file's valid prefix is reused (records
-    outside [p_min, p_max] included), anything after it is cut off, and
-    each new record is appended and flushed as its p completes, so an
-    interrupted scan loses no finished p.  When the scan ends the file
-    is rewritten in ascending p through a temp file and ``os.replace``,
-    so a resumed scan finishes with byte-identical content.  A p_max above
-    :data:`casson_gordon.INT64_MAX_P`, and a checkpoint whose first
-    non-blank line is not a whole record the scan writes (a record of the
-    removed ``--audit`` mode, a lone torn line, or any file the scan did
-    not write), are refused with :class:`DomainError` before the file is
-    touched.
+    With ``checkpoint``, the records of the file's valid prefix are
+    reused (those outside [p_min, p_max] included) and written back in
+    ascending p by :func:`_write_checkpoint` before any p is scanned, so
+    whatever followed the prefix is gone and a checkpoint that cannot be
+    rewritten raises :class:`DomainError` at once.  Each new record is
+    then appended and flushed as its p completes, so an interrupted scan
+    loses no finished p; an append that fails raises :class:`DomainError`
+    and keeps every record appended before it.  When the scan ends the
+    file is rewritten in ascending p by :func:`_write_checkpoint` again,
+    so a resumed scan finishes with byte-identical content.  A p_max
+    above :data:`casson_gordon.INT64_MAX_P`, and a non-empty checkpoint
+    whose first line is not a whole record the scan writes (a record of
+    the removed ``--audit`` mode, a lone torn line, or any file the scan
+    did not write), are refused with :class:`DomainError` before the file
+    is touched.
     """
     if p_min % 2 == 0:
         p_min += 1
@@ -592,25 +608,26 @@ def conjecture_scan(
     if p_max > INT64_MAX_P:
         raise DomainError(f"need p_max <= {INT64_MAX_P}, the kernel's int64 bound, got {p_max}")
 
-    records, valid = _load_checkpoint(checkpoint) if checkpoint else ({}, 0)
+    records = _load_checkpoint(checkpoint) if checkpoint else {}
     all_p = list(range(p_min, p_max + 1, 2))
     pending = [p for p in all_p if p not in records]
 
     out = None
     if checkpoint:
+        _write_checkpoint(checkpoint, records)
         try:
             out = open(checkpoint, "ab")
-            out.truncate(valid)
         except OSError as exc:
-            if out is not None:
-                out.close()
             raise DomainError(f"cannot write checkpoint {checkpoint}: {exc}") from exc
 
     def finish(rec: ScanRecord) -> None:
         records[rec.p] = rec
         if out is not None:
-            out.write(rec.to_json_line().encode("utf-8") + b"\n")
-            out.flush()
+            try:
+                out.write(rec.to_json_line().encode("utf-8") + b"\n")
+                out.flush()
+            except OSError as exc:
+                raise DomainError(f"cannot write checkpoint {checkpoint}: {exc}") from exc
         if progress is not None:
             progress(rec)
 
@@ -627,7 +644,10 @@ def conjecture_scan(
                 finish(_scan_single_p(p))
     finally:
         if out is not None:
-            out.close()
+            # after a failed append the close flushes the unwritten bytes again
+            # and fails again; every flushed record is in the file either way
+            with suppress(OSError):
+                out.close()
     if checkpoint:
         _write_checkpoint(checkpoint, records)
     return [records[p] for p in all_p]

@@ -41,6 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, isqrt
+from types import MappingProxyType
 from typing import Iterator, Mapping, Sequence
 
 from .casson_gordon import _prime_factors, validate_knot
@@ -375,9 +376,11 @@ def build_family_index(max_crossing: int) -> Mapping[KnotClass, frozenset[int]]:
     crossing exactly 2*s + 2 (asserted), so only the compositions of the s
     with 2*s + 2 <= max_crossing are built.  Families 1 and 2 run over
     ``_ring(max_crossing)`` with a crossing post-filter; the outermost ring
-    must contribute nothing (raises InternalError otherwise).  Frozen and
-    cached per bound for the table and the crosscheck; membership lookups
-    do not use it.
+    must contribute nothing (raises InternalError otherwise).  Cached per
+    bound for the table and the crosscheck, so every call shares one index:
+    it is frozen, a read-only ``MappingProxyType`` over the dict (equal to
+    that dict) whose values are frozensets, and an assignment raises
+    TypeError.  Membership lookups do not use it.
     """
     if not 3 <= max_crossing <= 40:
         raise DomainError(f"crossing bound must be in 3..40, got {max_crossing}")
@@ -405,4 +408,4 @@ def build_family_index(max_crossing: int) -> Mapping[KnotClass, frozenset[int]]:
                 f"crossing {cls.crossing} <= {max_crossing}: bound too small"
             )
         classes.setdefault(cls, set()).add(family)
-    return {cls: frozenset(fams) for cls, fams in classes.items()}
+    return MappingProxyType({cls: frozenset(fams) for cls, fams in classes.items()})

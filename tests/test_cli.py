@@ -568,15 +568,65 @@ def test_bad_bounds_and_parameters_exit_2(capsys, argv):
 
 
 def test_scan_exits_2_when_the_checkpoint_cannot_be_rewritten(capsys, tmp_path):
+    # the temp file the checkpoint is rewritten through is a directory: the
+    # scan stops before its first p and creates no checkpoint
     path = tmp_path / "ck.jsonl"
     (tmp_path / "ck.jsonl.tmp").mkdir()
     argv = ["scan", "--min-p", "3", "--max-p", "9", "--jobs", "1", "--format", "json"]
     code, out, err = run(capsys, argv + ["--checkpoint", str(path)])
     assert code == 2 and out == ""
-    assert "cannot write checkpoint" in err
+    assert "cannot write checkpoint" in err and "scan: p=" not in err
+    assert not path.exists()
+
+
+def test_a_failed_final_rewrite_keeps_every_appended_record(capsys, monkeypatch, tmp_path):
+    real = enumeration._write_checkpoint
+    calls = []
+
+    def fails_when_the_scan_ends(path, records):
+        if calls:  # the rewrite before the scan went through
+            os.mkdir(path + ".tmp")
+        calls.append(path)
+        real(path, records)
+
+    monkeypatch.setattr(enumeration, "_write_checkpoint", fails_when_the_scan_ends)
+    path = tmp_path / "ck.jsonl"
+    argv = ["scan", "--min-p", "3", "--max-p", "9", "--jobs", "1", "--format", "json"]
+    code, out, err = run(capsys, argv + ["--checkpoint", str(path)])
+    assert code == 2 and out == ""
+    assert "cannot write checkpoint" in err and len(calls) == 2
     # every record was appended as its p completed, before the rewrite failed
     _, expected, _ = run(capsys, argv)
     assert path.read_text() == expected
+
+
+def test_a_failed_checkpoint_append_exits_2_without_a_traceback(tmp_path):
+    resource = pytest.importorskip("resource")
+    limit = 3072  # bytes: the appends stop after a few records of p = 3..99
+
+    def limit_file_size():
+        signal.signal(signal.SIGXFSZ, signal.SIG_IGN)  # a write past the limit fails with EFBIG
+        resource.setrlimit(resource.RLIMIT_FSIZE, (limit, limit))
+
+    path = tmp_path / "ck.jsonl"
+    env = dict(os.environ, PYTHONPATH=SRC)
+    # -B: the limit holds for every file the process writes, .pyc files included;
+    # stdout and stderr are pipes, which it does not limit
+    argv = ["scan", "--min-p", "3", "--max-p", "99", "--jobs", "2", "--format", "json"]
+    proc = subprocess.run(
+        [sys.executable, "-B", "-m", "twobridge", *argv, "--checkpoint", str(path)],
+        env=env, capture_output=True, text=True, timeout=120, preexec_fn=limit_file_size,
+    )
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.splitlines()[-1].startswith(f"error: cannot write checkpoint {path}: ")
+    # every record whose append finished is in the file, and only a torn line follows
+    fresh = {rec.p: rec.to_json_line() for rec in enumeration.conjecture_scan(3, 99)}
+    *whole, torn = path.read_text().split("\n")
+    progress = [line for line in proc.stderr.splitlines() if line.startswith("scan: p=")]
+    done = [int(line.split()[1].removeprefix("p=")) for line in progress]
+    assert len(done) > 1 and whole == [fresh[p] for p in done]
+    assert len(path.read_bytes()) == limit and "\n" not in torn
 
 
 # ------------------------------------------------------------------ fuzzing

@@ -299,6 +299,17 @@ def test_scan_resume_is_byte_identical(tmp_path):
         b'"non_family": [], "audit": false}\n',
         b'{"p": 13, "q_tested": 40, "cg_passing": [12, 25, 36, 38, 50, 51, 64, 70, 77], '
         b'"non_family": []} \n',
+        # p = 13's real record with a bool, a float, a list or an int past int64
+        # among its q; true reads as the non-family q = 1 in the int64 array, so
+        # only the rebuilt record's bytes tell it apart
+        b'{"p": 13, "q_tested": 40, "cg_passing": [true, 12, 25, 36, 38, 50, 51, 64, 70, 77], '
+        b'"non_family": [1]}\n',
+        b'{"p": 13, "q_tested": 40, "cg_passing": [12, 25.0, 36, 38, 50, 51, 64, 70, 77], '
+        b'"non_family": []}\n',
+        b'{"p": 13, "q_tested": 40, "cg_passing": [[12], 25, 36, 38, 50, 51, 64, 70, 77], '
+        b'"non_family": []}\n',
+        b'{"p": 13, "q_tested": 40, "cg_passing": [12, 25, 36, 38, 50, 51, 64, 70, 77, '
+        b'9223372036854775808], "non_family": []}\n',
     ],
 )
 def test_scan_resume_stops_at_a_non_record_line(tmp_path, tail):
@@ -337,6 +348,48 @@ def test_resume_refuses_a_file_the_scan_did_not_write(tmp_path, content):
     with pytest.raises(DomainError, match="cannot resume a scan"):
         conjecture_scan(3, 11, checkpoint=str(path))
     assert path.read_bytes() == content
+
+
+def _count_scans(monkeypatch):
+    """Patch the serial scan of one p to record each p it scans, and return the list."""
+    real, scanned = enumeration._scan_single_p, []
+
+    def counted(p):
+        scanned.append(p)
+        return real(p)
+
+    monkeypatch.setattr(enumeration, "_scan_single_p", counted)
+    return scanned
+
+
+def test_a_blank_line_ends_the_valid_prefix(monkeypatch, tmp_path):
+    fresh = tmp_path / "fresh.jsonl"
+    conjecture_scan(3, 11, checkpoint=str(fresh))
+    lines = fresh.read_bytes().splitlines(keepends=True)
+    # p = 3 and 5, a blank line, then p = 7, 9 and 11: the scan writes no blank
+    # line, so the records after it are not taken back but rescanned
+    path = tmp_path / "ck.jsonl"
+    path.write_bytes(b"".join(lines[:2]) + b"\n" + b"".join(lines[2:]))
+    scanned = _count_scans(monkeypatch)
+    conjecture_scan(3, 11, checkpoint=str(path))
+    assert scanned == [7, 9, 11]
+    assert path.read_bytes() == fresh.read_bytes()
+
+
+@pytest.mark.parametrize("kept", [0, 2])
+def test_a_checkpoint_that_cannot_be_rewritten_fails_before_any_p(monkeypatch, tmp_path, kept):
+    fresh = tmp_path / "fresh.jsonl"
+    conjecture_scan(3, 11, checkpoint=str(fresh))
+    path = tmp_path / "ck.jsonl"
+    prefix = b"".join(fresh.read_bytes().splitlines(keepends=True)[:kept])
+    if kept:
+        path.write_bytes(prefix)
+    (tmp_path / "ck.jsonl.tmp").mkdir()
+    scanned = _count_scans(monkeypatch)
+    with pytest.raises(DomainError, match="cannot write checkpoint"):
+        conjecture_scan(3, 11, checkpoint=str(path))
+    assert scanned == []
+    assert path.read_bytes() == prefix if kept else not path.exists()
 
 
 def test_scan_checkpoint_io_error(tmp_path):

@@ -416,3 +416,13 @@ def test_member_lookup_builds_no_index():
     assert canonical_class(parse_fraction(f"{377 * 377}/87840")).crossing == 26
     assert mem.member and mem.families
     assert build_family_index.cache_info().currsize == 0
+
+
+def test_family_index_is_read_only():
+    index = build_family_index(8)
+    cls = next(iter(index))
+    with pytest.raises(TypeError):
+        index[cls] = frozenset({0})
+    with pytest.raises(TypeError):
+        del index[cls]
+    assert build_family_index(8) == _full_sweep_index(8)
