@@ -29,10 +29,11 @@ oracle classifies hypotenuse and apex points (weights 1/2 and 1/4);
 the tests pin those weights by Pick's theorem on relaxed inputs, p | qr,
 where the triangle is a lattice triangle.
 
-The scan uses a batched route, :func:`cg_survivors`: it validates p and
-every q once, then works in numpy rounds over r, dropping the q that
-fail after each round.  The first round, r = 1, needs
-S(q) = sum_{x<p} floor(q x / p^2) for each q; S is a sum of sawtooth
+The batched route, :func:`cg_survivors`, validates p and every q once
+and hands them to its kernel, :func:`_window_survivors`, which the scan
+calls directly on the blocks of q it builds, valid by construction.  The
+kernel works in rounds over r, dropping the q that fail after each
+round.  The first round, r = 1, needs S(q) = sum_{x<p} floor(q x / p^2) for each q; S is a sum of sawtooth
 steps, term x stepping up at q = ceil(k p^2 / x), so one sweep over a
 window of consecutive q counts the steps between its ends and yields S
 at every q of the window at once (:func:`_first_round_sums`); the q of
@@ -62,6 +63,22 @@ tail, on Python ints.  :func:`weighted_count`, :func:`sigma` and
 so they are the independent reference for the block pass, and the scan
 re-derives its least survivor with :func:`sigma`.
 
+The floor sums of the rounds and of the first round's sparse windows run
+as lanes, one floor_sum(n, m, a, 0) each, by one of two routes that give
+the same int64 result.  The C route is a loop of :func:`floor_sum`'s
+steps per lane, called through ctypes (:func:`_floor_sums`).  On the
+first kernel call of a process the library is built with the system
+``cc -O2 -fwrapv -shared -fPIC`` into the package's own ``__pycache__``,
+named by a hash of its source, flags and platform, and loaded from there
+by later processes.  A scan loads it before its workers fork, so they
+inherit it.  Wherever it cannot be built or loaded (no compiler, a cache
+directory that cannot be written or that others can write, a failed
+compile or ``dlopen``) the numpy route, :func:`_floor_sum_batch`, runs
+in its place, silently; it stays the reference the tests hold the C
+lanes to.  The C loop takes numpy's steps in numpy's order on int64
+with the same wrap rule (``-fwrapv``), so each of its intermediates is
+one of numpy's and the bound above holds for both routes unchanged.
+
 The rounds and the tail stop at r = (p-1)/2 because
 sigma(p, q, r) = sigma(p, q, p-r).  With N = p^2 and the sawtooth
 ((t)) = t - floor(t) - 1/2, the count above gives
@@ -80,6 +97,10 @@ every q at p <= 50, even p included, against the count at every r.
 
 from __future__ import annotations
 
+import os
+import stat
+import sys
+from contextlib import suppress
 from dataclasses import dataclass
 from itertools import accumulate
 from math import gcd
@@ -327,10 +348,12 @@ _BATCH = 1 << 18
 # _TAIL_SWITCH >= 4 the rounds stay below r = p / 2.  Per q alive, the tail
 # costs about p elements and a round about w times the floor-sum step count,
 # while each round still drops q the tail would pay for.  Kernel time over
-# the scan blocks of one p by the constant 16 / 32 / 64, medians on a shared
-# 2-vCPU host with the recurrence tail: at p = 151 3.3 / 2.7 / 3.0 ms, at
-# 2001 0.231 / 0.220 / 0.224 s and at 4001 1.35 / 1.24 / 1.16 s; the switch
-# falls at r = 9, 65 and 129.
+# the scan blocks of one p by the constant 16 / 32 / 64 / 128, with the C
+# lanes, the mean of two in-process runs' medians on a shared 2-vCPU host:
+# at p = 151 2.0 / 2.0 / 2.6 / 4.0 ms, at 2001 0.161 / 0.152 / 0.157 /
+# 0.180 s, at 4001 0.89 / 0.86 / 0.86 / 0.91 s and at 6001 1.94 / 1.77 /
+# 1.75 / 1.69 s, where the two runs disagree on the order of 32, 64 and
+# 128.  With 32 the switch falls at r = 9, 65, 129 and 257.
 _TAIL_SWITCH = 32
 
 
@@ -365,6 +388,113 @@ def _floor_sum_batch(n: np.ndarray, m: int, a: np.ndarray) -> np.ndarray:
     return out
 
 
+# The C lanes: floor_sum(n[k], m, a[k], 0) per lane by the steps of
+# _floor_sum_batch, in the same order, so every intermediate is one numpy
+# computes; -fwrapv gives signed int64 numpy's wrap rule.
+_LANES_SOURCE = r"""
+#include <stdint.h>
+
+void floor_sum_lanes(int64_t count, const int64_t *n_in, int64_t m_in,
+                     const int64_t *a_in, int64_t *out)
+{
+    for (int64_t i = 0; i < count; i++) {
+        int64_t n = n_in[i], m = m_in, a = a_in[i], b = 0, acc = 0, y, k;
+        while ((y = a * n + b) >= m) {
+            n = y / m;
+            b = y % m;
+            k = a; /* a, m = m, a */
+            a = m;
+            m = k;
+            k = a / m;
+            a %= m;
+            acc += (n - 1) * n / 2 * k;
+            k = b / m;
+            b %= m;
+            acc += n * k;
+        }
+        out[i] = acc;
+    }
+}
+"""
+_LANES_FLAGS = ("-O2", "-fwrapv", "-shared", "-fPIC")
+# The loaded C function, False once loading has failed in this process; None before the first try.
+_lanes = None
+
+
+def _trusted(st: os.stat_result) -> bool:
+    """Owned by this user or root, and not writable by others."""
+    return st.st_uid in (0, os.getuid()) and not st.st_mode & stat.S_IWOTH
+
+
+def _load_lanes():
+    """The C lanes as a ctypes function, built into the package's ``__pycache__``
+    on first use; None if anything fails on the way.
+
+    The library is named by a hash of the source, the flags and the
+    platform, and written through a temp file and ``os.replace``, so
+    processes that build at once all succeed.  The compiler's output is
+    captured and dropped.
+    """
+    import ctypes
+    import platform
+    import subprocess
+    import tempfile
+    import zlib  # not hashlib, whose OpenSSL adds 3.5 MB to every scan process
+
+    cache = os.path.join(os.path.dirname(os.path.abspath(__file__)), "__pycache__")
+    key = "\0".join((_LANES_SOURCE, *_LANES_FLAGS, sys.platform, platform.machine()))
+    path = os.path.join(cache, f"_lanes-{zlib.crc32(key.encode()):08x}.so")
+    try:
+        os.makedirs(cache, exist_ok=True)
+        if not _trusted(os.stat(cache)):
+            return None
+        if not os.path.exists(path):
+            fd, tmp = tempfile.mkstemp(suffix=".tmp", dir=cache)
+            os.close(fd)
+            try:
+                # TMPDIR: the compiler's own temporary files go to the cache too
+                subprocess.run(
+                    ["cc", *_LANES_FLAGS, "-x", "c", "-", "-o", tmp],
+                    input=_LANES_SOURCE.encode(), capture_output=True, check=True, timeout=60,
+                    env=dict(os.environ, TMPDIR=cache),
+                )
+                os.chmod(tmp, 0o755)  # whatever the umask, not writable by others
+                os.replace(tmp, path)
+            finally:
+                with suppress(FileNotFoundError):
+                    os.unlink(tmp)
+        if not _trusted(os.stat(path)):
+            return None
+        fn = ctypes.CDLL(path).floor_sum_lanes
+    except (OSError, AttributeError, subprocess.SubprocessError):
+        return None
+    fn.argtypes = (ctypes.c_int64, ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p)
+    fn.restype = None
+    return fn
+
+
+def _compiled_lanes():
+    """The C lanes of this process, loaded on the first call; None where they do not load."""
+    global _lanes
+    if _lanes is None:
+        _lanes = _load_lanes() or False
+    return _lanes or None
+
+
+def _floor_sums(n: np.ndarray, m: int, a: np.ndarray) -> np.ndarray:
+    """:func:`_floor_sum_batch` of int64 arrays, by the C lanes where they load."""
+    lanes = _compiled_lanes()
+    if lanes is None:
+        return _floor_sum_batch(n, m, a)
+    n = np.ascontiguousarray(n, dtype=np.int64)
+    a = np.ascontiguousarray(a, dtype=np.int64)
+    if n.shape != a.shape:  # the C loop reads n.size lanes of each
+        raise ValueError(f"need n and a of one shape, got {n.shape} and {a.shape}")
+    out = np.empty_like(n)
+    lanes(n.size, n.ctypes.data, m, a.ctypes.data, out.ctypes.data)
+    return out
+
+
 def _sigma_grid(p: int, q: np.ndarray, rs: np.ndarray) -> np.ndarray:
     """sigma(p, q[i], rs[j]) at [i, j], by the count of :func:`_floorsum_quarters`.
 
@@ -372,7 +502,7 @@ def _sigma_grid(p: int, q: np.ndarray, rs: np.ndarray) -> np.ndarray:
     hypotenuse point (module docstring).
     """
     qr = q[:, None] * rs[None, :]
-    s = _floor_sum_batch(np.tile(p * rs, len(q)), p * p, np.repeat(q, len(rs)))
+    s = _floor_sums(np.tile(p * rs, len(q)), p * p, np.repeat(q, len(rs)))
     return 2 * qr * rs - _quarters(p, q[:, None], rs, s.reshape(qr.shape))
 
 
@@ -444,7 +574,7 @@ def _sigma_first_round(p: int, q: np.ndarray) -> np.ndarray:
 
     The sorted q are cut into windows of span below _BATCH.  A dense window
     gets S from :func:`_first_round_sums`, at cost O(p + span); the q of the
-    sparse ones go to :func:`_floor_sum_batch`, at O(log p) each.  No
+    sparse ones go to the floor-sum lanes, :func:`_floor_sums`, at O(log p) each.  No
     precondition checks: q prime to p, so there is no hypotenuse point.
     """
     order = np.argsort(q, kind="stable")
@@ -465,7 +595,7 @@ def _sigma_first_round(p: int, q: np.ndarray) -> np.ndarray:
         at = np.concatenate(sparse)
         for k in range(0, len(at), _BATCH):
             idx = at[k : k + _BATCH]
-            s[idx] = _floor_sum_batch(np.full(len(idx), p, dtype=np.int64), p * p, q[idx])
+            s[idx] = _floor_sums(np.full(len(idx), p, dtype=np.int64), p * p, q[idx])
     return 2 * q - _quarters(p, q, 1, s)
 
 
@@ -540,6 +670,21 @@ def _keep_passing(q: np.ndarray, rows: int, sigmas) -> np.ndarray:
     return np.concatenate([part[(np.abs(sigmas(part)) == 1).all(axis=1)] for part in parts])
 
 
+def _window_survivors(p: int, q: np.ndarray) -> np.ndarray:
+    """The q whose knot p^2/q passes, in input order, for an int64 array q that
+    :func:`_knot_array` would accept as it is: the kernel of :func:`cg_survivors`,
+    with no checks, which the scan calls on the blocks it builds."""
+    q = q[np.abs(_sigma_first_round(p, q)) == 1]
+    r0, width = 2, 1
+    while len(q) and width * _TAIL_SWITCH < p:
+        rs = np.arange(r0, r0 + width, dtype=np.int64)
+        q = _keep_passing(q, _BATCH // width, lambda part: _sigma_grid(p, part, rs))
+        r0, width = r0 + width, 2 * width
+    if len(q):
+        q = _keep_passing(q, _BATCH // (p + 1), lambda part: _sigma_tail(p, part, r0))
+    return q
+
+
 def cg_survivors(p: int, qs) -> np.ndarray:
     """The q of ``qs`` whose knot p^2/q passes :func:`cg_condition`, in input order.
 
@@ -552,13 +697,4 @@ def cg_survivors(p: int, qs) -> np.ndarray:
     INT64_MAX_P and q that are not of an integer dtype raise
     :class:`DomainError`.
     """
-    q = _knot_array(p, qs)
-    q = q[np.abs(_sigma_first_round(p, q)) == 1]
-    r0, width = 2, 1
-    while len(q) and width * _TAIL_SWITCH < p:
-        rs = np.arange(r0, r0 + width, dtype=np.int64)
-        q = _keep_passing(q, _BATCH // width, lambda part: _sigma_grid(p, part, rs))
-        r0, width = r0 + width, 2 * width
-    if len(q):
-        q = _keep_passing(q, _BATCH // (p + 1), lambda part: _sigma_tail(p, part, r0))
-    return q
+    return _window_survivors(p, _knot_array(p, qs))

@@ -21,13 +21,15 @@ invariant), in ascending blocks of consecutive q, each one first-round
 window of the kernel (span below ``casson_gordon._BATCH``), so a worker's
 memory does not grow with p^2: the least orbit members of a block are
 picked in numpy, each inverse mod p^2 lifted once (Hensel)
-from a table of inverses mod p, and checked together in int64 by
-:func:`casson_gordon.cg_survivors`, so p is at most
-:data:`casson_gordon.INT64_MAX_P`.  At every p the number of q tested
-must be the number of orbits, in closed form by :func:`_orbit_count`,
-every family member must survive (the families are ribbon) and the least
-survivor is re-derived at every r < p/2 by the Python-int floor-sum
-:func:`casson_gordon.sigma`, which shares nothing with the kernel's tail;
+from a table of inverses mod p, and checked together in int64 by the
+kernel of :func:`casson_gordon.cg_survivors` without its validation, as
+the blocks are valid by construction; so p is at most
+:data:`casson_gordon.INT64_MAX_P`, which :func:`conjecture_scan`
+checks.  At every p the number of q tested must be the number of orbits,
+in closed form by :func:`_orbit_count`, every family member must survive
+(the families are ribbon) and the least survivor is re-derived at every
+r < p/2 by the Python-int floor-sum :func:`casson_gordon.sigma`, which
+shares nothing with the kernel's tail;
 its :func:`casson_gordon.cg_condition` report must give the same terms there.
 A disagreement raises :class:`InternalError`.
 
@@ -73,8 +75,8 @@ from . import casson_gordon
 from .casson_gordon import (
     INT64_MAX_P,
     _prime_factors,
+    _window_survivors,
     cg_condition,
-    cg_survivors,
     coprime_mask,
     sigma,
 )
@@ -359,7 +361,7 @@ def _scan_single_p(p: int) -> ScanRecord:
     passing: list[int] = []
     for qs in _tested_blocks(p):
         tested += len(qs)
-        passing += cg_survivors(p, qs).tolist()
+        passing += _window_survivors(p, qs).tolist()
     if tested != _orbit_count(p):
         raise InternalError(f"orbit selection at p={p} tested {tested} q, not {_orbit_count(p)}")
     fam = family_reps(p)
@@ -473,6 +475,7 @@ def _scan_in_workers(todo: Iterator[int], jobs: int, finish: Callable[[ScanRecor
     # on a 2-core machine) and a dead worker hung it; here the parent wakes once per record
     workers = {}  # the pipe end of each worker -> its process
     held = {}  # the pipe end of each busy worker -> the p it scans
+    casson_gordon._compiled_lanes()  # built and loaded once here, so forked workers inherit them
     try:
         for p in islice(todo, jobs):
             proc, conn = _start_worker()

@@ -1,5 +1,12 @@
+import json
+import os
+import shutil
+import signal
+import subprocess
+import sys
 from fractions import Fraction
 from math import gcd, isqrt
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -12,7 +19,9 @@ from twobridge.casson_gordon import (
     INT64_MAX_P,
     SigmaTerm,
     _column_quarters,
+    _compiled_lanes,
     _floor_sum_batch,
+    _floor_sums,
     _first_round_sums,
     _oracle_quarters,
     _prime_factors,
@@ -474,9 +483,12 @@ def test_rounds_hand_over_to_the_tail_at_every_round_boundary(monkeypatch):
 
 
 def floor_sum_lanes(n, m, a):
+    n, a = np.array(n, dtype=np.int64), np.array(a, dtype=np.int64)
     with np.errstate(all="raise"):  # no lane may divide by zero
-        got = _floor_sum_batch(np.array(n, dtype=np.int64), m, np.array(a, dtype=np.int64))
-    return got.tolist(), [floor_sum(nn, m, aa, 0) for nn, aa in zip(n, a)]
+        got = _floor_sum_batch(n, m, a)
+    # the C lanes, where they load, take the same steps (a lane dividing by zero would kill the run)
+    assert _floor_sums(n, m, a).tolist() == got.tolist()
+    return got.tolist(), [floor_sum(nn, m, aa, 0) for nn, aa in zip(n.tolist(), a.tolist())]
 
 
 def test_floor_sum_batch_on_lanes_that_finish_many_steps_apart():
@@ -527,6 +539,99 @@ def test_floor_sum_batch_next_to_the_int64_guard(p):
     n = [p * (p - 1), p * (p - 1) // 2, p, p * (p - 1)] + (p * rng.integers(1, p, 60)).tolist()
     got, expected = floor_sum_lanes(n, m, a)
     assert got == expected
+
+
+# ------------------------------------------------------------ compiled lanes
+
+PACKAGE = Path(casson_gordon.__file__).resolve().parent
+needs_cc = pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
+
+
+@needs_cc
+@pytest.mark.parametrize("p", [151, 2001, 46339])
+def test_compiled_lanes_equal_the_numpy_lanes(p):
+    assert _compiled_lanes() is not None
+    m = p * p
+    rng = np.random.default_rng(p)
+    # the rounds' lanes n = p r, a = q, with q = p^2 - 1 and r = (p-1)/2 at the
+    # extremes, then the first round's sparse lanes n = p
+    q = np.concatenate([[m - 1, m - 1, 1, m - 1], rng.integers(1, m, 20_000)])
+    r = np.concatenate([[(p - 1) // 2, 1, (p - 1) // 2, 2], rng.integers(1, (p + 1) // 2, 20_000)])
+    for n, a in [(p * r, q), (np.full_like(q, p), q), (p * r[:0], q[:0])]:
+        assert _floor_sums(n, m, a).tolist() == _floor_sum_batch(n, m, a).tolist()
+
+
+def package_copy(tmp_path):
+    """A copy of the package's sources with an empty cache, and the environment that imports it."""
+    shutil.copytree(PACKAGE, tmp_path / "twobridge", ignore=shutil.ignore_patterns("__pycache__"))
+    return tmp_path / "twobridge" / "__pycache__", dict(os.environ, PYTHONPATH=str(tmp_path))
+
+
+SCAN_DIGEST = """
+import hashlib
+from twobridge import casson_gordon, enumeration
+records = enumeration.conjecture_scan(3, 151, jobs=2)
+lines = "".join(r.to_json_line() + "\\n" for r in records)
+print(casson_gordon._lanes, hashlib.sha256(lines.encode()).hexdigest())
+"""
+
+
+@pytest.mark.parametrize("failure", ["no-compiler", "cache-is-a-file", "file-size-limit"])
+def test_a_failed_build_falls_back_to_numpy_silently(tmp_path, failure):
+    cache, env = package_copy(tmp_path)
+    limit_file_size = None
+    if failure == "no-compiler":
+        env["PATH"] = str(tmp_path / "empty")
+    elif failure == "cache-is-a-file":
+        cache.write_text("")
+    else:
+        resource = pytest.importorskip("resource")
+
+        def limit_file_size():  # far below the library's size: a write past it fails with EFBIG
+            signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+            resource.setrlimit(resource.RLIMIT_FSIZE, (2048, 2048))
+
+    # -B: no .pyc is written, so the cache holds only what the lanes' loader leaves
+    proc = subprocess.run(
+        [sys.executable, "-B", "-c", SCAN_DIGEST], env=env, capture_output=True, text=True,
+        timeout=300, preexec_fn=limit_file_size,
+    )
+    reference = Path(__file__).resolve().parent.parent / "perfbench" / "reference.json"
+    digest = json.loads(reference.read_text())["scan_sha256"]["3..151"]
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, f"False {digest}\n", "")
+    if cache.is_dir():
+        assert os.listdir(cache) == []  # no library and no temp file left
+
+
+@needs_cc
+def test_processes_building_into_an_empty_cache_at_once_all_load_the_library(tmp_path):
+    cache, env = package_copy(tmp_path)
+    code = (
+        "import sys\n"
+        "from twobridge import casson_gordon\n"
+        "print('ready', flush=True)\n"
+        "sys.stdin.readline()\n"
+        "print(casson_gordon._compiled_lanes() is not None)\n"
+    )
+    procs = [
+        subprocess.Popen([sys.executable, "-B", "-c", code], env=env, text=True,
+                         stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        for _ in range(3)
+    ]
+    try:
+        for proc in procs:  # every process has imported the package before any builds
+            assert proc.stdout.readline() == "ready\n"
+        for proc in procs:
+            proc.stdin.write("go\n")
+            proc.stdin.flush()
+        outs = [proc.communicate(timeout=120) for proc in procs]
+    finally:
+        for proc in procs:
+            proc.kill()
+            proc.wait()
+    assert outs == [("True\n", "")] * 3
+    built = os.listdir(cache)
+    assert len(built) == 1 and built[0].endswith(".so")
 
 
 def test_int64_guard_is_the_largest_p_with_p4_below_2_62():

@@ -538,13 +538,13 @@ def test_main_keeps_freed_memory_before_it_executes(monkeypatch):
 
 
 def test_internal_error_exits_2(capsys, monkeypatch):
-    real = enumeration.cg_survivors
+    real = enumeration._window_survivors
 
-    def cg_survivors(p, qs):  # loses the ribbon knot p^2/(p-1)
+    def window_survivors(p, qs):  # loses the ribbon knot p^2/(p-1)
         q = real(p, qs)
         return q[q != p - 1]
 
-    monkeypatch.setattr(enumeration, "cg_survivors", cg_survivors)
+    monkeypatch.setattr(enumeration, "_window_survivors", window_survivors)
     code, out, err = run(capsys, ["scan", "--min-p", "3", "--max-p", "5", "--jobs", "1"])
     assert code == 2 and out == ""
     assert err.splitlines()[-1].startswith("internal error: ")

@@ -466,8 +466,8 @@ def test_scan_matches_the_benchmark_reference_digest():
     ids=["drops-p-1", "drops-46", "rejects-all", "passes-all"],
 )
 def test_scan_raises_when_the_batched_kernel_disagrees(monkeypatch, wrong, match):
-    real = enumeration.cg_survivors
-    monkeypatch.setattr(enumeration, "cg_survivors", lambda p, qs: wrong(p, qs, real))
+    real = enumeration._window_survivors
+    monkeypatch.setattr(enumeration, "_window_survivors", lambda p, qs: wrong(p, qs, real))
     with pytest.raises(InternalError, match=match):
         _scan_single_p(11)
 
