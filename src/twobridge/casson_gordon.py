@@ -32,27 +32,56 @@ where the triangle is a lattice triangle.
 The batched route, :func:`cg_survivors`, validates p and every q once
 and hands them to its kernel, :func:`_window_survivors`, which the scan
 calls directly on the blocks of q it builds, valid by construction.  The
-kernel works in rounds over r, dropping the q that fail after each
-round.  The first round, r = 1, needs S(q) = sum_{x<p} floor(q x / p^2) for each q; S is a sum of sawtooth
+kernel first drops the q that fail at r = 1.  That needs
+S(q) = sum_{x<p} floor(q x / p^2) for each q; S is a sum of sawtooth
 steps, term x stepping up at q = ceil(k p^2 / x), so one sweep over a
 window of consecutive q counts the steps between its ends and yields S
 at every q of the window at once (:func:`_first_round_sums`); the q of
 a window too sparse to repay its O(p + span) sweep take the floor-sum
-recursion instead.  The rounds from r = 2 on, over r = 2, 3..4, 5..8,
-..., run the floor-sum recursion elementwise over the q still alive, at
-some log p steps per q and r.  Their width doubles until it reaches
-p / _TAIL_SWITCH; there the tail (:func:`_sigma_tail`) takes the q still
-alive through every remaining r at once, at O(p) per q: S_r splits into
-blocks of p terms, one histogram of the q j mod p^2, j < p, gives every
-block's sum, and sigma steps from r - 1 to r by a difference of those
-sums.  Each window spans fewer than 2^18 q, and each recursion call and
-each chunk of the tail holds about 2^18 elements.  Every intermediate of
-the recursion and of the rounds' sigma formula 2 q r^2 - quarters stays
-below 2 p^4, and the sweep's below p^3.  The tail has no such formula:
-its products q j stay below p^3, every sigma it carries below p^2 in
-absolute value, and its largest intermediate, q p (p-1) / 2 in its
-T(0), below p^4 / 2.  So int64 is exact while p^4 < 2^62, that is
-p <= INT64_MAX_P = 46340, and
+recursion instead.  From r = 2 on, the kernel takes one of two routes
+with the same survivors: the C route where the package's C library
+loads, and the numpy route in its place (see below for the library).
+
+The C route, :func:`_first_failures`, takes the q that pass r = 1 one at
+a time and stops at the first r where |sigma| != 1.  It carries sigma
+from the first round's sigma_1 by the tail's recurrence
+sigma_r = sigma_{r-1} + D(b), b = q (r-1) mod p (:func:`_sigma_tail`),
+and gets each T(b) = floor_sum(p, p^2, q, b p) from one Euclid run, at
+some log p steps.  A q still alive past r = p // _TAIL_SWITCH builds the
+tail's histogram and T(0) = floor_sum(p, p^2, q, 0) once, in O(p), and
+reads every later T(b) as T(0) + counts[b].  Every intermediate of this
+route stays below p^3 + p^2.  A Euclid run of floor_sum(n, m, a, b) with
+0 <= a, b < m carries y = a n + b and never raises it: a step takes
+n' = floor(y / m) and b' = y mod m and swaps the divisor to a, so the
+next y before its reductions is m n' + b' = y, and the reductions
+a -> m mod a and b' -> b' mod a only lower it.  Here y starts at
+q p + b p <= (p^2 - 1) p + (p - 1) p < p^3 + p^2, so every y, every
+product a n and every quotient and remainder are below p^3 + p^2.  As
+y < m (n + 1), n never grows either, so (n - 1) n < p^2, and each
+addend of the sum is at most the sum, T(b) <= sum_{j<p} j < p^2 / 2,
+as q j + b p < (j + 1) p^2.  The histogram's residues stay below 2 p^2
+and its counts below p.  Each term of D(b) = 2 q + 4 b - 4 T(b) - 2 p -
+2 floor((b + q) / p) is below 2 p^2 in absolute value, together below
+4 p^2 + 8 p <= p^3 + p^2 at p >= 5 (at p = 3 there is no r >= 2), and
+the sigma it is added to is +-1, as the loop stops at the first other
+value.  So the C route is exact while p^3 + p^2 < 2^63, far above
+INT64_MAX_P, which the numpy route below sets.
+
+The numpy route works in rounds over r = 2, 3..4, 5..8, ..., dropping
+the q that fail after each round; a round runs the floor-sum recursion
+elementwise over the q still alive, at some log p steps per q and r.
+The width doubles until it reaches p / _TAIL_SWITCH; there the tail
+(:func:`_sigma_tail`) takes the q still alive through every remaining r
+at once, at O(p) per q: S_r splits into blocks of p terms, one histogram
+of the q j mod p^2, j < p, gives every block's sum, and sigma steps from
+r - 1 to r by a difference of those sums.  Each window spans fewer than
+2^18 q, and each recursion call and each chunk of the tail holds about
+2^18 elements.  Every intermediate of the recursion and of the rounds'
+sigma formula 2 q r^2 - quarters stays below 2 p^4, and the sweep's
+below p^3.  The tail has no such formula: its products q j stay below
+p^3, every sigma it carries below p^2 in absolute value, and its largest
+intermediate, q p (p-1) / 2 in its T(0), below p^4 / 2.  So int64 is
+exact while p^4 < 2^62, that is p <= INT64_MAX_P = 46340, and
 :func:`cg_survivors` refuses larger p (the scan could not reach them: at
 p = 46,341 one q per orbit is still about 10^9 q).  :func:`cg_condition`
 and :func:`sigma` run on Python ints and stay exact for any p.  The report
@@ -63,21 +92,22 @@ tail, on Python ints.  :func:`weighted_count`, :func:`sigma` and
 so they are the independent reference for the block pass, and the scan
 re-derives its least survivor with :func:`sigma`.
 
-The floor sums of the rounds and of the first round's sparse windows run
-as lanes, one floor_sum(n, m, a, 0) each, by one of two routes that give
-the same int64 result.  The C route is a loop of :func:`floor_sum`'s
-steps per lane, called through ctypes (:func:`_floor_sums`).  On the
-first kernel call of a process the library is built with the system
+The C library holds the C route and the floor-sum lanes, one
+floor_sum(n, m, a, 0) each, that the first round's sparse windows run
+(:func:`_floor_sums`).  The lanes are a loop of :func:`floor_sum`'s
+steps; both are called through ctypes.  On the first kernel call of a
+process the library is built with the system
 ``cc -O2 -fwrapv -shared -fPIC`` into the package's own ``__pycache__``,
 named by a hash of its source, flags and platform, and loaded from there
 by later processes.  A scan loads it before its workers fork, so they
-inherit it.  Wherever it cannot be built or loaded (no compiler, a cache
-directory that cannot be written or that others can write, a failed
-compile or ``dlopen``) the numpy route, :func:`_floor_sum_batch`, runs
-in its place, silently; it stays the reference the tests hold the C
-lanes to.  The C loop takes numpy's steps in numpy's order on int64
-with the same wrap rule (``-fwrapv``), so each of its intermediates is
-one of numpy's and the bound above holds for both routes unchanged.
+inherit it.  Wherever it cannot be built or loaded (no compiler, a
+cache directory that cannot be written or that others can write, a
+failed compile or ``dlopen``) the numpy lanes, :func:`_floor_sum_batch`,
+and the numpy route run in its place, silently; they stay the reference
+the tests hold the C code to.  The C lanes take numpy's steps in
+numpy's order on int64 with the same wrap rule (``-fwrapv``), so each of
+their intermediates is one of numpy's and the bounds above hold for
+both.
 
 The rounds and the tail stop at r = (p-1)/2 because
 sigma(p, q, r) = sigma(p, q, p-r).  With N = p^2 and the sawtooth
@@ -296,8 +326,12 @@ def _sigma_terms(p: int, q: int) -> tuple[SigmaTerm, ...]:
     p (r-1) <= x < p r gives S_r = S_{r-1} + p a + T(0) + counts[b], where
     (a, b) = divmod(q (r-1), p).
     That proof uses neither gcd(q, p) = 1 nor odd p, and on Python ints it
-    holds at any p, even p included.
+    holds at any p, even p included.  The histogram and the terms are lists
+    of about p items, which CPython caps below sys.maxsize // 8 items (8-byte
+    pointers), so larger p raise :class:`DomainError`.
     """
+    if p >= sys.maxsize // 8:
+        raise DomainError(f"need p < {sys.maxsize // 8} for the terms at every r, got p={p}")
     p2 = p * p
     counts = [0] * (p + 1)
     e = total = 0
@@ -343,17 +377,20 @@ INT64_MAX_P = 46340
 # first-round window's span, which enumeration's scan blocks are cut at:
 # bounds the memory of one round.
 _BATCH = 1 << 18
-# The rounds over r >= 2 hand over to the tail at the first round whose width
-# w has w * _TAIL_SWITCH >= p.  A round of width w ends at r = 2 w, so with
-# _TAIL_SWITCH >= 4 the rounds stay below r = p / 2.  Per q alive, the tail
-# costs about p elements and a round about w times the floor-sum step count,
-# while each round still drops q the tail would pay for.  Kernel time over
-# the scan blocks of one p by the constant 16 / 32 / 64 / 128, with the C
-# lanes, the mean of two in-process runs' medians on a shared 2-vCPU host:
-# at p = 151 2.0 / 2.0 / 2.6 / 4.0 ms, at 2001 0.161 / 0.152 / 0.157 /
-# 0.180 s, at 4001 0.89 / 0.86 / 0.86 / 0.91 s and at 6001 1.94 / 1.77 /
-# 1.75 / 1.69 s, where the two runs disagree on the order of 32, 64 and
-# 128.  With 32 the switch falls at r = 9, 65, 129 and 257.
+# Where the kernel trades a floor sum per r for the O(p) histogram of the
+# tail.  On the C route a q still alive past r = p // _TAIL_SWITCH builds the
+# histogram.  On the numpy route the rounds over r >= 2 hand over to the tail
+# at the first round whose width w has w * _TAIL_SWITCH >= p; a round of
+# width w ends at r = 2 w, so with _TAIL_SWITCH >= 4 the rounds stay below
+# r = p / 2.  Per q alive, the histogram costs about p steps and a floor sum
+# about log p, while each r before it still drops q the histogram would pay
+# for.  Kernel time over the scan blocks of one p by the constant 16 / 32 /
+# 64 / 128, on the C route, the mean of two in-process runs' medians on a
+# shared 2-vCPU host: at p = 151 0.85 / 0.95 / 1.15 / 1.55 ms, at 2001
+# 0.091 / 0.091 / 0.089 / 0.094 s, at 4001 0.59 / 0.56 / 0.52 / 0.55 s and
+# at 6001 1.22 / 1.17 / 1.11 / 1.09 s, where the two runs disagree on the
+# order of 32, 64 and 128 above p = 151.  With 32 the C route hands over
+# past r = 4, 62, 125 and 187.
 _TAIL_SWITCH = 32
 
 
@@ -388,36 +425,82 @@ def _floor_sum_batch(n: np.ndarray, m: int, a: np.ndarray) -> np.ndarray:
     return out
 
 
-# The C lanes: floor_sum(n[k], m, a[k], 0) per lane by the steps of
-# _floor_sum_batch, in the same order, so every intermediate is one numpy
-# computes; -fwrapv gives signed int64 numpy's wrap rule.
+# The C library.  floor_sum_lanes: floor_sum(n[k], m, a[k], 0) per lane by the
+# steps of _floor_sum_batch, in the same order, so every intermediate is one
+# numpy computes; -fwrapv gives signed int64 numpy's wrap rule.  first_failures:
+# the window kernel after r = 1 (module docstring), on the same Euclid loop.
 _LANES_SOURCE = r"""
 #include <stdint.h>
 
-void floor_sum_lanes(int64_t count, const int64_t *n_in, int64_t m_in,
+/* floor_sum(n, m, a, b) for 0 <= a < m and 0 <= b < m */
+static int64_t euclid(int64_t n, int64_t m, int64_t a, int64_t b)
+{
+    int64_t acc = 0, y, k;
+    while ((y = a * n + b) >= m) {
+        n = y / m;
+        b = y % m;
+        k = a; /* a, m = m, a */
+        a = m;
+        m = k;
+        k = a / m;
+        a %= m;
+        acc += (n - 1) * n / 2 * k;
+        k = b / m;
+        b %= m;
+        acc += n * k;
+    }
+    return acc;
+}
+
+void floor_sum_lanes(int64_t count, const int64_t *n_in, int64_t m,
                      const int64_t *a_in, int64_t *out)
 {
+    for (int64_t i = 0; i < count; i++)
+        out[i] = euclid(n_in[i], m, a_in[i], 0);
+}
+
+/* out[i] = the least r in 2..(p-1)/2 with |sigma(p, q[i], r)| != 1, or 0,
+   given sigma1[i] = sigma(p, q[i], 1); counts holds p + 1 elements */
+void first_failures(int64_t count, int64_t p, int64_t hand_over, const int64_t *q_in,
+                    const int64_t *sigma1, int64_t *counts, int64_t *out)
+{
+    const int64_t p2 = p * p, half = (p - 1) / 2;
     for (int64_t i = 0; i < count; i++) {
-        int64_t n = n_in[i], m = m_in, a = a_in[i], b = 0, acc = 0, y, k;
-        while ((y = a * n + b) >= m) {
-            n = y / m;
-            b = y % m;
-            k = a; /* a, m = m, a */
-            a = m;
-            m = k;
-            k = a / m;
-            a %= m;
-            acc += (n - 1) * n / 2 * k;
-            k = b / m;
-            b %= m;
-            acc += n * k;
+        const int64_t q = q_in[i], q0 = q % p, q1 = q / p;
+        int64_t sigma = sigma1[i], b = 0, t0 = -1, t, r;
+        for (r = 2; r <= half; r++) {
+            b += q0; /* q (r-1) mod p */
+            if (b >= p)
+                b -= p;
+            if (r <= hand_over) {
+                t = euclid(p, p2, q, b * p);
+            } else {
+                if (t0 < 0) { /* counts[b] = #{0 < j < p : (q j mod p^2) / p >= p - b} */
+                    int64_t e = 0;
+                    for (int64_t j = 0; j <= p; j++)
+                        counts[j] = 0;
+                    for (int64_t j = 1; j < p; j++) {
+                        e += q;
+                        if (e >= p2)
+                            e -= p2;
+                        counts[p - e / p]++;
+                    }
+                    for (int64_t j = 1; j <= p; j++)
+                        counts[j] += counts[j - 1];
+                    t0 = euclid(p, p2, q, 0);
+                }
+                t = t0 + counts[b];
+            }
+            sigma += 2 * q + 4 * b - 4 * t - 2 * p - 2 * (q1 + (b + q0 >= p));
+            if (sigma != 1 && sigma != -1)
+                break;
         }
-        out[i] = acc;
+        out[i] = r <= half ? r : 0;
     }
 }
 """
 _LANES_FLAGS = ("-O2", "-fwrapv", "-shared", "-fPIC")
-# The loaded C function, False once loading has failed in this process; None before the first try.
+# The loaded C library, False once loading has failed in this process; None before the first try.
 _lanes = None
 
 
@@ -427,8 +510,8 @@ def _trusted(st: os.stat_result) -> bool:
 
 
 def _load_lanes():
-    """The C lanes as a ctypes function, built into the package's ``__pycache__``
-    on first use; None if anything fails on the way.
+    """The C library, its two functions typed, built into the package's
+    ``__pycache__`` on first use; None if anything fails on the way.
 
     The library is named by a hash of the source, the flags and the
     platform, and written through a temp file and ``os.replace``, so
@@ -465,16 +548,19 @@ def _load_lanes():
                     os.unlink(tmp)
         if not _trusted(os.stat(path)):
             return None
-        fn = ctypes.CDLL(path).floor_sum_lanes
+        lib = ctypes.CDLL(path)
+        lanes, kernel = lib.floor_sum_lanes, lib.first_failures
     except (OSError, AttributeError, subprocess.SubprocessError):
         return None
-    fn.argtypes = (ctypes.c_int64, ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p)
-    fn.restype = None
-    return fn
+    i64, ptr = ctypes.c_int64, ctypes.c_void_p
+    lanes.argtypes = (i64, ptr, i64, ptr, ptr)
+    kernel.argtypes = (i64, i64, i64, ptr, ptr, ptr, ptr)
+    lanes.restype = kernel.restype = None
+    return lib
 
 
 def _compiled_lanes():
-    """The C lanes of this process, loaded on the first call; None where they do not load."""
+    """The C library of this process, loaded on the first call; None where it does not load."""
     global _lanes
     if _lanes is None:
         _lanes = _load_lanes() or False
@@ -483,15 +569,30 @@ def _compiled_lanes():
 
 def _floor_sums(n: np.ndarray, m: int, a: np.ndarray) -> np.ndarray:
     """:func:`_floor_sum_batch` of int64 arrays, by the C lanes where they load."""
-    lanes = _compiled_lanes()
-    if lanes is None:
+    lib = _compiled_lanes()
+    if lib is None:
         return _floor_sum_batch(n, m, a)
     n = np.ascontiguousarray(n, dtype=np.int64)
     a = np.ascontiguousarray(a, dtype=np.int64)
     if n.shape != a.shape:  # the C loop reads n.size lanes of each
         raise ValueError(f"need n and a of one shape, got {n.shape} and {a.shape}")
     out = np.empty_like(n)
-    lanes(n.size, n.ctypes.data, m, a.ctypes.data, out.ctypes.data)
+    lib.floor_sum_lanes(n.size, n.ctypes.data, m, a.ctypes.data, out.ctypes.data)
+    return out
+
+
+def _first_failures(lib, p: int, q: np.ndarray, sigma1: np.ndarray) -> np.ndarray:
+    """The least r in 2..(p-1)/2 with |sigma(p, q[i], r)| != 1 at [i], or 0 where
+    there is none, given sigma1[i] = sigma(p, q[i], 1) = +-1: the C route of
+    :func:`_window_survivors` after r = 1, by ``lib``'s ``first_failures``."""
+    q = np.ascontiguousarray(q, dtype=np.int64)
+    sigma1 = np.ascontiguousarray(sigma1, dtype=np.int64)
+    if q.shape != sigma1.shape:  # the C loop reads q.size of each
+        raise ValueError(f"need q and sigma1 of one shape, got {q.shape} and {sigma1.shape}")
+    out = np.empty_like(q)
+    counts = np.empty(p + 1, dtype=np.int64)
+    lib.first_failures(q.size, p, p // _TAIL_SWITCH, q.ctypes.data, sigma1.ctypes.data,
+                       counts.ctypes.data, out.ctypes.data)
     return out
 
 
@@ -674,7 +775,12 @@ def _window_survivors(p: int, q: np.ndarray) -> np.ndarray:
     """The q whose knot p^2/q passes, in input order, for an int64 array q that
     :func:`_knot_array` would accept as it is: the kernel of :func:`cg_survivors`,
     with no checks, which the scan calls on the blocks it builds."""
-    q = q[np.abs(_sigma_first_round(p, q)) == 1]
+    sigma1 = _sigma_first_round(p, q)
+    alive = np.abs(sigma1) == 1
+    q = q[alive]
+    lib = _compiled_lanes()
+    if lib is not None:
+        return q[_first_failures(lib, p, q, sigma1[alive]) == 0]
     r0, width = 2, 1
     while len(q) and width * _TAIL_SWITCH < p:
         rs = np.arange(r0, r0 + width, dtype=np.int64)
@@ -688,11 +794,13 @@ def _window_survivors(p: int, q: np.ndarray) -> np.ndarray:
 def cg_survivors(p: int, qs) -> np.ndarray:
     """The q of ``qs`` whose knot p^2/q passes :func:`cg_condition`, in input order.
 
-    Equal to ``[q for q in qs if cg_condition(p, q).passes]``, computed in
-    numpy: r = 1 by one sawtooth sweep per window of q, then floor-sum
-    rounds over r = 2, 3..4, 5..8, ... while a round's width w is below
+    Equal to ``[q for q in qs if cg_condition(p, q).passes]``: r = 1 by one
+    sawtooth sweep per window of q, then, where the C library loads, each q
+    by a floor sum per r up to its first failing r, with the tail's
+    histogram past r = p // _TAIL_SWITCH; elsewhere numpy floor-sum rounds
+    over r = 2, 3..4, 5..8, ... while a round's width w is below
     p / _TAIL_SWITCH, and from there the tail, every r up to (p-1)/2 in
-    one O(p) pass per q (see the module docstring for the batching, the
+    one O(p) pass per q (see the module docstring for the two routes, the
     int64 guard and the symmetry that ends at (p-1)/2).  p above
     INT64_MAX_P and q that are not of an integer dtype raise
     :class:`DomainError`.

@@ -22,6 +22,7 @@ from twobridge.casson_gordon import (
     _compiled_lanes,
     _floor_sum_batch,
     _floor_sums,
+    _first_failures,
     _first_round_sums,
     _oracle_quarters,
     _prime_factors,
@@ -37,6 +38,7 @@ from twobridge.casson_gordon import (
     weighted_count,
     weighted_count_oracle,
 )
+from twobridge.enumeration import _tested_blocks
 from twobridge.errors import DomainError
 
 
@@ -437,7 +439,9 @@ def test_tail_rows_meet_the_dedekind_checksum_up_to_the_int64_guard(p):
 
 
 def spy_tail(monkeypatch):
-    """Record the r0 and the length of the q of every tail call."""
+    """Run the numpy rounds and tail, the C library patched away, and record
+    the r0 and the length of the q of every tail call."""
+    monkeypatch.setattr(casson_gordon, "_compiled_lanes", lambda: None)
     real = casson_gordon._sigma_tail
     calls = []
 
@@ -480,6 +484,73 @@ def test_rounds_hand_over_to_the_tail_at_every_round_boundary(monkeypatch):
             assert cg_survivors(p, qs).tolist() == expected, (p, constant)
             width = next(w for w in (1 << k for k in range(p.bit_length())) if w * constant >= p)
             assert {r0 for r0, _ in calls} == {width + 1}, (p, constant)
+
+
+needs_cc = pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
+
+
+def first_failure(p, q):
+    """The Python-int reference for the C window kernel: cg_condition's first failing r, or 0."""
+    return cg_condition(p, q).first_failure or 0
+
+
+def passing_r1(p, qs):
+    """The q of ``qs`` that pass r = 1, with their sigma there."""
+    qs = np.array(qs, dtype=np.int64)
+    sigma1 = _sigma_first_round(p, qs)
+    alive = np.abs(sigma1) == 1
+    return qs[alive], sigma1[alive]
+
+
+@needs_cc
+def test_compiled_kernel_rejects_at_the_first_failing_r_of_the_python_int_report():
+    # every q the scan tests at odd p <= 151 that passes r = 1
+    lib = _compiled_lanes()
+    assert lib is not None
+    for p in range(3, 152, 2):
+        q, sigma1 = passing_r1(p, np.concatenate(list(_tested_blocks(p))))
+        got = _first_failures(lib, p, q, sigma1).tolist()
+        assert got == [first_failure(p, qq) for qq in q.tolist()], p
+
+
+@needs_cc
+def test_compiled_kernel_hands_over_to_the_histogram_at_every_r(monkeypatch):
+    # p // _TAIL_SWITCH = h - 1 puts the hand-over at r = h, for h = 2 (at once)
+    # to (p-1)/2, and _TAIL_SWITCH = 1 never hands over; a Fraction reaches every h
+    lib = _compiled_lanes()
+    assert lib is not None
+    for p in range(3, 62, 2):
+        qs = coprime_qs(p)
+        expected = [q for q in qs if passes(p, q)]
+        q, sigma1 = passing_r1(p, qs)
+        first = [first_failure(p, qq) for qq in q.tolist()]
+        for constant in [1] + [Fraction(p, h - 1) for h in range(2, (p + 1) // 2)]:
+            monkeypatch.setattr(casson_gordon, "_TAIL_SWITCH", constant)
+            assert _first_failures(lib, p, q, sigma1).tolist() == first, (p, constant)
+            assert cg_survivors(p, qs).tolist() == expected, (p, constant)
+
+
+@needs_cc
+def test_compiled_kernel_equals_the_numpy_route_next_to_the_int64_guard(monkeypatch):
+    # random q and q next to p^2, and the condition i) knots p + 1 and p^2 - p - 1,
+    # which pass every r and so take the histogram; the first failing r of a
+    # sample is read from the numpy tail's rows of every r
+    p = INT64_MAX_P - 1
+    lib = _compiled_lanes()
+    assert lib is not None
+    rng = np.random.default_rng(p)
+    qs = np.concatenate([[p + 1, p * p - p - 1], rng.integers(1, p * p, 20_000),
+                         p * p - rng.integers(1, 3 * p, 2_000)])
+    qs = qs[coprime_mask(qs, p)]
+    got = casson_gordon._window_survivors(p, qs)
+    monkeypatch.setattr(casson_gordon, "_compiled_lanes", lambda: None)
+    assert got.tolist() == casson_gordon._window_survivors(p, qs).tolist()
+    assert {p + 1, p * p - p - 1} <= set(got.tolist())
+    q, sigma1 = passing_r1(p, np.concatenate([qs[:1000], qs[-300:]]))
+    bad = np.concatenate([np.abs(_sigma_tail(p, q[k : k + 5], 2)) != 1 for k in range(0, len(q), 5)])
+    expected = np.where(bad.any(axis=1), bad.argmax(axis=1) + 2, 0)
+    assert _first_failures(lib, p, q, sigma1).tolist() == expected.tolist()
+    assert len(set(expected.tolist())) > 5 and 0 in expected
 
 
 def floor_sum_lanes(n, m, a):
@@ -544,7 +615,6 @@ def test_floor_sum_batch_next_to_the_int64_guard(p):
 # ------------------------------------------------------------ compiled lanes
 
 PACKAGE = Path(casson_gordon.__file__).resolve().parent
-needs_cc = pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
 
 
 @needs_cc

@@ -87,6 +87,17 @@ def test_sigma_refuses_bad_input(capsys, argv, message):
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("p", [2**63 + 1, 99999999999999999999])
+@pytest.mark.parametrize("command", ["sigma", "cg-check"])
+def test_a_report_of_every_r_refuses_a_p_no_list_holds(capsys, command, p):
+    code, out, err = run(capsys, [command, str(p), "2"])
+    assert (code, out) == (2, "")
+    assert err == f"error: need p < {sys.maxsize // 8} for the terms at every r, got p={p}\n"
+    # a single r is one floor sum, at any p
+    code, out, _ = run(capsys, ["sigma", str(p), "2", "--r", "1"])
+    assert code == 0 and out.startswith("r=1 ")
+
+
 def test_cg_check_failure_exits_1(capsys):
     code, out, _ = run(capsys, ["cg-check", "5", "2"])
     assert code == 1
