@@ -41,6 +41,9 @@ a window too sparse to repay its O(p + span) sweep take the floor-sum
 recursion instead.  From r = 2 on, the kernel takes one of two routes
 with the same survivors: the C route where the package's C library
 loads, and the numpy route in its place (see below for the library).
+Where the library loads, the scan runs neither this kernel nor its own
+numpy orbit selection: :func:`_scan_window` does a whole window in one
+call (see the front end below).
 
 The C route, :func:`_first_failures`, takes the q that pass r = 1 one at
 a time and stops at the first r where |sigma| != 1.  It carries sigma
@@ -67,6 +70,29 @@ the sigma it is added to is +-1, as the loop stops at the first other
 value.  So the C route is exact while p^3 + p^2 < 2^63, far above
 INT64_MAX_P, which the numpy route below sets.
 
+The C front end, :func:`_scan_window`, takes a window lo <= q < hi of
+consecutive q, hi <= p^2, and does the scan's orbit selection, the
+r = 1 sweep and the C route in one pass over it.  A table of the
+inverses u = x^-1 mod p, 0 at the non-units, built once per p by the
+extended Euclid algorithm, tests gcd(q, p) = 1.  Hensel lifts u to
+v = q^-1 mod p^2: q u = 1 + k p, so q u (2 - q u) = 1 - k^2 p^2 and
+v = u (2 - q u mod p^2) mod p^2.  The first p q of the window take that
+lift; every later q takes the same step from v' = (q - p)^-1, which is
+u mod p: v' (2 - q v') = v' - p v'^2, and p v'^2 = p (u^2 mod p) mod p^2,
+from a second table.  q is tested when q <= v and q <= p^2 - v, the
+least of its orbit {+-q, +-q^-1}.  S(q) comes from the sawtooth sweep of
+:func:`_first_round_sums`: S(lo) term by term, then a step at each
+q = ceil(k p^2 / x), k = floor(lo x / p^2) + 1 .. floor((hi - 1) x / p^2),
+counted in an array over the window, and one running sum.  Each x writes
+k p^2 = f x + g once and then walks k by whole p^2 = a x + c, so a step
+costs no division.  A tested q with |sigma_1| = 1 goes on to the C route
+above.  Every intermediate stays below p^3: k p^2 <= (hi - 1) x < p^3,
+as x < p and hi <= p^2; q u < p^2 p = p^3; v, 2 - q u mod p^2,
+p (u^2 mod p) and every u^2 are below p^2, so u (2 - q u mod p^2) < p^3;
+S(q) <= q (p - 1) / (2 p) < p^2 / 2, so each term of
+sigma_1 = 2 q - 4 S(q) - 2 p + 1 - 2 floor(q / p) is below 2 p^2; and
+the extended Euclid's numbers stay at most 2 p in absolute value.
+
 The numpy route works in rounds over r = 2, 3..4, 5..8, ..., dropping
 the q that fail after each round; a round runs the floor-sum recursion
 elementwise over the q still alive, at some log p steps per q and r.
@@ -92,22 +118,24 @@ tail, on Python ints.  :func:`weighted_count`, :func:`sigma` and
 so they are the independent reference for the block pass, and the scan
 re-derives its least survivor with :func:`sigma`.
 
-The C library holds the C route and the floor-sum lanes, one
-floor_sum(n, m, a, 0) each, that the first round's sparse windows run
-(:func:`_floor_sums`).  The lanes are a loop of :func:`floor_sum`'s
-steps; both are called through ctypes.  On the first kernel call of a
-process the library is built with the system
+The C library holds three functions, all called through ctypes: the
+front end, ``scan_window``; the C route alone, ``first_failures``,
+which :func:`cg_survivors` runs after its numpy r = 1; and the floor-sum
+lanes, one floor_sum(n, m, a, 0) each, that the first round's sparse
+windows run (:func:`_floor_sums`), a loop of :func:`floor_sum`'s steps.
+The front end and ``first_failures`` share one per-q loop.  On the
+first kernel call of a process the library is built with the system
 ``cc -O2 -fwrapv -shared -fPIC`` into the package's own ``__pycache__``,
 named by a hash of its source, flags and platform, and loaded from there
 by later processes.  A scan loads it before its workers fork, so they
 inherit it.  Wherever it cannot be built or loaded (no compiler, a
 cache directory that cannot be written or that others can write, a
 failed compile or ``dlopen``) the numpy lanes, :func:`_floor_sum_batch`,
-and the numpy route run in its place, silently; they stay the reference
-the tests hold the C code to.  The C lanes take numpy's steps in
-numpy's order on int64 with the same wrap rule (``-fwrapv``), so each of
-their intermediates is one of numpy's and the bounds above hold for
-both.
+the numpy route and the scan's numpy orbit selection run in its place,
+silently; they stay the reference the tests hold the C code to.  The C
+lanes take numpy's steps in numpy's order on int64 with the same wrap
+rule (``-fwrapv``), so each of their intermediates is one of numpy's and
+the bounds above hold for both.
 
 The rounds and the tail stop at r = (p-1)/2 because
 sigma(p, q, r) = sigma(p, q, p-r).  With N = p^2 and the sawtooth
@@ -374,8 +402,8 @@ def cg_condition(p: int, q: int) -> SigmaReport:
 # p^4 < 2^62 bounds every kernel intermediate (at most 2 p^4) inside int64.
 INT64_MAX_P = 46340
 # Elements per floor-sum call and per chunk of the tail, and the bound on a
-# first-round window's span, which enumeration's scan blocks are cut at:
-# bounds the memory of one round.
+# first-round window's span, which enumeration's scan windows are cut at and
+# the C front end's scratch holds: bounds the memory of one round.
 _BATCH = 1 << 18
 # Where the kernel trades a floor sum per r for the O(p) histogram of the
 # tail.  On the C route a q still alive past r = p // _TAIL_SWITCH builds the
@@ -459,44 +487,129 @@ void floor_sum_lanes(int64_t count, const int64_t *n_in, int64_t m,
         out[i] = euclid(n_in[i], m, a_in[i], 0);
 }
 
-/* out[i] = the least r in 2..(p-1)/2 with |sigma(p, q[i], r)| != 1, or 0,
-   given sigma1[i] = sigma(p, q[i], 1); counts holds p + 1 elements */
+/* the least r in 2..(p-1)/2 with |sigma(p, q, r)| != 1, or 0, given
+   sigma = sigma(p, q, 1); counts holds p + 1 elements */
+static int64_t first_failure(int64_t p, int64_t hand_over, int64_t q, int64_t sigma,
+                             int64_t *counts)
+{
+    const int64_t p2 = p * p, half = (p - 1) / 2, q0 = q % p, q1 = q / p;
+    int64_t b = 0, t0 = -1, t;
+    for (int64_t r = 2; r <= half; r++) {
+        b += q0; /* q (r-1) mod p */
+        if (b >= p)
+            b -= p;
+        if (r <= hand_over) {
+            t = euclid(p, p2, q, b * p);
+        } else {
+            if (t0 < 0) { /* counts[b] = #{0 < j < p : (q j mod p^2) / p >= p - b} */
+                int64_t e = 0;
+                for (int64_t j = 0; j <= p; j++)
+                    counts[j] = 0;
+                for (int64_t j = 1; j < p; j++) {
+                    e += q;
+                    if (e >= p2)
+                        e -= p2;
+                    counts[p - e / p]++;
+                }
+                for (int64_t j = 1; j <= p; j++)
+                    counts[j] += counts[j - 1];
+                t0 = euclid(p, p2, q, 0);
+            }
+            t = t0 + counts[b];
+        }
+        sigma += 2 * q + 4 * b - 4 * t - 2 * p - 2 * (q1 + (b + q0 >= p));
+        if (sigma != 1 && sigma != -1)
+            return r;
+    }
+    return 0;
+}
+
+/* out[i] = first_failure of q[i], given sigma1[i] = sigma(p, q[i], 1) */
 void first_failures(int64_t count, int64_t p, int64_t hand_over, const int64_t *q_in,
                     const int64_t *sigma1, int64_t *counts, int64_t *out)
 {
-    const int64_t p2 = p * p, half = (p - 1) / 2;
-    for (int64_t i = 0; i < count; i++) {
-        const int64_t q = q_in[i], q0 = q % p, q1 = q / p;
-        int64_t sigma = sigma1[i], b = 0, t0 = -1, t, r;
-        for (r = 2; r <= half; r++) {
-            b += q0; /* q (r-1) mod p */
-            if (b >= p)
-                b -= p;
-            if (r <= hand_over) {
-                t = euclid(p, p2, q, b * p);
-            } else {
-                if (t0 < 0) { /* counts[b] = #{0 < j < p : (q j mod p^2) / p >= p - b} */
-                    int64_t e = 0;
-                    for (int64_t j = 0; j <= p; j++)
-                        counts[j] = 0;
-                    for (int64_t j = 1; j < p; j++) {
-                        e += q;
-                        if (e >= p2)
-                            e -= p2;
-                        counts[p - e / p]++;
-                    }
-                    for (int64_t j = 1; j <= p; j++)
-                        counts[j] += counts[j - 1];
-                    t0 = euclid(p, p2, q, 0);
-                }
-                t = t0 + counts[b];
+    for (int64_t i = 0; i < count; i++)
+        out[i] = first_failure(p, hand_over, q_in[i], sigma1[i], counts);
+}
+
+/* The window lo <= q < hi of the scan at p, 1 <= lo <= hi <= p^2: returns the
+   number of q tested, the least member of each orbit {+-q, +-q^-1} mod p^2
+   among its units, and writes those that pass every r to out, ascending, and
+   their number to *found.  units holds 3 p elements, all 0 before the first
+   window of p: the first call writes u = x^-1 mod p at [x] (0 at the
+   non-units) and p (u^2 mod p) at [p + x], later calls reuse them, and each
+   call keeps in [2 p + x] the inverse mod p^2 of the next q = x mod p.
+   steps holds hi - lo elements and counts p + 1. */
+int64_t scan_window(int64_t p, int64_t lo, int64_t hi, int64_t hand_over, int64_t *units,
+                    int64_t *steps, int64_t *counts, int64_t *out, int64_t *found)
+{
+    const int64_t p2 = p * p, span = hi - lo;
+    int64_t *inv = units, *drift = units + p, *next = units + 2 * p;
+    int64_t tested = 0, n = 0, s = 0;
+    if (inv[1] != 1) /* extended Euclid per residue: u x = g mod p */
+        for (int64_t x = 1; x < p; x++) {
+            int64_t g = x, m = p, u = 1, v = 0, k, t;
+            while (m) {
+                k = g / m;
+                t = g - k * m, g = m, m = t;
+                t = u - k * v, u = v, v = t;
             }
-            sigma += 2 * q + 4 * b - 4 * t - 2 * p - 2 * (q1 + (b + q0 >= p));
-            if (sigma != 1 && sigma != -1)
-                break;
+            inv[x] = g != 1 ? 0 : u < 0 ? u + p : u;
+            drift[x] = inv[x] * inv[x] % p * p;
         }
-        out[i] = r <= half ? r : 0;
+    /* S(q) = sum_{x<p} floor(q x / p^2): term x steps up by one at each
+       q = ceil(k p^2 / x); S(lo) term by term, then the steps at lo < q < hi */
+    for (int64_t i = 0; i < span; i++)
+        steps[i] = 0;
+    for (int64_t x = 1; x < p; x++) {
+        const int64_t below = lo * x / p2, top = (hi - 1) * x / p2;
+        s += below;
+        if (top > below) { /* k p^2 = f x + g for k = below + 1 .. top, by whole p^2 = a x + c */
+            const int64_t a = p2 / x, c = p2 % x, first = (below + 1) * p2;
+            int64_t f = first / x, g = first % x;
+            for (int64_t k = below + 1; k <= top; k++) {
+                steps[f + (g != 0) - lo]++;
+                f += a;
+                g += c;
+                if (g >= x) {
+                    f++;
+                    g -= x;
+                }
+            }
+        }
     }
+    int64_t res = lo % p, q1 = lo / p; /* q = q1 p + res */
+    for (int64_t q = lo; q < hi; q++) {
+        s += steps[q - lo];
+        const int64_t u = inv[res];
+        if (u) {
+            /* Hensel: q u = 1 + k p, so q u (2 - q u) = 1 - k^2 p^2 gives
+               v = q^-1 mod p^2; then v (2 - (q + p) v) = v - p v^2 is
+               (q + p)^-1, and p v^2 = p (u^2 mod p) mod p^2 */
+            int64_t v;
+            if (q - lo < p) {
+                v = (2 - q * u) % p2;
+                if (v < 0)
+                    v += p2;
+                v = u * v % p2;
+            } else {
+                v = next[res];
+            }
+            next[res] = v >= drift[res] ? v - drift[res] : v - drift[res] + p2;
+            if (q <= v && q <= p2 - v) {
+                tested++;
+                const int64_t sigma = 2 * q - 4 * s - 2 * p + 1 - 2 * q1;
+                if ((sigma == 1 || sigma == -1) && !first_failure(p, hand_over, q, sigma, counts))
+                    out[n++] = q;
+            }
+        }
+        if (++res == p) {
+            res = 0;
+            q1++;
+        }
+    }
+    *found = n;
+    return tested;
 }
 """
 _LANES_FLAGS = ("-O2", "-fwrapv", "-shared", "-fPIC")
@@ -510,7 +623,7 @@ def _trusted(st: os.stat_result) -> bool:
 
 
 def _load_lanes():
-    """The C library, its two functions typed, built into the package's
+    """The C library, its three functions typed, built into the package's
     ``__pycache__`` on first use; None if anything fails on the way.
 
     The library is named by a hash of the source, the flags and the
@@ -549,13 +662,15 @@ def _load_lanes():
         if not _trusted(os.stat(path)):
             return None
         lib = ctypes.CDLL(path)
-        lanes, kernel = lib.floor_sum_lanes, lib.first_failures
+        lanes, kernel, window = lib.floor_sum_lanes, lib.first_failures, lib.scan_window
     except (OSError, AttributeError, subprocess.SubprocessError):
         return None
     i64, ptr = ctypes.c_int64, ctypes.c_void_p
     lanes.argtypes = (i64, ptr, i64, ptr, ptr)
     kernel.argtypes = (i64, i64, i64, ptr, ptr, ptr, ptr)
+    window.argtypes = (i64, i64, i64, i64, ptr, ptr, ptr, ptr, ptr)
     lanes.restype = kernel.restype = None
+    window.restype = i64
     return lib
 
 
@@ -594,6 +709,33 @@ def _first_failures(lib, p: int, q: np.ndarray, sigma1: np.ndarray) -> np.ndarra
     lib.first_failures(q.size, p, p // _TAIL_SWITCH, q.ctypes.data, sigma1.ctypes.data,
                        counts.ctypes.data, out.ctypes.data)
     return out
+
+
+def _window_scratch(p: int) -> tuple[np.ndarray, ...]:
+    """The arrays :func:`_scan_window` works in at p, made once per p: the tables
+    of the units mod p (zeros until the first window fills them), the steps of a
+    window of up to _BATCH q, the histogram and the survivors."""
+    return (np.zeros(3 * p, dtype=np.int64), np.empty(_BATCH, dtype=np.int64),
+            np.empty(p + 1, dtype=np.int64), np.empty(_BATCH, dtype=np.int64))
+
+
+def _scan_window(lib, p: int, lo: int, hi: int, scratch) -> tuple[int, np.ndarray]:
+    """The number of q the scan tests in the window lo <= q < hi at p, the least
+    member of each orbit {+-q, +-q^-1} mod p^2 among its units, and those of them
+    whose knot p^2/q passes, ascending: ``lib``'s ``scan_window``, the C route of
+    :func:`enumeration._tested_blocks` and :func:`_window_survivors` in one call.
+    ``scratch`` is :func:`_window_scratch` of p, the same for every window of p."""
+    units, steps, counts, out = scratch
+    if not (p >= 3 and len(units) == 3 * p and len(counts) == p + 1 and 1 <= lo <= hi <= p * p
+            and hi - lo <= min(len(steps), len(out))):  # the C loop reads and writes that far
+        raise ValueError(f"need a window of at most {len(steps)} q below p^2 and scratch of p, "
+                         f"got {lo}..{hi} at p={p}")
+    import ctypes  # loaded already, as lib is
+
+    found = ctypes.c_int64()
+    tested = lib.scan_window(p, lo, hi, p // _TAIL_SWITCH, units.ctypes.data, steps.ctypes.data,
+                             counts.ctypes.data, out.ctypes.data, ctypes.byref(found))
+    return tested, out[: found.value].copy()
 
 
 def _sigma_grid(p: int, q: np.ndarray, rs: np.ndarray) -> np.ndarray:
@@ -774,7 +916,8 @@ def _keep_passing(q: np.ndarray, rows: int, sigmas) -> np.ndarray:
 def _window_survivors(p: int, q: np.ndarray) -> np.ndarray:
     """The q whose knot p^2/q passes, in input order, for an int64 array q that
     :func:`_knot_array` would accept as it is: the kernel of :func:`cg_survivors`,
-    with no checks, which the scan calls on the blocks it builds."""
+    with no checks, which the scan calls on the blocks it builds where the C
+    library does not load."""
     sigma1 = _sigma_first_round(p, q)
     alive = np.abs(sigma1) == 1
     q = q[alive]

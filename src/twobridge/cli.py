@@ -5,7 +5,8 @@ output: no timestamps, scan progress on stderr only, numbers exact
 (fractions as "p/q", quarter counts as decimals with .25 granularity,
 or as "m/4" strings in JSON).  Exit codes: 0 success, 1 mathematical
 finding of interest (failed check, scan survivor outside the families,
-unequal crosscheck), 2 usage or domain error, 141 (128 + SIGPIPE) when
+unequal crosscheck), 2 usage or domain error or an input too large to
+hold in memory, 141 (128 + SIGPIPE) when
 the reader closes stdout before the output is written, as ``| head``
 does; that exit prints no traceback.
 
@@ -383,6 +384,10 @@ def execute(argv: list[str] | None = None) -> int:
         return 2
     except InternalError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        # an input too large to hold, such as sigma's terms at a p near 10^18
+        print("error: out of memory for this input", file=sys.stderr)
         return 2
 
 

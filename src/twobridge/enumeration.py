@@ -17,13 +17,18 @@ misses, not a new ribbon knot.  It is not an error: it is the most
 interesting possible output and is reported with full sigma evidence via
 ``cg-check``.  One
 representative per orbit of q modulo p^2 is tested (pass/fail is a knot
-invariant), in ascending blocks of consecutive q, each one first-round
+invariant), in ascending windows of consecutive q, each one first-round
 window of the kernel (span below ``casson_gordon._BATCH``), so a worker's
-memory does not grow with p^2: the least orbit members of a block are
-picked in numpy, each inverse mod p^2 lifted once (Hensel)
-from a table of inverses mod p, and checked together in int64 by the
-kernel of :func:`casson_gordon.cg_survivors` without its validation, as
-the blocks are valid by construction; so p is at most
+memory does not grow with p^2.  Where the package's C library loads, a
+window is one call of its ``scan_window`` (:func:`casson_gordon._scan_window`),
+which picks the least member of each orbit among its units, runs r = 1 by the
+sawtooth sweep and takes each survivor through the later r, with its
+scratch made once per p.  Elsewhere the least orbit members of a window
+are picked in numpy (:func:`_tested_blocks`), each inverse mod p^2 lifted
+once (Hensel) from a table of inverses mod p, and checked together in
+int64 by the kernel of :func:`casson_gordon.cg_survivors` without its
+validation, as the blocks are valid by construction.  :func:`_scan_windows`
+makes that choice, the one place that does.  p is at most
 :data:`casson_gordon.INT64_MAX_P`, which :func:`conjecture_scan`
 checks.  At every p the number of q tested must be the number of orbits,
 in closed form by :func:`_orbit_count`, every family member must survive
@@ -332,20 +337,24 @@ def _record(p: int, passing: list[int], fam: set[int]) -> ScanRecord:
     return ScanRecord(p, _orbit_count(p), tuple(passing), tuple(q for q in passing if q not in fam))
 
 
-def _tested_blocks(p: int) -> Iterator[np.ndarray]:
-    """The q the scan tests at p, ascending: the least member of each orbit
-    {q, q^-1, -q, -q^-1} mod p^2.
-
-    Each block is cut from ``casson_gordon._BATCH`` consecutive q, read at call
-    time, so its span is below the kernel's bound on a first-round window:
-    a block is one window, and the memory of one round, whatever p is."""
+def _windows(p: int) -> Iterator[tuple[int, int]]:
+    """The windows lo <= q < hi the scan cuts its q at p into: ``casson_gordon._BATCH``
+    consecutive q each, read at call time, so a window's span is below the kernel's
+    bound on a first-round window, and the memory of one round, whatever p is.
+    They end past p^2/2, as the least member of an orbit is below it
+    (q < p^2 - q, p^2 being odd)."""
+    end = p * p // 2 + 1
     block = casson_gordon._BATCH
+    return ((lo, min(lo + block, end)) for lo in range(1, end, block))
+
+
+def _tested_blocks(p: int) -> Iterator[np.ndarray]:
+    """The q the scan tests at p, ascending, one block per window of :func:`_windows`:
+    the least member of each orbit {q, q^-1, -q, -q^-1} mod p^2, in numpy."""
     p2 = p * p
     table = np.array([pow(x, -1, p) if gcd(x, p) == 1 else 0 for x in range(p)], dtype=np.int64)
-    # the least member of an orbit is below p^2/2 (q < p^2 - q, p^2 being odd)
-    end = p2 // 2 + 1
-    for lo in range(1, end, block):
-        q = np.arange(lo, min(lo + block, end), dtype=np.int64)
+    for lo, hi in _windows(p):
+        q = np.arange(lo, hi, dtype=np.int64)
         q = q[coprime_mask(q, p)]
         # Hensel: u = q^-1 mod p gives q u = 1 + k p, and q u (2 - q u) = 1 - k^2 p^2;
         # both products stay below p^3, far inside int64 for p <= INT64_MAX_P
@@ -356,12 +365,27 @@ def _tested_blocks(p: int) -> Iterator[np.ndarray]:
         yield q
 
 
+def _scan_windows(p: int) -> Iterator[tuple[int, np.ndarray]]:
+    """The number of q tested and the survivors, ascending, of each window of
+    :func:`_windows` at p: one call of the C library's ``scan_window`` per
+    window where the library loads, else :func:`_tested_blocks` and
+    :func:`casson_gordon._window_survivors`."""
+    lib = casson_gordon._compiled_lanes()
+    if lib is None:
+        for qs in _tested_blocks(p):
+            yield len(qs), _window_survivors(p, qs)
+        return
+    scratch = casson_gordon._window_scratch(p)
+    for lo, hi in _windows(p):
+        yield casson_gordon._scan_window(lib, p, lo, hi, scratch)
+
+
 def _scan_single_p(p: int) -> ScanRecord:
     tested = 0
     passing: list[int] = []
-    for qs in _tested_blocks(p):
-        tested += len(qs)
-        passing += _window_survivors(p, qs).tolist()
+    for count, survivors in _scan_windows(p):
+        tested += count
+        passing += survivors.tolist()
     if tested != _orbit_count(p):
         raise InternalError(f"orbit selection at p={p} tested {tested} q, not {_orbit_count(p)}")
     fam = family_reps(p)

@@ -14,7 +14,7 @@ import hypothesis.strategies as st
 
 import numpy as np
 
-from twobridge import casson_gordon
+from twobridge import casson_gordon, enumeration
 from twobridge.casson_gordon import (
     INT64_MAX_P,
     SigmaTerm,
@@ -551,6 +551,63 @@ def test_compiled_kernel_equals_the_numpy_route_next_to_the_int64_guard(monkeypa
     expected = np.where(bad.any(axis=1), bad.argmax(axis=1) + 2, 0)
     assert _first_failures(lib, p, q, sigma1).tolist() == expected.tolist()
     assert len(set(expected.tolist())) > 5 and 0 in expected
+
+
+WINDOWS = enumeration._windows  # the real windows, while a test patches them
+
+
+def assert_windows_equal_the_numpy_front_end(monkeypatch, p, picks=None):
+    """Each window of p (those at the indices ``picks`` only, in that order, one
+    scratch for all) tests as many q and keeps the same survivors through the C
+    library's scan_window as through _tested_blocks and _window_survivors."""
+    lib = _compiled_lanes()
+    assert lib is not None
+    windows = list(WINDOWS(p))
+    if picks is not None:
+        windows = [windows[i] for i in picks]
+    monkeypatch.setattr(enumeration, "_windows", lambda p: iter(windows))
+    scratch = casson_gordon._window_scratch(p)
+    for (lo, hi), qs in zip(windows, _tested_blocks(p), strict=True):
+        tested, survivors = casson_gordon._scan_window(lib, p, lo, hi, scratch)
+        expected = casson_gordon._window_survivors(p, qs)
+        assert (tested, survivors.tolist()) == (len(qs), expected.tolist()), (p, lo, hi)
+
+
+@needs_cc
+def test_compiled_windows_equal_the_numpy_front_end_at_every_odd_p_to_401(monkeypatch):
+    for p in range(3, 402, 2):
+        assert_windows_equal_the_numpy_front_end(monkeypatch, p)
+
+
+@needs_cc
+def test_compiled_windows_equal_the_numpy_front_end_on_small_windows(monkeypatch):
+    # windows of 64 q put their edges everywhere: inside a residue class's
+    # first p q, and shorter than p, where no q takes a lift from the one p before
+    monkeypatch.setattr(casson_gordon, "_BATCH", 64)
+    for p in range(3, 100, 2):
+        assert_windows_equal_the_numpy_front_end(monkeypatch, p)
+
+
+@needs_cc
+@pytest.mark.parametrize("p", [2001, 4001, INT64_MAX_P - 1])
+def test_compiled_windows_equal_the_numpy_front_end_up_to_the_int64_guard(monkeypatch, p):
+    # the first, a middle and the last window, the last ending past p^2 / 2
+    count = len(list(WINDOWS(p)))
+    assert_windows_equal_the_numpy_front_end(monkeypatch, p, [0, count // 2, count - 1])
+
+
+@needs_cc
+def test_compiled_window_refuses_a_window_its_scratch_cannot_hold():
+    lib = _compiled_lanes()
+    assert lib is not None
+    p = 101
+    scratch = casson_gordon._window_scratch(p)
+    for lo, hi in [(0, 10), (10, 9), (1, casson_gordon._BATCH + 2), (p * p - 5, p * p + 1)]:
+        with pytest.raises(ValueError):
+            casson_gordon._scan_window(lib, p, lo, hi, scratch)
+    with pytest.raises(ValueError):
+        casson_gordon._scan_window(lib, p + 2, 1, 10, scratch)
+    assert casson_gordon._scan_window(lib, p, 7, 7, scratch)[0] == 0
 
 
 def floor_sum_lanes(n, m, a):

@@ -386,6 +386,14 @@ def test_domain_error_exits_2(capsys):
     assert code == 2 and "error:" in err
 
 
+@pytest.mark.parametrize("command", ["sigma", "cg-check"])
+def test_a_p_too_large_for_memory_exits_2(capsys, command):
+    # the terms at every r need lists of p items: at p near 10^18 the first
+    # allocation fails at once (far beyond any address space)
+    code, out, err = run(capsys, [command, "1000000000000000001", "2"])
+    assert (code, out, err) == (2, "", "error: out of memory for this input\n")
+
+
 def test_unknown_command_exits_2(capsys):
     assert execute(["bogus"]) == 2
     capsys.readouterr()
@@ -549,13 +557,13 @@ def test_main_keeps_freed_memory_before_it_executes(monkeypatch):
 
 
 def test_internal_error_exits_2(capsys, monkeypatch):
-    real = enumeration._window_survivors
+    real = enumeration._scan_windows
 
-    def window_survivors(p, qs):  # loses the ribbon knot p^2/(p-1)
-        q = real(p, qs)
-        return q[q != p - 1]
+    def scan_windows(p):  # loses the ribbon knot p^2/(p-1)
+        for tested, q in real(p):
+            yield tested, q[q != p - 1]
 
-    monkeypatch.setattr(enumeration, "_window_survivors", window_survivors)
+    monkeypatch.setattr(enumeration, "_scan_windows", scan_windows)
     code, out, err = run(capsys, ["scan", "--min-p", "3", "--max-p", "5", "--jobs", "1"])
     assert code == 2 and out == ""
     assert err.splitlines()[-1].startswith("internal error: ")

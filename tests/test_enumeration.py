@@ -421,9 +421,9 @@ def test_orbit_count_is_the_number_of_q_tested():
 
 
 def test_scan_raises_when_orbit_selection_miscounts(monkeypatch):
-    real = enumeration._tested_blocks
-    # one q lost from the last block: p = 11 tests 27 q, not 28
-    monkeypatch.setattr(enumeration, "_tested_blocks", lambda p: (qs[:-1] for qs in real(p)))
+    real = enumeration._scan_windows
+    # one q lost from the count of each window: p = 11 has one and tests 27 q, not 28
+    monkeypatch.setattr(enumeration, "_scan_windows", lambda p: ((n - 1, kept) for n, kept in real(p)))
     with pytest.raises(InternalError, match="tested 27 q, not 28"):
         _scan_single_p(11)
 
@@ -436,12 +436,20 @@ def test_scan_by_small_blocks_gives_the_same_records(monkeypatch):
 
 
 def test_each_scan_block_is_one_first_round_window(monkeypatch):
-    # p = 1001 has 2 blocks of _BATCH consecutive q below p^2 / 2
-    real = casson_gordon._first_round_sums
+    # p = 1001 has 2 blocks of _BATCH consecutive q below p^2 / 2: one sweep each
+    # on the numpy route, one scan_window call each on the C route
+    sweep, window = casson_gordon._first_round_sums, casson_gordon._scan_window
     calls = []
     monkeypatch.setattr(
-        casson_gordon, "_first_round_sums", lambda p, q: calls.append(len(q)) or real(p, q)
+        casson_gordon, "_first_round_sums", lambda p, q: calls.append(len(q)) or sweep(p, q)
     )
+
+    def scan_window(*args):
+        tested, survivors = window(*args)
+        calls.append(tested)
+        return tested, survivors
+
+    monkeypatch.setattr(casson_gordon, "_scan_window", scan_window)
     record = _scan_single_p(1001)
     assert len(calls) == 2 and sum(calls) == record.q_tested
 
@@ -457,17 +465,22 @@ def test_scan_matches_the_benchmark_reference_digest():
 @pytest.mark.parametrize(
     "wrong, match",
     [
-        (lambda p, qs, real: real(p, qs)[1:], "rejects the ribbon knot 121/10"),
-        (lambda p, qs, real: np.setdiff1d(real(p, qs), [46]), "rejects the ribbon knot 121/46"),
-        (lambda p, qs, real: qs[:0], "rejects the ribbon knot"),
+        (lambda qs, kept: kept[1:], "rejects the ribbon knot 121/10"),
+        (lambda qs, kept: np.setdiff1d(kept, [46]), "rejects the ribbon knot 121/46"),
+        (lambda qs, kept: qs[:0], "rejects the ribbon knot"),
         # 121/1 fails at r = 1, found by the floor-sum sigma
-        (lambda p, qs, real: qs, "passes 121/1, which the floor-sum sigma rejects"),
+        (lambda qs, kept: qs, "passes 121/1, which the floor-sum sigma rejects"),
     ],
     ids=["drops-p-1", "drops-46", "rejects-all", "passes-all"],
 )
 def test_scan_raises_when_the_batched_kernel_disagrees(monkeypatch, wrong, match):
-    real = enumeration._window_survivors
-    monkeypatch.setattr(enumeration, "_window_survivors", lambda p, qs: wrong(p, qs, real))
+    # each window's survivors replaced, given the q it tests
+    real = enumeration._scan_windows
+    monkeypatch.setattr(
+        enumeration,
+        "_scan_windows",
+        lambda p: ((n, wrong(qs, kept)) for (n, kept), qs in zip(real(p), _tested_blocks(p))),
+    )
     with pytest.raises(InternalError, match=match):
         _scan_single_p(11)
 
