@@ -31,29 +31,29 @@ where the triangle is a lattice triangle.
 
 The batched route, :func:`cg_survivors`, validates p and every q once
 and hands them to its kernel, :func:`_window_survivors`, which the scan
-calls directly on the blocks of q it builds, valid by construction.  The
-kernel first drops the q that fail at r = 1.  That needs
-S(q) = sum_{x<p} floor(q x / p^2) for each q; S is a sum of sawtooth
-steps, term x stepping up at q = ceil(k p^2 / x), so one sweep over a
-window of consecutive q counts the steps between its ends and yields S
-at every q of the window at once (:func:`_first_round_sums`); the q of
-a window too sparse to repay its O(p + span) sweep take the floor-sum
-recursion instead.  From r = 2 on, the kernel takes one of two routes
-with the same survivors: the C route where the package's C library
-loads, and the numpy route in its place (see below for the library).
-Where the library loads, the scan runs neither this kernel nor its own
-numpy orbit selection: :func:`_scan_window` does a whole window in one
-call (see the front end below).
+calls directly on the blocks of q it builds, valid by construction, where
+the package's C library does not load.  The kernel first drops the q
+that fail at r = 1.  That needs S(q) = sum_{x<p} floor(q x / p^2) for
+each q; S is a sum of sawtooth steps, term x stepping up at
+q = ceil(k p^2 / x), so one sweep over a window of consecutive q counts
+the steps between its ends and yields S at every q of the window at once
+(:func:`_first_round_sums`); the q of a window too sparse to repay its
+O(p + span) sweep take the floor-sum recursion instead.  From r = 2 on
+the kernel runs the numpy rounds and tail (below).  It is numpy on every
+machine: :func:`cg_survivors` never loads the C library, which serves
+the scan alone.  Where the library loads, the scan runs neither this
+kernel nor its own numpy orbit selection: :func:`_scan_window` does a
+whole window in one call (see the front end below).
 
-The C route, :func:`_first_failures`, takes the q that pass r = 1 one at
-a time and stops at the first r where |sigma| != 1.  It carries sigma
+The C library's per-q loop, ``first_failure``, takes a q that passes
+r = 1 and stops at the first r where |sigma| != 1.  It carries sigma
 from the first round's sigma_1 by the tail's recurrence
 sigma_r = sigma_{r-1} + D(b), b = q (r-1) mod p (:func:`_sigma_tail`),
 and gets each T(b) = floor_sum(p, p^2, q, b p) from one Euclid run, at
 some log p steps.  A q still alive past r = p // _TAIL_SWITCH builds the
 tail's histogram and T(0) = floor_sum(p, p^2, q, 0) once, in O(p), and
 reads every later T(b) as T(0) + counts[b].  Every intermediate of this
-route stays below p^3 + p^2.  A Euclid run of floor_sum(n, m, a, b) with
+loop stays below p^3 + p^2.  A Euclid run of floor_sum(n, m, a, b) with
 0 <= a, b < m carries y = a n + b and never raises it: a step takes
 n' = floor(y / m) and b' = y mod m and swaps the divisor to a, so the
 next y before its reductions is m n' + b' = y, and the reductions
@@ -67,12 +67,12 @@ and its counts below p.  Each term of D(b) = 2 q + 4 b - 4 T(b) - 2 p -
 2 floor((b + q) / p) is below 2 p^2 in absolute value, together below
 4 p^2 + 8 p <= p^3 + p^2 at p >= 5 (at p = 3 there is no r >= 2), and
 the sigma it is added to is +-1, as the loop stops at the first other
-value.  So the C route is exact while p^3 + p^2 < 2^63, far above
+value.  So the loop is exact while p^3 + p^2 < 2^63, far above
 INT64_MAX_P, which the numpy route below sets.
 
 The C front end, :func:`_scan_window`, takes a window lo <= q < hi of
 consecutive q, hi <= p^2, and does the scan's orbit selection, the
-r = 1 sweep and the C route in one pass over it.  A table of the
+r = 1 sweep and the per-q loop in one pass over it.  A table of the
 inverses u = x^-1 mod p, 0 at the non-units, built once per p by the
 extended Euclid algorithm, tests gcd(q, p) = 1.  Hensel lifts u to
 v = q^-1 mod p^2: q u = 1 + k p, so q u (2 - q u) = 1 - k^2 p^2 and
@@ -85,8 +85,8 @@ least of its orbit {+-q, +-q^-1}.  S(q) comes from the sawtooth sweep of
 q = ceil(k p^2 / x), k = floor(lo x / p^2) + 1 .. floor((hi - 1) x / p^2),
 counted in an array over the window, and one running sum.  Each x writes
 k p^2 = f x + g once and then walks k by whole p^2 = a x + c, so a step
-costs no division.  A tested q with |sigma_1| = 1 goes on to the C route
-above.  Every intermediate stays below p^3: k p^2 <= (hi - 1) x < p^3,
+costs no division.  A tested q with |sigma_1| = 1 goes on to the per-q
+loop above.  Every intermediate stays below p^3: k p^2 <= (hi - 1) x < p^3,
 as x < p and hi <= p^2; q u < p^2 p = p^3; v, 2 - q u mod p^2,
 p (u^2 mod p) and every u^2 are below p^2, so u (2 - q u mod p^2) < p^3;
 S(q) <= q (p - 1) / (2 p) < p^2 / 2, so each term of
@@ -118,24 +118,18 @@ tail, on Python ints.  :func:`weighted_count`, :func:`sigma` and
 so they are the independent reference for the block pass, and the scan
 re-derives its least survivor with :func:`sigma`.
 
-The C library holds three functions, all called through ctypes: the
-front end, ``scan_window``; the C route alone, ``first_failures``,
-which :func:`cg_survivors` runs after its numpy r = 1; and the floor-sum
-lanes, one floor_sum(n, m, a, 0) each, that the first round's sparse
-windows run (:func:`_floor_sums`), a loop of :func:`floor_sum`'s steps.
-The front end and ``first_failures`` share one per-q loop.  On the
-first kernel call of a process the library is built with the system
+The C library exports one function, ``scan_window``, the front end,
+called through ctypes; its per-q loop and the Euclid run inside it,
+a loop of :func:`floor_sum`'s steps, are static helpers.  On the first
+scan of a process the library is built with the system
 ``cc -O2 -fwrapv -shared -fPIC`` into the package's own ``__pycache__``,
 named by a hash of its source, flags and platform, and loaded from there
 by later processes.  A scan loads it before its workers fork, so they
 inherit it.  Wherever it cannot be built or loaded (no compiler, a
 cache directory that cannot be written or that others can write, a
-failed compile or ``dlopen``) the numpy lanes, :func:`_floor_sum_batch`,
-the numpy route and the scan's numpy orbit selection run in its place,
-silently; they stay the reference the tests hold the C code to.  The C
-lanes take numpy's steps in numpy's order on int64 with the same wrap
-rule (``-fwrapv``), so each of their intermediates is one of numpy's and
-the bounds above hold for both.
+failed compile or ``dlopen``) the scan's numpy orbit selection and
+:func:`_window_survivors` run in its place, silently; they stay the
+reference the tests hold the C code to.
 
 The rounds and the tail stop at r = (p-1)/2 because
 sigma(p, q, r) = sigma(p, q, p-r).  With N = p^2 and the sawtooth
@@ -406,18 +400,18 @@ INT64_MAX_P = 46340
 # the C front end's scratch holds: bounds the memory of one round.
 _BATCH = 1 << 18
 # Where the kernel trades a floor sum per r for the O(p) histogram of the
-# tail.  On the C route a q still alive past r = p // _TAIL_SWITCH builds the
+# tail.  In the C loop a q still alive past r = p // _TAIL_SWITCH builds the
 # histogram.  On the numpy route the rounds over r >= 2 hand over to the tail
 # at the first round whose width w has w * _TAIL_SWITCH >= p; a round of
 # width w ends at r = 2 w, so with _TAIL_SWITCH >= 4 the rounds stay below
 # r = p / 2.  Per q alive, the histogram costs about p steps and a floor sum
 # about log p, while each r before it still drops q the histogram would pay
 # for.  Kernel time over the scan blocks of one p by the constant 16 / 32 /
-# 64 / 128, on the C route, the mean of two in-process runs' medians on a
+# 64 / 128, by the C loop, the mean of two in-process runs' medians on a
 # shared 2-vCPU host: at p = 151 0.85 / 0.95 / 1.15 / 1.55 ms, at 2001
 # 0.091 / 0.091 / 0.089 / 0.094 s, at 4001 0.59 / 0.56 / 0.52 / 0.55 s and
 # at 6001 1.22 / 1.17 / 1.11 / 1.09 s, where the two runs disagree on the
-# order of 32, 64 and 128 above p = 151.  With 32 the C route hands over
+# order of 32, 64 and 128 above p = 151.  With 32 the C loop hands over
 # past r = 4, 62, 125 and 187.
 _TAIL_SWITCH = 32
 
@@ -453,10 +447,10 @@ def _floor_sum_batch(n: np.ndarray, m: int, a: np.ndarray) -> np.ndarray:
     return out
 
 
-# The C library.  floor_sum_lanes: floor_sum(n[k], m, a[k], 0) per lane by the
-# steps of _floor_sum_batch, in the same order, so every intermediate is one
-# numpy computes; -fwrapv gives signed int64 numpy's wrap rule.  first_failures:
-# the window kernel after r = 1 (module docstring), on the same Euclid loop.
+# The C library: the scan's front end, scan_window, with its per-q loop
+# first_failure and the Euclid run euclid (module docstring).  -fwrapv stays
+# because it makes signed overflow defined, as a wrap; the module docstring's
+# bounds keep every value below p^3 + p^2, so nothing wraps at the scan's p.
 _LANES_SOURCE = r"""
 #include <stdint.h>
 
@@ -478,13 +472,6 @@ static int64_t euclid(int64_t n, int64_t m, int64_t a, int64_t b)
         acc += n * k;
     }
     return acc;
-}
-
-void floor_sum_lanes(int64_t count, const int64_t *n_in, int64_t m,
-                     const int64_t *a_in, int64_t *out)
-{
-    for (int64_t i = 0; i < count; i++)
-        out[i] = euclid(n_in[i], m, a_in[i], 0);
 }
 
 /* the least r in 2..(p-1)/2 with |sigma(p, q, r)| != 1, or 0, given
@@ -522,14 +509,6 @@ static int64_t first_failure(int64_t p, int64_t hand_over, int64_t q, int64_t si
             return r;
     }
     return 0;
-}
-
-/* out[i] = first_failure of q[i], given sigma1[i] = sigma(p, q[i], 1) */
-void first_failures(int64_t count, int64_t p, int64_t hand_over, const int64_t *q_in,
-                    const int64_t *sigma1, int64_t *counts, int64_t *out)
-{
-    for (int64_t i = 0; i < count; i++)
-        out[i] = first_failure(p, hand_over, q_in[i], sigma1[i], counts);
 }
 
 /* The window lo <= q < hi of the scan at p, 1 <= lo <= hi <= p^2: returns the
@@ -623,7 +602,7 @@ def _trusted(st: os.stat_result) -> bool:
 
 
 def _load_lanes():
-    """The C library, its three functions typed, built into the package's
+    """The C library, its ``scan_window`` typed, built into the package's
     ``__pycache__`` on first use; None if anything fails on the way.
 
     The library is named by a hash of the source, the flags and the
@@ -662,14 +641,11 @@ def _load_lanes():
         if not _trusted(os.stat(path)):
             return None
         lib = ctypes.CDLL(path)
-        lanes, kernel, window = lib.floor_sum_lanes, lib.first_failures, lib.scan_window
+        window = lib.scan_window
     except (OSError, AttributeError, subprocess.SubprocessError):
         return None
     i64, ptr = ctypes.c_int64, ctypes.c_void_p
-    lanes.argtypes = (i64, ptr, i64, ptr, ptr)
-    kernel.argtypes = (i64, i64, i64, ptr, ptr, ptr, ptr)
     window.argtypes = (i64, i64, i64, i64, ptr, ptr, ptr, ptr, ptr)
-    lanes.restype = kernel.restype = None
     window.restype = i64
     return lib
 
@@ -680,35 +656,6 @@ def _compiled_lanes():
     if _lanes is None:
         _lanes = _load_lanes() or False
     return _lanes or None
-
-
-def _floor_sums(n: np.ndarray, m: int, a: np.ndarray) -> np.ndarray:
-    """:func:`_floor_sum_batch` of int64 arrays, by the C lanes where they load."""
-    lib = _compiled_lanes()
-    if lib is None:
-        return _floor_sum_batch(n, m, a)
-    n = np.ascontiguousarray(n, dtype=np.int64)
-    a = np.ascontiguousarray(a, dtype=np.int64)
-    if n.shape != a.shape:  # the C loop reads n.size lanes of each
-        raise ValueError(f"need n and a of one shape, got {n.shape} and {a.shape}")
-    out = np.empty_like(n)
-    lib.floor_sum_lanes(n.size, n.ctypes.data, m, a.ctypes.data, out.ctypes.data)
-    return out
-
-
-def _first_failures(lib, p: int, q: np.ndarray, sigma1: np.ndarray) -> np.ndarray:
-    """The least r in 2..(p-1)/2 with |sigma(p, q[i], r)| != 1 at [i], or 0 where
-    there is none, given sigma1[i] = sigma(p, q[i], 1) = +-1: the C route of
-    :func:`_window_survivors` after r = 1, by ``lib``'s ``first_failures``."""
-    q = np.ascontiguousarray(q, dtype=np.int64)
-    sigma1 = np.ascontiguousarray(sigma1, dtype=np.int64)
-    if q.shape != sigma1.shape:  # the C loop reads q.size of each
-        raise ValueError(f"need q and sigma1 of one shape, got {q.shape} and {sigma1.shape}")
-    out = np.empty_like(q)
-    counts = np.empty(p + 1, dtype=np.int64)
-    lib.first_failures(q.size, p, p // _TAIL_SWITCH, q.ctypes.data, sigma1.ctypes.data,
-                       counts.ctypes.data, out.ctypes.data)
-    return out
 
 
 def _window_scratch(p: int) -> tuple[np.ndarray, ...]:
@@ -745,7 +692,7 @@ def _sigma_grid(p: int, q: np.ndarray, rs: np.ndarray) -> np.ndarray:
     hypotenuse point (module docstring).
     """
     qr = q[:, None] * rs[None, :]
-    s = _floor_sums(np.tile(p * rs, len(q)), p * p, np.repeat(q, len(rs)))
+    s = _floor_sum_batch(np.tile(p * rs, len(q)), p * p, np.repeat(q, len(rs)))
     return 2 * qr * rs - _quarters(p, q[:, None], rs, s.reshape(qr.shape))
 
 
@@ -817,8 +764,8 @@ def _sigma_first_round(p: int, q: np.ndarray) -> np.ndarray:
 
     The sorted q are cut into windows of span below _BATCH.  A dense window
     gets S from :func:`_first_round_sums`, at cost O(p + span); the q of the
-    sparse ones go to the floor-sum lanes, :func:`_floor_sums`, at O(log p) each.  No
-    precondition checks: q prime to p, so there is no hypotenuse point.
+    sparse ones go to the floor-sum lanes, :func:`_floor_sum_batch`, at O(log p) each.
+    No precondition checks: q prime to p, so there is no hypotenuse point.
     """
     order = np.argsort(q, kind="stable")
     ordered = q[order]
@@ -838,7 +785,7 @@ def _sigma_first_round(p: int, q: np.ndarray) -> np.ndarray:
         at = np.concatenate(sparse)
         for k in range(0, len(at), _BATCH):
             idx = at[k : k + _BATCH]
-            s[idx] = _floor_sums(np.full(len(idx), p, dtype=np.int64), p * p, q[idx])
+            s[idx] = _floor_sum_batch(np.full(len(idx), p, dtype=np.int64), p * p, q[idx])
     return 2 * q - _quarters(p, q, 1, s)
 
 
@@ -915,15 +862,10 @@ def _keep_passing(q: np.ndarray, rows: int, sigmas) -> np.ndarray:
 
 def _window_survivors(p: int, q: np.ndarray) -> np.ndarray:
     """The q whose knot p^2/q passes, in input order, for an int64 array q that
-    :func:`_knot_array` would accept as it is: the kernel of :func:`cg_survivors`,
-    with no checks, which the scan calls on the blocks it builds where the C
-    library does not load."""
-    sigma1 = _sigma_first_round(p, q)
-    alive = np.abs(sigma1) == 1
-    q = q[alive]
-    lib = _compiled_lanes()
-    if lib is not None:
-        return q[_first_failures(lib, p, q, sigma1[alive]) == 0]
+    :func:`_knot_array` would accept as it is: the numpy kernel of
+    :func:`cg_survivors`, with no checks, which the scan calls on the blocks it
+    builds where the C library does not load."""
+    q = q[np.abs(_sigma_first_round(p, q)) == 1]
     r0, width = 2, 1
     while len(q) and width * _TAIL_SWITCH < p:
         rs = np.arange(r0, r0 + width, dtype=np.int64)
@@ -938,14 +880,12 @@ def cg_survivors(p: int, qs) -> np.ndarray:
     """The q of ``qs`` whose knot p^2/q passes :func:`cg_condition`, in input order.
 
     Equal to ``[q for q in qs if cg_condition(p, q).passes]``: r = 1 by one
-    sawtooth sweep per window of q, then, where the C library loads, each q
-    by a floor sum per r up to its first failing r, with the tail's
-    histogram past r = p // _TAIL_SWITCH; elsewhere numpy floor-sum rounds
-    over r = 2, 3..4, 5..8, ... while a round's width w is below
+    sawtooth sweep per window of q, then numpy floor-sum rounds over
+    r = 2, 3..4, 5..8, ... while a round's width w is below
     p / _TAIL_SWITCH, and from there the tail, every r up to (p-1)/2 in
-    one O(p) pass per q (see the module docstring for the two routes, the
-    int64 guard and the symmetry that ends at (p-1)/2).  p above
-    INT64_MAX_P and q that are not of an integer dtype raise
-    :class:`DomainError`.
+    one O(p) pass per q (see the module docstring for the int64 guard and
+    the symmetry that ends at (p-1)/2).  This is numpy on every machine;
+    the C library serves the scan alone.  p above INT64_MAX_P and q that
+    are not of an integer dtype raise :class:`DomainError`.
     """
     return _window_survivors(p, _knot_array(p, qs))

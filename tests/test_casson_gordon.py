@@ -21,8 +21,6 @@ from twobridge.casson_gordon import (
     _column_quarters,
     _compiled_lanes,
     _floor_sum_batch,
-    _floor_sums,
-    _first_failures,
     _first_round_sums,
     _oracle_quarters,
     _prime_factors,
@@ -252,6 +250,27 @@ def test_cg_survivors_match_cg_condition_exhaustive():
         assert cg_survivors(p, qs).tolist() == expected, p
 
 
+def test_cg_survivors_run_numpy_without_the_c_library(monkeypatch):
+    # one route on every machine: cg_survivors never asks for the C library,
+    # whether or not it would load; every q at p = 151, then a sample at 2001 of
+    # a dense run of q, random q and the ribbon knots p^2/(p +- 1) and p^2/(p^2 - p - 1)
+    def refuse():
+        raise AssertionError("cg_survivors asked for the C library")
+
+    monkeypatch.setattr(casson_gordon, "_compiled_lanes", refuse)
+    p = 151
+    qs = coprime_qs(p)
+    assert cg_survivors(p, qs).tolist() == [q for q in qs if passes(p, q)]
+    p = 2001
+    rng = np.random.default_rng(p)
+    ribbon = [p - 1, p + 1, p * p - p - 1]
+    qs = np.concatenate([np.arange(1, 4000), rng.integers(1, p * p, 2000), ribbon])
+    qs = qs[coprime_mask(qs, p)]
+    expected = [q for q in qs.tolist() if passes(p, q)]
+    assert cg_survivors(p, qs).tolist() == expected
+    assert set(ribbon) <= set(expected)
+
+
 def test_batched_sigma_matches_and_is_symmetric_in_r():
     # every r, not only the r <= (p-1)/2 the rounds and the tail stop at
     for p in range(3, 42, 2):
@@ -439,9 +458,7 @@ def test_tail_rows_meet_the_dedekind_checksum_up_to_the_int64_guard(p):
 
 
 def spy_tail(monkeypatch):
-    """Run the numpy rounds and tail, the C library patched away, and record
-    the r0 and the length of the q of every tail call."""
-    monkeypatch.setattr(casson_gordon, "_compiled_lanes", lambda: None)
+    """Record the r0 and the length of the q of every call of the numpy tail."""
     real = casson_gordon._sigma_tail
     calls = []
 
@@ -489,77 +506,14 @@ def test_rounds_hand_over_to_the_tail_at_every_round_boundary(monkeypatch):
 needs_cc = pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
 
 
-def first_failure(p, q):
-    """The Python-int reference for the C window kernel: cg_condition's first failing r, or 0."""
-    return cg_condition(p, q).first_failure or 0
-
-
-def passing_r1(p, qs):
-    """The q of ``qs`` that pass r = 1, with their sigma there."""
-    qs = np.array(qs, dtype=np.int64)
-    sigma1 = _sigma_first_round(p, qs)
-    alive = np.abs(sigma1) == 1
-    return qs[alive], sigma1[alive]
-
-
-@needs_cc
-def test_compiled_kernel_rejects_at_the_first_failing_r_of_the_python_int_report():
-    # every q the scan tests at odd p <= 151 that passes r = 1
-    lib = _compiled_lanes()
-    assert lib is not None
-    for p in range(3, 152, 2):
-        q, sigma1 = passing_r1(p, np.concatenate(list(_tested_blocks(p))))
-        got = _first_failures(lib, p, q, sigma1).tolist()
-        assert got == [first_failure(p, qq) for qq in q.tolist()], p
-
-
-@needs_cc
-def test_compiled_kernel_hands_over_to_the_histogram_at_every_r(monkeypatch):
-    # p // _TAIL_SWITCH = h - 1 puts the hand-over at r = h, for h = 2 (at once)
-    # to (p-1)/2, and _TAIL_SWITCH = 1 never hands over; a Fraction reaches every h
-    lib = _compiled_lanes()
-    assert lib is not None
-    for p in range(3, 62, 2):
-        qs = coprime_qs(p)
-        expected = [q for q in qs if passes(p, q)]
-        q, sigma1 = passing_r1(p, qs)
-        first = [first_failure(p, qq) for qq in q.tolist()]
-        for constant in [1] + [Fraction(p, h - 1) for h in range(2, (p + 1) // 2)]:
-            monkeypatch.setattr(casson_gordon, "_TAIL_SWITCH", constant)
-            assert _first_failures(lib, p, q, sigma1).tolist() == first, (p, constant)
-            assert cg_survivors(p, qs).tolist() == expected, (p, constant)
-
-
-@needs_cc
-def test_compiled_kernel_equals_the_numpy_route_next_to_the_int64_guard(monkeypatch):
-    # random q and q next to p^2, and the condition i) knots p + 1 and p^2 - p - 1,
-    # which pass every r and so take the histogram; the first failing r of a
-    # sample is read from the numpy tail's rows of every r
-    p = INT64_MAX_P - 1
-    lib = _compiled_lanes()
-    assert lib is not None
-    rng = np.random.default_rng(p)
-    qs = np.concatenate([[p + 1, p * p - p - 1], rng.integers(1, p * p, 20_000),
-                         p * p - rng.integers(1, 3 * p, 2_000)])
-    qs = qs[coprime_mask(qs, p)]
-    got = casson_gordon._window_survivors(p, qs)
-    monkeypatch.setattr(casson_gordon, "_compiled_lanes", lambda: None)
-    assert got.tolist() == casson_gordon._window_survivors(p, qs).tolist()
-    assert {p + 1, p * p - p - 1} <= set(got.tolist())
-    q, sigma1 = passing_r1(p, np.concatenate([qs[:1000], qs[-300:]]))
-    bad = np.concatenate([np.abs(_sigma_tail(p, q[k : k + 5], 2)) != 1 for k in range(0, len(q), 5)])
-    expected = np.where(bad.any(axis=1), bad.argmax(axis=1) + 2, 0)
-    assert _first_failures(lib, p, q, sigma1).tolist() == expected.tolist()
-    assert len(set(expected.tolist())) > 5 and 0 in expected
-
-
 WINDOWS = enumeration._windows  # the real windows, while a test patches them
 
 
 def assert_windows_equal_the_numpy_front_end(monkeypatch, p, picks=None):
     """Each window of p (those at the indices ``picks`` only, in that order, one
     scratch for all) tests as many q and keeps the same survivors through the C
-    library's scan_window as through _tested_blocks and _window_survivors."""
+    library's scan_window as through _tested_blocks and _window_survivors; returns
+    the C survivors of each window."""
     lib = _compiled_lanes()
     assert lib is not None
     windows = list(WINDOWS(p))
@@ -567,10 +521,13 @@ def assert_windows_equal_the_numpy_front_end(monkeypatch, p, picks=None):
         windows = [windows[i] for i in picks]
     monkeypatch.setattr(enumeration, "_windows", lambda p: iter(windows))
     scratch = casson_gordon._window_scratch(p)
+    found = []
     for (lo, hi), qs in zip(windows, _tested_blocks(p), strict=True):
         tested, survivors = casson_gordon._scan_window(lib, p, lo, hi, scratch)
         expected = casson_gordon._window_survivors(p, qs)
         assert (tested, survivors.tolist()) == (len(qs), expected.tolist()), (p, lo, hi)
+        found.append(survivors.tolist())
+    return found
 
 
 @needs_cc
@@ -591,9 +548,12 @@ def test_compiled_windows_equal_the_numpy_front_end_on_small_windows(monkeypatch
 @needs_cc
 @pytest.mark.parametrize("p", [2001, 4001, INT64_MAX_P - 1])
 def test_compiled_windows_equal_the_numpy_front_end_up_to_the_int64_guard(monkeypatch, p):
-    # the first, a middle and the last window, the last ending past p^2 / 2
+    # the first, a middle and the last window, the last ending past p^2 / 2.  The
+    # ribbon knot p^2/(p-1) passes every r, so the C loop takes it through the
+    # histogram, next to the int64 guard at p = INT64_MAX_P - 1
     count = len(list(WINDOWS(p)))
-    assert_windows_equal_the_numpy_front_end(monkeypatch, p, [0, count // 2, count - 1])
+    found = assert_windows_equal_the_numpy_front_end(monkeypatch, p, [0, count // 2, count - 1])
+    assert p - 1 in found[0]
 
 
 @needs_cc
@@ -610,12 +570,27 @@ def test_compiled_window_refuses_a_window_its_scratch_cannot_hold():
     assert casson_gordon._scan_window(lib, p, 7, 7, scratch)[0] == 0
 
 
+@needs_cc
+def test_compiled_kernel_hands_over_to_the_histogram_at_every_r(monkeypatch):
+    # p // _TAIL_SWITCH = h - 1 puts the hand-over at r = h, for h = 2 (at once)
+    # to (p-1)/2, and _TAIL_SWITCH = 1 never hands over; a Fraction reaches every
+    # h.  p^2 < _BATCH, so the scan's one window of p is 1 <= q <= p^2 // 2
+    lib = _compiled_lanes()
+    assert lib is not None
+    for p in range(3, 62, 2):
+        qs = np.concatenate(list(_tested_blocks(p))).tolist()
+        expected = [q for q in qs if passes(p, q)]
+        scratch = casson_gordon._window_scratch(p)
+        for constant in [1] + [Fraction(p, h - 1) for h in range(2, (p + 1) // 2)]:
+            monkeypatch.setattr(casson_gordon, "_TAIL_SWITCH", constant)
+            tested, survivors = casson_gordon._scan_window(lib, p, 1, p * p // 2 + 1, scratch)
+            assert (tested, survivors.tolist()) == (len(qs), expected), (p, constant)
+
+
 def floor_sum_lanes(n, m, a):
     n, a = np.array(n, dtype=np.int64), np.array(a, dtype=np.int64)
     with np.errstate(all="raise"):  # no lane may divide by zero
         got = _floor_sum_batch(n, m, a)
-    # the C lanes, where they load, take the same steps (a lane dividing by zero would kill the run)
-    assert _floor_sums(n, m, a).tolist() == got.tolist()
     return got.tolist(), [floor_sum(nn, m, aa, 0) for nn, aa in zip(n.tolist(), a.tolist())]
 
 
@@ -672,20 +647,6 @@ def test_floor_sum_batch_next_to_the_int64_guard(p):
 # ------------------------------------------------------------ compiled lanes
 
 PACKAGE = Path(casson_gordon.__file__).resolve().parent
-
-
-@needs_cc
-@pytest.mark.parametrize("p", [151, 2001, 46339])
-def test_compiled_lanes_equal_the_numpy_lanes(p):
-    assert _compiled_lanes() is not None
-    m = p * p
-    rng = np.random.default_rng(p)
-    # the rounds' lanes n = p r, a = q, with q = p^2 - 1 and r = (p-1)/2 at the
-    # extremes, then the first round's sparse lanes n = p
-    q = np.concatenate([[m - 1, m - 1, 1, m - 1], rng.integers(1, m, 20_000)])
-    r = np.concatenate([[(p - 1) // 2, 1, (p - 1) // 2, 2], rng.integers(1, (p + 1) // 2, 20_000)])
-    for n, a in [(p * r, q), (np.full_like(q, p), q), (p * r[:0], q[:0])]:
-        assert _floor_sums(n, m, a).tolist() == _floor_sum_batch(n, m, a).tolist()
 
 
 def package_copy(tmp_path):
