@@ -557,6 +557,17 @@ def test_compiled_windows_equal_the_numpy_front_end_up_to_the_int64_guard(monkey
 
 
 @needs_cc
+def test_the_compiled_library_exports_scan_window_alone():
+    # the scan is the library's one caller: the retired lanes and per-q entry
+    # points are gone, and the loops scan_window shares stay static
+    lib = _compiled_lanes()
+    assert lib is not None and lib.scan_window.restype is not None
+    for name in ["floor_sum_lanes", "first_failures", "euclid", "first_failure"]:
+        with pytest.raises(AttributeError):
+            getattr(lib, name)
+
+
+@needs_cc
 def test_compiled_window_refuses_a_window_its_scratch_cannot_hold():
     lib = _compiled_lanes()
     assert lib is not None
@@ -766,6 +777,26 @@ def test_cg_survivors_single_q_around_the_int64_guard(p, data):
     q = data.draw(st.integers(1, p * p - 1).filter(lambda q: gcd(q, p) == 1))
     expected = [q] if passes(p, q) else []
     assert cg_survivors(p, [q]).tolist() == expected
+
+
+def test_cg_survivors_next_to_the_int64_guard_keep_what_every_row_passes():
+    # the numpy rounds and tail at p = INT64_MAX_P - 1 against sigma at every r,
+    # read from the tail's rows from r = 2: random q, q next to p^2, the
+    # condition i) knots p + 1 and p^2 - p - 1, which pass every r, and
+    # q = k p +- 2, 3, 5, some of which pass every round and fail in the tail
+    p = INT64_MAX_P - 1
+    rng = np.random.default_rng(p)
+    near = (np.arange(1, 300)[:, None] * p + [-5, -3, -2, 2, 3, 5]).ravel()
+    qs = np.concatenate([[p + 1, p * p - p - 1], near, rng.integers(1, p * p, 1000),
+                         p * p - rng.integers(1, 3 * p, 300)])
+    qs = qs[coprime_mask(qs, p)]
+    alive = qs[np.abs(_sigma_first_round(p, qs)) == 1]
+    bad = np.concatenate([np.abs(_sigma_tail(p, alive[k : k + 5], 2)) != 1 for k in range(0, len(alive), 5)])
+    first = np.where(bad.any(axis=1), bad.argmax(axis=1) + 2, 0)
+    assert cg_survivors(p, qs).tolist() == alive[first == 0].tolist()
+    assert {p + 1, p * p - p - 1} <= set(alive[first == 0].tolist())
+    # the rounds end before r = 2 p / _TAIL_SWITCH
+    assert (first > 2 * p // casson_gordon._TAIL_SWITCH).any() and len(set(first.tolist())) > 20
 
 
 @pytest.mark.parametrize("p", [INT64_MAX_P - 1])

@@ -3,6 +3,7 @@ import hashlib
 import json
 import multiprocessing
 import os
+import shutil
 import subprocess
 import sys
 import time
@@ -452,6 +453,28 @@ def test_each_scan_block_is_one_first_round_window(monkeypatch):
     monkeypatch.setattr(casson_gordon, "_scan_window", scan_window)
     record = _scan_single_p(1001)
     assert len(calls) == 2 and sum(calls) == record.q_tested
+
+
+@pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
+@pytest.mark.parametrize("p", [3, 1001, 2001])
+def test_scan_windows_take_the_library_where_it_loads_and_numpy_elsewhere(monkeypatch, p):
+    # _scan_windows is the one place the scan chooses a route: scan_window alone
+    # where the library loads, _window_survivors alone where it does not, with
+    # the same tested count and survivors in every window
+    calls = []
+    window, survivors = casson_gordon._scan_window, enumeration._window_survivors
+    monkeypatch.setattr(casson_gordon, "_scan_window", lambda *a: calls.append("C") or window(*a))
+    monkeypatch.setattr(enumeration, "_window_survivors", lambda *a: calls.append("numpy") or survivors(*a))
+
+    def windows():
+        calls.clear()
+        return [(n, kept.tolist()) for n, kept in enumeration._scan_windows(p)]
+
+    compiled = windows()
+    assert calls == ["C"] * len(list(enumeration._windows(p)))
+    monkeypatch.setattr(casson_gordon, "_compiled_lanes", lambda: None)
+    assert windows() == compiled
+    assert calls == ["numpy"] * len(compiled)
 
 
 def test_scan_matches_the_benchmark_reference_digest():
