@@ -31,19 +31,22 @@ where the triangle is a lattice triangle.
 
 The batched route, :func:`cg_survivors`, validates p and every q once
 and hands them to its kernel, :func:`_window_survivors`, which the scan
-calls directly on the blocks of q it builds, valid by construction, where
-the package's C library does not load.  The kernel first drops the q
-that fail at r = 1.  That needs S(q) = sum_{x<p} floor(q x / p^2) for
-each q; S is a sum of sawtooth steps, term x stepping up at
-q = ceil(k p^2 / x), so one sweep over a window of consecutive q counts
-the steps between its ends and yields S at every q of the window at once
-(:func:`_first_round_sums`); the q of a window too sparse to repay its
-O(p + span) sweep take the floor-sum recursion instead.  From r = 2 on
+calls directly on the blocks of q that :func:`_tested_blocks` selects,
+valid by construction, where the package's C library does not load.
+The kernel first drops the q that fail at r = 1.  That needs
+S(q) = sum_{x<p} floor(q x / p^2) for each q; S is a sum of sawtooth
+steps, term x stepping up at q = ceil(k p^2 / x), so one sweep over a
+window of consecutive q counts the steps between its ends and yields S
+at every q of the window at once (:func:`_first_round_sums`); the q of
+a window too sparse to repay its O(p + span) sweep take the floor-sum
+recursion instead.  From r = 2 on
 the kernel runs the numpy rounds and tail (below).  It is numpy on every
 machine: :func:`cg_survivors` never loads the C library, which serves
 the scan alone.  Where the library loads, the scan runs neither this
-kernel nor its own numpy orbit selection: :func:`_scan_window` does a
-whole window in one call (see the front end below).
+kernel nor the numpy orbit selection: :func:`_scan_window` does a
+whole window in one call (see the front end below).  The scan's windows
+(:func:`_windows`), the orbit selection on both routes and the choice of
+route (:func:`_scan_windows`) all live in this module.
 
 The C library's per-q loop, ``first_failure``, takes a q that passes
 r = 1 and stops at the first r where |sigma| != 1.  It carries sigma
@@ -127,9 +130,10 @@ named by a hash of its source, flags and platform, and loaded from there
 by later processes.  A scan loads it before its workers fork, so they
 inherit it.  Wherever it cannot be built or loaded (no compiler, a
 cache directory that cannot be written or that others can write, a
-failed compile or ``dlopen``) the scan's numpy orbit selection and
+failed compile or ``dlopen``) :func:`_tested_blocks` and
 :func:`_window_survivors` run in its place, silently; they stay the
-reference the tests hold the C code to.
+reference the tests hold the C code to.  :func:`_compiled_lanes` caches
+the one try per process, library or None.
 
 The rounds and the tail stop at r = (p-1)/2 because
 sigma(p, q, r) = sigma(p, q, p-r).  With N = p^2 and the sawtooth
@@ -154,8 +158,10 @@ import stat
 import sys
 from contextlib import suppress
 from dataclasses import dataclass
+from functools import cache
 from itertools import accumulate
 from math import gcd
+from typing import Iterator
 
 import numpy as np
 
@@ -396,7 +402,7 @@ def cg_condition(p: int, q: int) -> SigmaReport:
 # p^4 < 2^62 bounds every kernel intermediate (at most 2 p^4) inside int64.
 INT64_MAX_P = 46340
 # Elements per floor-sum call and per chunk of the tail, and the bound on a
-# first-round window's span, which enumeration's scan windows are cut at and
+# first-round window's span, which the scan's windows (_windows) are cut at and
 # the C front end's scratch holds: bounds the memory of one round.
 _BATCH = 1 << 18
 # Where the kernel trades a floor sum per r for the O(p) histogram of the
@@ -592,8 +598,6 @@ int64_t scan_window(int64_t p, int64_t lo, int64_t hi, int64_t hand_over, int64_
 }
 """
 _LANES_FLAGS = ("-O2", "-fwrapv", "-shared", "-fPIC")
-# The loaded C library, False once loading has failed in this process; None before the first try.
-_lanes = None
 
 
 def _trusted(st: os.stat_result) -> bool:
@@ -650,12 +654,20 @@ def _load_lanes():
     return lib
 
 
+@cache
 def _compiled_lanes():
     """The C library of this process, loaded on the first call; None where it does not load."""
-    global _lanes
-    if _lanes is None:
-        _lanes = _load_lanes() or False
-    return _lanes or None
+    return _load_lanes()
+
+
+def _windows(p: int) -> Iterator[tuple[int, int]]:
+    """The windows lo <= q < hi the scan cuts its q at p into: _BATCH consecutive
+    q each, read at call time, so a window's span is below the kernel's bound on
+    a first-round window, and the memory of one round, whatever p is.  They end
+    past p^2/2, as the least member of an orbit is below it (q < p^2 - q, p^2
+    being odd)."""
+    end = p * p // 2 + 1
+    return ((lo, min(lo + _BATCH, end)) for lo in range(1, end, _BATCH))
 
 
 def _window_scratch(p: int) -> tuple[np.ndarray, ...]:
@@ -670,7 +682,7 @@ def _scan_window(lib, p: int, lo: int, hi: int, scratch) -> tuple[int, np.ndarra
     """The number of q the scan tests in the window lo <= q < hi at p, the least
     member of each orbit {+-q, +-q^-1} mod p^2 among its units, and those of them
     whose knot p^2/q passes, ascending: ``lib``'s ``scan_window``, the C route of
-    :func:`enumeration._tested_blocks` and :func:`_window_survivors` in one call.
+    :func:`_tested_blocks` and :func:`_window_survivors` in one call.
     ``scratch`` is :func:`_window_scratch` of p, the same for every window of p."""
     units, steps, counts, out = scratch
     if not (p >= 3 and len(units) == 3 * p and len(counts) == p + 1 and 1 <= lo <= hi <= p * p
@@ -863,8 +875,8 @@ def _keep_passing(q: np.ndarray, rows: int, sigmas) -> np.ndarray:
 def _window_survivors(p: int, q: np.ndarray) -> np.ndarray:
     """The q whose knot p^2/q passes, in input order, for an int64 array q that
     :func:`_knot_array` would accept as it is: the numpy kernel of
-    :func:`cg_survivors`, with no checks, which the scan calls on the blocks it
-    builds where the C library does not load."""
+    :func:`cg_survivors`, with no checks, which the scan calls on the blocks of
+    :func:`_tested_blocks` where the C library does not load."""
     q = q[np.abs(_sigma_first_round(p, q)) == 1]
     r0, width = 2, 1
     while len(q) and width * _TAIL_SWITCH < p:
@@ -874,6 +886,42 @@ def _window_survivors(p: int, q: np.ndarray) -> np.ndarray:
     if len(q):
         q = _keep_passing(q, _BATCH // (p + 1), lambda part: _sigma_tail(p, part, r0))
     return q
+
+
+def _tested_blocks(p: int) -> Iterator[np.ndarray]:
+    """The q the scan tests at p, ascending, one block per window of :func:`_windows`:
+    the least member of each orbit {q, q^-1, -q, -q^-1} mod p^2, in numpy.
+
+    A q is a unit when its table entry u = (q mod p)^-1 is not 0, as in the C
+    loop: x mod p has an inverse exactly when gcd(x, p) = 1, and it is never 0."""
+    p2 = p * p
+    table = np.array([pow(x, -1, p) if gcd(x, p) == 1 else 0 for x in range(p)], dtype=np.int64)
+    for lo, hi in _windows(p):
+        q = np.arange(lo, hi, dtype=np.int64)
+        u = table[q % p]
+        unit = u != 0
+        q, u = q[unit], u[unit]
+        # Hensel: u = q^-1 mod p gives q u = 1 + k p, and q u (2 - q u) = 1 - k^2 p^2;
+        # both products stay below p^3, far inside int64 for p <= INT64_MAX_P
+        inv = u * ((2 - q * u) % p2) % p2
+        q = q[(q <= inv) & (q <= p2 - inv)]
+        del u, unit, inv  # not held while the caller runs the kernel on q
+        yield q
+
+
+def _scan_windows(p: int) -> Iterator[tuple[int, np.ndarray]]:
+    """The number of q tested and the survivors, ascending, of each window of
+    :func:`_windows` at p: one call of the C library's ``scan_window`` per
+    window where the library loads, else :func:`_tested_blocks` and
+    :func:`_window_survivors`.  The one place the scan picks a route."""
+    lib = _compiled_lanes()
+    if lib is None:
+        for qs in _tested_blocks(p):
+            yield len(qs), _window_survivors(p, qs)
+        return
+    scratch = _window_scratch(p)
+    for lo, hi in _windows(p):
+        yield _scan_window(lib, p, lo, hi, scratch)
 
 
 def cg_survivors(p: int, qs) -> np.ndarray:

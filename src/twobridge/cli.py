@@ -396,7 +396,8 @@ def main() -> None:
 
     The command's process keeps the heap memory it frees (glibc only, by
     ``enumeration._keep_freed_memory``), as scan workers do, so a scan run
-    in-process stops faulting its numpy temporaries in again; library
+    in-process on the numpy route stops faulting its temporaries in again
+    at every window (the C route allocates nothing per window); library
     callers of :func:`execute` and the scan functions keep their allocator
     as it was.
     """

@@ -17,18 +17,9 @@ misses, not a new ribbon knot.  It is not an error: it is the most
 interesting possible output and is reported with full sigma evidence via
 ``cg-check``.  One
 representative per orbit of q modulo p^2 is tested (pass/fail is a knot
-invariant), in ascending windows of consecutive q, each one first-round
-window of the kernel (span below ``casson_gordon._BATCH``), so a worker's
-memory does not grow with p^2.  Where the package's C library loads, a
-window is one call of its ``scan_window`` (:func:`casson_gordon._scan_window`),
-which picks the least member of each orbit among its units, runs r = 1 by the
-sawtooth sweep and takes each survivor through the later r, with its
-scratch made once per p.  Elsewhere the least orbit members of a window
-are picked in numpy (:func:`_tested_blocks`), each inverse mod p^2 lifted
-once (Hensel) from a table of inverses mod p, and checked together in
-int64 by the kernel of :func:`casson_gordon.cg_survivors` without its
-validation, as the blocks are valid by construction.  :func:`_scan_windows`
-makes that choice, the one place that does.  p is at most
+invariant), window by window of consecutive q, by
+:func:`casson_gordon._scan_windows`, which cuts the windows, selects the
+orbits and picks the C or the numpy route.  p is at most
 :data:`casson_gordon.INT64_MAX_P`, which :func:`conjecture_scan`
 checks.  At every p the number of q tested must be the number of orbits,
 in closed form by :func:`_orbit_count`, every family member must survive
@@ -56,9 +47,11 @@ only the lines, up to the first other one, that are exactly what the
 scan writes (:meth:`ScanRecord.from_json_line`), and refuses a file that
 does not start with one rather than overwrite it.  Each worker
 process, and the CLI's own process, keeps the heap memory it frees
-(glibc only, :func:`_keep_freed_memory`), so the kernel's numpy
-temporaries are not faulted in afresh at every chunk; a library caller's
-process, serial scans included, keeps its allocator as it was.
+(glibc only, :func:`_keep_freed_memory`), so what it allocates again is
+not faulted in afresh: the numpy route's temporaries at every window, and
+each worker's per-p scratch on the C route, whose windows allocate
+nothing.  A library caller's process, serial scans included, keeps its
+allocator as it was.
 """
 
 from __future__ import annotations
@@ -71,20 +64,11 @@ from collections import Counter
 from contextlib import suppress
 from dataclasses import dataclass
 from itertools import islice
-from math import gcd, isqrt
+from math import isqrt
 from typing import Callable, Iterator
 
-import numpy as np
-
 from . import casson_gordon
-from .casson_gordon import (
-    INT64_MAX_P,
-    _prime_factors,
-    _window_survivors,
-    cg_condition,
-    coprime_mask,
-    sigma,
-)
+from .casson_gordon import INT64_MAX_P, _prime_factors, cg_condition, sigma
 from .conway import BridgeFraction, KnotClass, is_amphicheiral, orbit_qs
 # perfbench/spans.py traces cf_eval and canonical_class under this module's
 # names as well as conway's, so they stay bound here though nothing calls them
@@ -337,53 +321,10 @@ def _record(p: int, passing: list[int], fam: set[int]) -> ScanRecord:
     return ScanRecord(p, _orbit_count(p), tuple(passing), tuple(q for q in passing if q not in fam))
 
 
-def _windows(p: int) -> Iterator[tuple[int, int]]:
-    """The windows lo <= q < hi the scan cuts its q at p into: ``casson_gordon._BATCH``
-    consecutive q each, read at call time, so a window's span is below the kernel's
-    bound on a first-round window, and the memory of one round, whatever p is.
-    They end past p^2/2, as the least member of an orbit is below it
-    (q < p^2 - q, p^2 being odd)."""
-    end = p * p // 2 + 1
-    block = casson_gordon._BATCH
-    return ((lo, min(lo + block, end)) for lo in range(1, end, block))
-
-
-def _tested_blocks(p: int) -> Iterator[np.ndarray]:
-    """The q the scan tests at p, ascending, one block per window of :func:`_windows`:
-    the least member of each orbit {q, q^-1, -q, -q^-1} mod p^2, in numpy."""
-    p2 = p * p
-    table = np.array([pow(x, -1, p) if gcd(x, p) == 1 else 0 for x in range(p)], dtype=np.int64)
-    for lo, hi in _windows(p):
-        q = np.arange(lo, hi, dtype=np.int64)
-        q = q[coprime_mask(q, p)]
-        # Hensel: u = q^-1 mod p gives q u = 1 + k p, and q u (2 - q u) = 1 - k^2 p^2;
-        # both products stay below p^3, far inside int64 for p <= INT64_MAX_P
-        u = table[q % p]
-        inv = u * ((2 - q * u) % p2) % p2
-        q = q[(q <= inv) & (q <= p2 - inv)]
-        del u, inv  # not held while the caller runs the kernel on q
-        yield q
-
-
-def _scan_windows(p: int) -> Iterator[tuple[int, np.ndarray]]:
-    """The number of q tested and the survivors, ascending, of each window of
-    :func:`_windows` at p: one call of the C library's ``scan_window`` per
-    window where the library loads, else :func:`_tested_blocks` and
-    :func:`casson_gordon._window_survivors`."""
-    lib = casson_gordon._compiled_lanes()
-    if lib is None:
-        for qs in _tested_blocks(p):
-            yield len(qs), _window_survivors(p, qs)
-        return
-    scratch = casson_gordon._window_scratch(p)
-    for lo, hi in _windows(p):
-        yield casson_gordon._scan_window(lib, p, lo, hi, scratch)
-
-
 def _scan_single_p(p: int) -> ScanRecord:
     tested = 0
     passing: list[int] = []
-    for count, survivors in _scan_windows(p):
+    for count, survivors in casson_gordon._scan_windows(p):
         tested += count
         passing += survivors.tolist()
     if tested != _orbit_count(p):
@@ -419,11 +360,21 @@ def _keep_freed_memory() -> tuple[int, ...]:
     """Have glibc's malloc keep the heap memory this process frees, and
     return what ``mallopt`` returned for each setting (1 is success).
 
-    The scan kernel allocates and frees numpy temporaries of megabytes per
-    chunk.  By default glibc serves large ones by mmap and hands freed heap
-    top back to the kernel, so every chunk faults its pages in again: one
-    p = 6001 took 476k minor faults and 0.9 s of system time in 4.4 s of
-    wall on a 2-vCPU host, and 10k faults and 0.05 s with these settings.
+    By default glibc serves large allocations by mmap and hands freed heap
+    top back to the kernel, so memory freed and allocated again faults its
+    pages in afresh.  Where that pays, by the ``scan`` command with and
+    without the settings, its output piped (2 runs each, shared 2-vCPU
+    host):
+
+    - the numpy route, which allocates temporaries of megabytes in every
+      window: one p = 4001 on one job took 9k minor faults against 169k,
+      and its :func:`_scan_single_p` alone 1.2 s against 1.4 s; one
+      p = 6001 took 2.7 s of wall against 3.4-3.5 s;
+    - not the C route's windows, which allocate nothing: one p = 4001
+      took 6k faults either way;
+    - the C route's workers, which allocate scratch per p: 3..571 on
+      two jobs took 12k faults against 35k, at the same wall time.
+
     Arrays up to 64 MiB now come from the heap, which is trimmed only
     above 256 MiB of free top.  Setting either turns off glibc's dynamic
     mmap threshold, so the mmap threshold must be set with the trim
@@ -620,7 +571,8 @@ def conjecture_scan(
     and keeps every record appended before it.  When the scan ends the
     file is rewritten in ascending p by :func:`_write_checkpoint` again,
     so a resumed scan finishes with byte-identical content.  A p_max
-    above :data:`casson_gordon.INT64_MAX_P`, and a non-empty checkpoint
+    above :data:`casson_gordon.INT64_MAX_P`, an empty checkpoint path
+    (which would otherwise mean no checkpoint), and a non-empty checkpoint
     whose first line is not a whole record the scan writes (a record of
     the removed ``--audit`` mode, a lone torn line, or any file the scan
     did not write), are refused with :class:`DomainError` before the file
@@ -634,6 +586,8 @@ def conjecture_scan(
         raise DomainError(f"need 3 <= p_min <= p_max after rounding, got {p_min}..{p_max}")
     if p_max > INT64_MAX_P:
         raise DomainError(f"need p_max <= {INT64_MAX_P}, the kernel's int64 bound, got {p_max}")
+    if checkpoint == "":
+        raise DomainError("the checkpoint path is empty")
 
     records = _load_checkpoint(checkpoint) if checkpoint else {}
     all_p = list(range(p_min, p_max + 1, 2))

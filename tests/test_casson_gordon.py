@@ -14,7 +14,7 @@ import hypothesis.strategies as st
 
 import numpy as np
 
-from twobridge import casson_gordon, enumeration
+from twobridge import casson_gordon
 from twobridge.casson_gordon import (
     INT64_MAX_P,
     SigmaTerm,
@@ -28,6 +28,7 @@ from twobridge.casson_gordon import (
     _sigma_grid,
     _sigma_tail,
     _sigma_terms,
+    _tested_blocks,
     cg_condition,
     cg_survivors,
     coprime_mask,
@@ -36,7 +37,6 @@ from twobridge.casson_gordon import (
     weighted_count,
     weighted_count_oracle,
 )
-from twobridge.enumeration import _tested_blocks
 from twobridge.errors import DomainError
 
 
@@ -506,7 +506,7 @@ def test_rounds_hand_over_to_the_tail_at_every_round_boundary(monkeypatch):
 needs_cc = pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
 
 
-WINDOWS = enumeration._windows  # the real windows, while a test patches them
+WINDOWS = casson_gordon._windows  # the real windows, while a test patches them
 
 
 def assert_windows_equal_the_numpy_front_end(monkeypatch, p, picks=None):
@@ -519,7 +519,7 @@ def assert_windows_equal_the_numpy_front_end(monkeypatch, p, picks=None):
     windows = list(WINDOWS(p))
     if picks is not None:
         windows = [windows[i] for i in picks]
-    monkeypatch.setattr(enumeration, "_windows", lambda p: iter(windows))
+    monkeypatch.setattr(casson_gordon, "_windows", lambda p: iter(windows))
     scratch = casson_gordon._window_scratch(p)
     found = []
     for (lo, hi), qs in zip(windows, _tested_blocks(p), strict=True):
@@ -671,7 +671,7 @@ import hashlib
 from twobridge import casson_gordon, enumeration
 records = enumeration.conjecture_scan(3, 151, jobs=2)
 lines = "".join(r.to_json_line() + "\\n" for r in records)
-print(casson_gordon._lanes, hashlib.sha256(lines.encode()).hexdigest())
+print(casson_gordon._compiled_lanes() is not None, hashlib.sha256(lines.encode()).hexdigest())
 """
 
 

@@ -14,7 +14,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from twobridge import cli, enumeration
+from twobridge import casson_gordon, cli, enumeration
 from twobridge.casson_gordon import SigmaTerm, cg_condition, weighted_count
 from twobridge.cli import execute
 
@@ -557,13 +557,13 @@ def test_main_keeps_freed_memory_before_it_executes(monkeypatch):
 
 
 def test_internal_error_exits_2(capsys, monkeypatch):
-    real = enumeration._scan_windows
+    real = casson_gordon._scan_windows
 
     def scan_windows(p):  # loses the ribbon knot p^2/(p-1)
         for tested, q in real(p):
             yield tested, q[q != p - 1]
 
-    monkeypatch.setattr(enumeration, "_scan_windows", scan_windows)
+    monkeypatch.setattr(casson_gordon, "_scan_windows", scan_windows)
     code, out, err = run(capsys, ["scan", "--min-p", "3", "--max-p", "5", "--jobs", "1"])
     assert code == 2 and out == ""
     assert err.splitlines()[-1].startswith("internal error: ")
@@ -596,6 +596,17 @@ def test_scan_exits_2_when_the_checkpoint_cannot_be_rewritten(capsys, tmp_path):
     assert code == 2 and out == ""
     assert "cannot write checkpoint" in err and "scan: p=" not in err
     assert not path.exists()
+
+
+def test_scan_refuses_an_empty_checkpoint_path(capsys, monkeypatch, tmp_path):
+    # "" asks for a checkpoint, so the scan may not run without one; it stops
+    # before its first p and writes nothing, not even a temp file
+    monkeypatch.chdir(tmp_path)
+    argv = ["scan", "--min-p", "3", "--max-p", "7", "--jobs", "1", "--checkpoint", ""]
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert os.listdir(tmp_path) == []
 
 
 def test_a_failed_final_rewrite_keeps_every_appended_record(capsys, monkeypatch, tmp_path):

@@ -15,13 +15,12 @@ import numpy as np
 import pytest
 
 from twobridge import casson_gordon, enumeration
-from twobridge.casson_gordon import INT64_MAX_P, SigmaTerm, cg_survivors
+from twobridge.casson_gordon import INT64_MAX_P, SigmaTerm, _tested_blocks, cg_survivors
 from twobridge.conway import ConwayWord, canonical_class, cf_eval
 from twobridge.enumeration import (
     ScanRecord,
     _orbit_count,
     _scan_single_p,
-    _tested_blocks,
     amphicheiral_crosscheck,
     conjecture_scan,
     enumerate_classes,
@@ -422,9 +421,9 @@ def test_orbit_count_is_the_number_of_q_tested():
 
 
 def test_scan_raises_when_orbit_selection_miscounts(monkeypatch):
-    real = enumeration._scan_windows
+    real = casson_gordon._scan_windows
     # one q lost from the count of each window: p = 11 has one and tests 27 q, not 28
-    monkeypatch.setattr(enumeration, "_scan_windows", lambda p: ((n - 1, kept) for n, kept in real(p)))
+    monkeypatch.setattr(casson_gordon, "_scan_windows", lambda p: ((n - 1, kept) for n, kept in real(p)))
     with pytest.raises(InternalError, match="tested 27 q, not 28"):
         _scan_single_p(11)
 
@@ -462,16 +461,16 @@ def test_scan_windows_take_the_library_where_it_loads_and_numpy_elsewhere(monkey
     # where the library loads, _window_survivors alone where it does not, with
     # the same tested count and survivors in every window
     calls = []
-    window, survivors = casson_gordon._scan_window, enumeration._window_survivors
+    window, survivors = casson_gordon._scan_window, casson_gordon._window_survivors
     monkeypatch.setattr(casson_gordon, "_scan_window", lambda *a: calls.append("C") or window(*a))
-    monkeypatch.setattr(enumeration, "_window_survivors", lambda *a: calls.append("numpy") or survivors(*a))
+    monkeypatch.setattr(casson_gordon, "_window_survivors", lambda *a: calls.append("numpy") or survivors(*a))
 
     def windows():
         calls.clear()
-        return [(n, kept.tolist()) for n, kept in enumeration._scan_windows(p)]
+        return [(n, kept.tolist()) for n, kept in casson_gordon._scan_windows(p)]
 
     compiled = windows()
-    assert calls == ["C"] * len(list(enumeration._windows(p)))
+    assert calls == ["C"] * len(list(casson_gordon._windows(p)))
     monkeypatch.setattr(casson_gordon, "_compiled_lanes", lambda: None)
     assert windows() == compiled
     assert calls == ["numpy"] * len(compiled)
@@ -498,9 +497,9 @@ def test_scan_matches_the_benchmark_reference_digest():
 )
 def test_scan_raises_when_the_batched_kernel_disagrees(monkeypatch, wrong, match):
     # each window's survivors replaced, given the q it tests
-    real = enumeration._scan_windows
+    real = casson_gordon._scan_windows
     monkeypatch.setattr(
-        enumeration,
+        casson_gordon,
         "_scan_windows",
         lambda p: ((n, wrong(qs, kept)) for (n, kept), qs in zip(real(p), _tested_blocks(p))),
     )
@@ -686,6 +685,27 @@ def test_each_scan_worker_keeps_freed_memory(monkeypatch, tmp_path):
     assert conjecture_scan(3, 31, jobs=2) == conjecture_scan(3, 31)
     pids = {int(path.name) for path in tmp_path.iterdir()}
     assert len(pids) == 2 and os.getpid() not in pids
+
+
+@needs_fork
+def test_a_parallel_scan_loads_the_library_once_before_the_workers_fork(monkeypatch):
+    # counted across processes: a worker that forked before the load would try
+    # again in its own process, library or None (no compiler) alike
+    loads = multiprocessing.Value("i", 0)
+    real = casson_gordon._load_lanes
+
+    def load():
+        with loads.get_lock():
+            loads.value += 1
+        return real()
+
+    monkeypatch.setattr(casson_gordon, "_load_lanes", load)
+    casson_gordon._compiled_lanes.cache_clear()
+    try:
+        assert conjecture_scan(3, 61, jobs=2)[-1].p == 61
+    finally:
+        casson_gordon._compiled_lanes.cache_clear()
+    assert loads.value == 1
 
 
 class Stop(Exception):
