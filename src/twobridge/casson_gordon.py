@@ -39,39 +39,59 @@ steps, term x stepping up at q = ceil(k p^2 / x), so one sweep over a
 window of consecutive q counts the steps between its ends and yields S
 at every q of the window at once (:func:`_first_round_sums`); the q of
 a window too sparse to repay its O(p + span) sweep take the floor-sum
-recursion instead.  From r = 2 on
-the kernel runs the numpy rounds and tail (below).  It is numpy on every
-machine: :func:`cg_survivors` never loads the C library, which serves
-the scan alone.  Where the library loads, the scan runs neither this
+recursion instead.  The kernel is numpy on every machine:
+:func:`cg_survivors` never loads the C library, which serves the scan
+alone.  Where the library loads, the scan runs neither this
 kernel nor the numpy orbit selection: :func:`_scan_window` does a
 whole window in one call (see the front end below).  The scan's windows
 (:func:`_windows`), the orbit selection on both routes and the choice of
 route (:func:`_scan_windows`) all live in this module.
 
-The C library's per-q loop, ``first_failure``, takes a q that passes
-r = 1 and stops at the first r where |sigma| != 1.  It carries sigma
-from the first round's sigma_1 by the tail's recurrence
-sigma_r = sigma_{r-1} + D(b), b = q (r-1) mod p (:func:`_sigma_tail`),
-and gets each T(b) = floor_sum(p, p^2, q, b p) from one Euclid run, at
-some log p steps.  A q still alive past r = p // _TAIL_SWITCH builds the
-tail's histogram and T(0) = floor_sum(p, p^2, q, 0) once, in O(p), and
-reads every later T(b) as T(0) + counts[b].  Every intermediate of this
-loop stays below p^3 + p^2.  A Euclid run of floor_sum(n, m, a, b) with
-0 <= a, b < m carries y = a n + b and never raises it: a step takes
-n' = floor(y / m) and b' = y mod m and swaps the divisor to a, so the
-next y before its reductions is m n' + b' = y, and the reductions
-a -> m mod a and b' -> b' mod a only lower it.  Here y starts at
-q p + b p <= (p^2 - 1) p + (p - 1) p < p^3 + p^2, so every y, every
-product a n and every quotient and remainder are below p^3 + p^2.  As
-y < m (n + 1), n never grows either, so (n - 1) n < p^2, and each
-addend of the sum is at most the sum, T(b) <= sum_{j<p} j < p^2 / 2,
-as q j + b p < (j + 1) p^2.  The histogram's residues stay below 2 p^2
-and its counts below p.  Each term of D(b) = 2 q + 4 b - 4 T(b) - 2 p -
-2 floor((b + q) / p) is below 2 p^2 in absolute value, together below
-4 p^2 + 8 p <= p^3 + p^2 at p >= 5 (at p = 3 there is no r >= 2), and
-the sigma it is added to is +-1, as the loop stops at the first other
-value.  So the loop is exact while p^3 + p^2 < 2^63, far above
-INT64_MAX_P, which the numpy route below sets.
+From r = 2 on both routes run one algorithm: the C library's per-q loop,
+``first_failure``, on each q that passes r = 1, stopping at its first r
+with |sigma| != 1, and :func:`_sigma_steps` on many q at once, in rounds
+over r = 2, 3..4, 5..8, ... that drop the q with some |sigma| != 1 after
+each round.  Both carry sigma from the first round's sigma_1 by
+sigma_r = sigma_{r-1} + D(b), b = q (r-1) mod p (derived at
+:func:`_sigma_steps`).  Up to r = p // _TAIL_SWITCH both get each
+T(b) = floor_sum(p, p^2, q, b p) from one Euclid run, at some log p
+steps (the numpy lanes of :func:`_floor_sum_batch`); the numpy rounds
+double in width and the last is cut there.  Past it both read every T(b)
+as T(0) + counts[b] from one histogram per q, built in O(p), with T(0)
+from one more Euclid run (:func:`_histogram_sums`): the C loop builds it
+for a q still alive there, and the numpy route takes every remaining r
+up to (p-1)/2 in one round.  Each window spans fewer than 2^18 q, and
+each floor-sum call and each chunk of histograms holds about 2^18
+elements.
+
+Every intermediate of both routes stays below p^3 + p^2.  A Euclid run
+of floor_sum(n, m, a, b) with 0 <= a, b < m carries y = a n + b and never
+raises it: a step takes n' = floor(y / m) and b' = y mod m and swaps the
+divisor to a, so the next y before its reductions is m n' + b' = y, and
+the reductions a -> m mod a and b' -> b' mod a only lower it.  Here y
+starts at q p + b p <= (p^2 - 1) p + (p - 1) p < p^3 + p^2, so every y,
+every product a n and every quotient and remainder are below p^3 + p^2.
+As y < m (n + 1), n never grows either, so (n - 1) n < p^2, and each
+addend of the sum is at most the sum, T(b) <= sum_{j<p} j < p^2 / 2, as
+q j + b p < (j + 1) p^2.  The histogram's products q j are below p^3,
+its residues below p^2 and its counts below p per q.  Each term of
+D(b) = 2 q + 4 b - 4 T(b) - 2 p - 2 floor((b + q) / p) is below 2 p^2 in
+absolute value, and so is each sigma it is added to: the C loop adds it
+to +-1, as it stops at the first other value, and a numpy round's
+cumulative sums are the sigma_r themselves, below 2 p r by the sawtooth
+form below.  So these sums stay below 6 p^2 + 8 p, which is below 2^63
+wherever p^3 + p^2 is.  The first-round sweep and the orbit selection of
+both front ends (below) stay below p^3.  So both routes are exact while
+p^3 + p^2 < 2^63, that is p <= 2,097,151.  The public limit,
+INT64_MAX_P = 46,340, is lower: :func:`cg_survivors`, the scan and its
+checkpoint records refuse larger p.  :func:`cg_condition` and
+:func:`sigma` run on Python ints and stay exact for any p.  The report
+of :func:`cg_condition`, like the all-r output of the ``sigma`` command,
+counts every term at r = 1..p-1 in one O(p) pass over the blocks of the
+histogram, on Python ints.  :func:`weighted_count`, :func:`sigma` and
+``sigma --r`` stay per-r floor sums: they count every r they are given,
+so they are the independent reference for the block pass, and the scan
+re-derives its least survivor with :func:`sigma`.
 
 The C front end, :func:`_scan_window`, takes a window lo <= q < hi of
 consecutive q, hi <= p^2, and does the scan's orbit selection, the
@@ -96,31 +116,6 @@ S(q) <= q (p - 1) / (2 p) < p^2 / 2, so each term of
 sigma_1 = 2 q - 4 S(q) - 2 p + 1 - 2 floor(q / p) is below 2 p^2; and
 the extended Euclid's numbers stay at most 2 p in absolute value.
 
-The numpy route works in rounds over r = 2, 3..4, 5..8, ..., dropping
-the q that fail after each round; a round runs the floor-sum recursion
-elementwise over the q still alive, at some log p steps per q and r.
-The width doubles until it reaches p / _TAIL_SWITCH; there the tail
-(:func:`_sigma_tail`) takes the q still alive through every remaining r
-at once, at O(p) per q: S_r splits into blocks of p terms, one histogram
-of the q j mod p^2, j < p, gives every block's sum, and sigma steps from
-r - 1 to r by a difference of those sums.  Each window spans fewer than
-2^18 q, and each recursion call and each chunk of the tail holds about
-2^18 elements.  Every intermediate of the recursion and of the rounds'
-sigma formula 2 q r^2 - quarters stays below 2 p^4, and the sweep's
-below p^3.  The tail has no such formula: its products q j stay below
-p^3, every sigma it carries below p^2 in absolute value, and its largest
-intermediate, q p (p-1) / 2 in its T(0), below p^4 / 2.  So int64 is
-exact while p^4 < 2^62, that is p <= INT64_MAX_P = 46340, and
-:func:`cg_survivors` refuses larger p (the scan could not reach them: at
-p = 46,341 one q per orbit is still about 10^9 q).  :func:`cg_condition`
-and :func:`sigma` run on Python ints and stay exact for any p.  The report
-of :func:`cg_condition`, like the all-r output of the ``sigma`` command,
-counts every term at r = 1..p-1 in one O(p) pass over the blocks of the
-tail, on Python ints.  :func:`weighted_count`, :func:`sigma` and
-``sigma --r`` stay per-r floor sums: they count every r they are given,
-so they are the independent reference for the block pass, and the scan
-re-derives its least survivor with :func:`sigma`.
-
 The C library exports one function, ``scan_window``, the front end,
 called through ctypes; its per-q loop and the Euclid run inside it,
 a loop of :func:`floor_sum`'s steps, are static helpers.  On the first
@@ -135,7 +130,7 @@ failed compile or ``dlopen``) :func:`_tested_blocks` and
 reference the tests hold the C code to.  :func:`_compiled_lanes` caches
 the one try per process, library or None.
 
-The rounds and the tail stop at r = (p-1)/2 because
+Both routes stop at r = (p-1)/2 because
 sigma(p, q, r) = sigma(p, q, p-r).  With N = p^2 and the sawtooth
 ((t)) = t - floor(t) - 1/2, the count above gives
 
@@ -348,7 +343,7 @@ def _sigma_terms(p: int, q: int) -> tuple[SigmaTerm, ...]:
     """The terms at r = 1..p-1 for a validated p >= 2 and q.
 
     Every r is counted in one O(p) pass over the blocks of
-    :func:`_sigma_tail`'s docstring: with e_j = q j mod p^2 for j = 1..p-1,
+    :func:`_histogram_sums`' docstring: with e_j = q j mod p^2 for j = 1..p-1,
     counts[b] = #{j : floor(e_j / p) >= p - b} and
     T(0) = (q p (p-1) / 2 - sum_j e_j) / p^2, the block of columns
     p (r-1) <= x < p r gives S_r = S_{r-1} + p a + T(0) + counts[b], where
@@ -399,55 +394,59 @@ def cg_condition(p: int, q: int) -> SigmaReport:
     return SigmaReport(p, q, terms, first_failure is None, first_failure)
 
 
-# p^4 < 2^62 bounds every kernel intermediate (at most 2 p^4) inside int64.
+# The largest p that cg_survivors, the scan and its checkpoint records accept,
+# the largest with p^4 < 2^62: a public limit, far below p <= 2,097,151, to
+# which both routes' kernels are exact (module docstring).
 INT64_MAX_P = 46340
-# Elements per floor-sum call and per chunk of the tail, and the bound on a
+# Elements per floor-sum call and per chunk of histograms, and the bound on a
 # first-round window's span, which the scan's windows (_windows) are cut at and
 # the C front end's scratch holds: bounds the memory of one round.
 _BATCH = 1 << 18
-# Where the kernel trades a floor sum per r for the O(p) histogram of the
-# tail.  In the C loop a q still alive past r = p // _TAIL_SWITCH builds the
-# histogram.  On the numpy route the rounds over r >= 2 hand over to the tail
-# at the first round whose width w has w * _TAIL_SWITCH >= p; a round of
-# width w ends at r = 2 w, so with _TAIL_SWITCH >= 4 the rounds stay below
-# r = p / 2.  Per q alive, the histogram costs about p steps and a floor sum
-# about log p, while each r before it still drops q the histogram would pay
-# for.  Kernel time over the scan blocks of one p by the constant 16 / 32 /
-# 64 / 128, by the C loop, the mean of two in-process runs' medians on a
-# shared 2-vCPU host: at p = 151 0.85 / 0.95 / 1.15 / 1.55 ms, at 2001
-# 0.091 / 0.091 / 0.089 / 0.094 s, at 4001 0.59 / 0.56 / 0.52 / 0.55 s and
-# at 6001 1.22 / 1.17 / 1.11 / 1.09 s, where the two runs disagree on the
-# order of 32, 64 and 128 above p = 151.  With 32 the C loop hands over
-# past r = 4, 62, 125 and 187.
+# Both routes take T(b) from a floor sum at every r <= p // _TAIL_SWITCH and
+# from the O(p) histogram of the q still alive past it.  Per q alive, the
+# histogram costs about p steps and a floor sum about log p, while each r
+# before it still drops q the histogram would pay for.  Kernel time over the
+# scan blocks of one p by the constant 16 / 32 / 64 / 128, by the C loop, the
+# mean of two in-process runs' medians on a shared 2-vCPU host: at p = 151
+# 0.85 / 0.95 / 1.15 / 1.55 ms, at 2001 0.091 / 0.091 / 0.089 / 0.094 s, at
+# 4001 0.59 / 0.56 / 0.52 / 0.55 s and at 6001 1.22 / 1.17 / 1.11 / 1.09 s,
+# where the two runs disagree on the order of 32, 64 and 128 above p = 151.
+# With 32 the hand-over falls past r = 4, 62, 125 and 187.
 _TAIL_SWITCH = 32
 
 
-def _floor_sum_batch(n: np.ndarray, m: int, a: np.ndarray) -> np.ndarray:
-    """floor_sum(n[k], m, a[k], 0) for every k, given 0 <= a[k] < m.
+def _floor_sum_batch(n: np.ndarray, m: int, a: np.ndarray, b) -> np.ndarray:
+    """floor_sum(n[k], m, a[k], b[k]) for every k, given 0 <= a[k] < m and
+    0 <= b[k] < m; ``b`` may be one int for every lane.
 
     The recursion of :func:`floor_sum`, elementwise; each step reduces a
-    and b at its end, which the first step, with a < m and b = 0, skips.
+    and b at its end, which the first step, with a and b below m, skips.
 
-    A lane is live while y = a n + b >= m.  At each step where some lane
-    has finished, its acc is written out and it is dropped from the
-    arrays.  The swap makes the old a the new divisor m, and a live lane
-    has a >= 1 (with a = 0, y = b < m), so no lane divides by zero.
+    A lane is live while y = a n + b >= m.  A finished lane stays finished
+    and adds nothing: its next n = floor(y / m) is 0, and each later y is a
+    remainder below its divisor.  Once a quarter of the lanes have finished,
+    their accs are written out and they are dropped from the arrays, by one
+    index array of the kept lanes.  The swap makes the old a the new divisor
+    m; a live lane has a >= 1 (with a = 0, y = b < m), and the divisor of a
+    finished lane is raised to 1, so no lane divides by zero.  y never grows
+    from one step to the next (module docstring), so the lanes are exact in
+    int64 while their first y = a n + b is.
     """
     out = np.empty_like(n)
     acc = np.zeros_like(n)
-    b = np.zeros_like(n)
     m = np.full_like(n, m)
     idx = np.arange(len(n))
     while len(idx):
         y = a * n + b
         live = y >= m
-        if not live.all():
-            out[idx[~live]] = acc[~live]
-            idx, y, a, m, acc = idx[live], y[live], a[live], m[live], acc[live]
+        if 4 * np.count_nonzero(live) <= 3 * len(idx):
+            done, keep = np.flatnonzero(~live), np.flatnonzero(live)
+            out[idx[done]] = acc[done]
+            idx, y, a, m, acc = idx[keep], y[keep], a[keep], m[keep], acc[keep]
         n, b = np.divmod(y, m)
-        a, m = m, a
+        a, m = m, np.maximum(a, 1)
         k, a = np.divmod(a, m)
-        acc += (n - 1) * n // 2 * k
+        acc += ((n - 1) * n >> 1) * k
         k, b = np.divmod(b, m)
         acc += n * k
     return out
@@ -697,17 +696,6 @@ def _scan_window(lib, p: int, lo: int, hi: int, scratch) -> tuple[int, np.ndarra
     return tested, out[: found.value].copy()
 
 
-def _sigma_grid(p: int, q: np.ndarray, rs: np.ndarray) -> np.ndarray:
-    """sigma(p, q[i], rs[j]) at [i, j], by the count of :func:`_floorsum_quarters`.
-
-    No precondition checks: q prime to p and 1 <= r < p, so there is no
-    hypotenuse point (module docstring).
-    """
-    qr = q[:, None] * rs[None, :]
-    s = _floor_sum_batch(np.tile(p * rs, len(q)), p * p, np.repeat(q, len(rs)))
-    return 2 * qr * rs - _quarters(p, q[:, None], rs, s.reshape(qr.shape))
-
-
 def _prime_factors(p: int) -> list[int]:
     """The distinct primes dividing p >= 1, by trial division."""
     primes = []
@@ -797,15 +785,54 @@ def _sigma_first_round(p: int, q: np.ndarray) -> np.ndarray:
         at = np.concatenate(sparse)
         for k in range(0, len(at), _BATCH):
             idx = at[k : k + _BATCH]
-            s[idx] = _floor_sum_batch(np.full(len(idx), p, dtype=np.int64), p * p, q[idx])
+            s[idx] = _floor_sum_batch(np.full(len(idx), p, dtype=np.int64), p * p, q[idx], 0)
     return 2 * q - _quarters(p, q, 1, s)
 
 
-def _sigma_tail(p: int, q: np.ndarray, r0: int) -> np.ndarray:
-    """sigma(p, q[i], r) at [i, r - r0] for every r0 <= r <= (p-1)/2, at O(p) cost per q.
+def _lane_sums(p: int, q: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """T(b[i, j]) = floor_sum(p, p^2, q[i], b[i, j] p) at [i, j], one floor-sum lane
+    each, given 0 <= b < p (the T of :func:`_sigma_steps`)."""
+    n = np.full(b.size, p, dtype=np.int64)
+    return _floor_sum_batch(n, p * p, np.repeat(q, b.shape[1]), p * b.ravel()).reshape(b.shape)
 
-    sigma is carried from r = 0 by a recurrence.  With S_r = sum_{x<pr}
-    floor(q x / p^2), the count of :func:`_floorsum_quarters` gives
+
+def _histogram_sums(p: int, q: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """T(b[i, j]) at [i, j] as :func:`_lane_sums` gives it, from one histogram per q
+    at O(p) cost per q, whatever the width of b.
+
+    Write q j = c_j p^2 + e_j with 0 <= e_j < p^2.  Then floor((q j + b p) / p^2)
+    = c_j + floor((e_j + b p) / p^2), and as 0 <= e_j + b p < 2 p^2 the last
+    floor is 1 iff e_j >= (p - b) p, that is iff floor(e_j / p) >= p - b, and 0
+    otherwise.  Summed over j < p,
+
+        T(b) = T(0) + #{j < p : floor(e_j / p) >= p - b}.
+
+    As e_0 = 0 never counts, each q takes one row of residues e_j for j = 1..p-1
+    and one histogram of p - floor(e_j / p) in 1..p, whose cumulative sum is the
+    count at every b, and T(0) from one floor-sum lane.  The rows share one
+    bincount: row i's bins are i (p + 1) + 1 .. i (p + 1) + p, and its empty bin
+    i (p + 1) is the base its counts are read from.  The products q j stay below
+    p^3 and the counts below len(q) (p + 1), which the caller bounds by _BATCH.
+    """
+    p2 = p * p
+    base = np.arange(len(q), dtype=np.int64)[:, None] * (p + 1)
+    e = np.multiply.outer(q, np.arange(1, p, dtype=np.int64))
+    e %= p2
+    e //= p
+    np.subtract(base + p, e, out=e)
+    counts = np.cumsum(np.bincount(e.ravel(), minlength=len(q) * (p + 1)))
+    t0 = _floor_sum_batch(np.full_like(q, p), p2, q, 0)
+    return counts[b + base] + (t0 - counts[base[:, 0]])[:, None]
+
+
+def _sigma_steps(p: int, q: np.ndarray, sigma, r0: int, r1: int) -> np.ndarray:
+    """sigma(p, q[i], r) at [i, r - r0] for every r0 <= r < r1, given
+    sigma[i] = sigma(p, q[i], r0 - 1) and 1 <= r0 < r1 <= p: the C loop's
+    steps, T(b) coming from :func:`_lane_sums` up to r = p // _TAIL_SWITCH
+    and from :func:`_histogram_sums` past it, chosen by r0.
+
+    With S_r = sum_{x<pr} floor(q x / p^2), the count of
+    :func:`_floorsum_quarters` gives
     sigma_r = 2 q r^2 - 4 S_r - 2 p r + 1 - 2 floor(q r / p), so sigma_0 = 1.
     Split x = p (r-1) + j with 0 <= j < p and write q (r-1) = a p + b with
     0 <= b < p; then q x = a p^2 + (q j + b p), so
@@ -819,72 +846,47 @@ def _sigma_tail(p: int, q: np.ndarray, r0: int) -> np.ndarray:
     the area and block terms in a cancel, as 2 q (2r-1) - 4 p a = 2 q + 4 b,
     and floor(q r / p) - floor(q (r-1) / p) = floor((b + q) / p).  Here
     floor((b + q) / p) = floor(q / p) + [b >= p - (q mod p)], and b is
-    (q mod p)(r-1) mod p.
-
-    T(b) takes O(p) for all b together.  Write q j = c_j p^2 + e_j with
-    0 <= e_j < p^2.  Then floor((q j + b p) / p^2) = c_j + floor((e_j + b p) / p^2),
-    and as 0 <= e_j + b p < 2 p^2 the last floor is 1 iff e_j >= (p - b) p,
-    that is iff floor(e_j / p) >= p - b, and 0 otherwise.  Summed over j,
-
-        T(b) = T(0) + #{j < p : floor(e_j / p) >= p - b},
-        T(0) = sum_j c_j = (q p (p-1) / 2 - sum_j e_j) / p^2.
-
-    As e_0 = 0 never counts, each q takes one row of residues e_j for
-    j = 1..p-1, one histogram of p - floor(e_j / p) in 1..p whose cumulative
-    sum is the count at every b, one gather at the b of r = 1..(p-1)/2 and
-    one cumulative sum of the D(b) over r.  The rows share one bincount:
-    row i's bins are i (p + 1) + 1 .. i (p + 1) + p, and its empty bin
-    i (p + 1) is the base its counts are read from.
-
-    In int64: q j and sum_j e_j are below p^3 and 4 T(0) below 2 p^3, and
-    T(0)'s q p (p-1) / 2, below p^4 / 2, is the largest intermediate.  By
-    the sawtooth form of the module docstring |sigma_r| <= 2 p r - 1 < p^2,
-    so every cumulative sum, a sigma_r, is below p^2 and every D(b) below
-    2 p^2.  The rows hold p + 1 bins each, so the caller bounds
-    len(q) (p + 1) by _BATCH.  No precondition checks: q prime to p, so
-    there is no hypotenuse point.
+    (q mod p)(r-1) mod p.  One cumulative sum of the D(b) over r gives every
+    sigma_r of the rows.  No precondition checks: q prime to p, so there is
+    no hypotenuse point (module docstring).
     """
-    p2 = p * p
-    base = np.arange(len(q), dtype=np.int64)[:, None] * (p + 1)
-    e = np.multiply.outer(q, np.arange(1, p, dtype=np.int64))
-    e %= p2
-    t0 = (q * (p * (p - 1) // 2) - e.sum(axis=1)) // p2
-    e //= p
-    np.subtract(base + p, e, out=e)
-    counts = np.cumsum(np.bincount(e.ravel(), minlength=len(q) * (p + 1)))
     q1, q0 = np.divmod(q, p)
-    d = np.multiply.outer(q0, np.arange((p - 1) // 2, dtype=np.int64))
-    d %= p  # b at r = 1..(p-1)/2
-    wrap = d >= (p - q0)[:, None]
-    d -= counts[d + base]  # b - T(b) + T(0) - counts[base]
-    d <<= 1
-    d -= wrap
-    d <<= 1
-    d += (2 * (q - p - q1) - 4 * (t0 - counts[base[:, 0]]))[:, None]
-    d[:, 0] += 1  # sigma_0
-    return np.cumsum(d, axis=1)[:, r0 - 1 :]
-
-
-def _keep_passing(q: np.ndarray, rows: int, sigmas) -> np.ndarray:
-    """The q whose ``sigmas`` are all +-1, in order, ``sigmas`` taking q in chunks of ``rows``."""
-    rows = max(1, rows)
-    parts = np.split(q, range(rows, len(q), rows))
-    return np.concatenate([part[(np.abs(sigmas(part)) == 1).all(axis=1)] for part in parts])
+    b = np.multiply.outer(q0, np.arange(r0 - 1, r1 - 1, dtype=np.int64))
+    b %= p  # q (r-1) mod p
+    t = (_lane_sums if r0 <= p // _TAIL_SWITCH else _histogram_sums)(p, q, b)
+    d = 4 * (b - t) - 2 * (b >= (p - q0)[:, None])
+    d += (2 * (q - p - q1))[:, None]
+    d[:, 0] += sigma
+    return np.cumsum(d, axis=1)
 
 
 def _window_survivors(p: int, q: np.ndarray) -> np.ndarray:
     """The q whose knot p^2/q passes, in input order, for an int64 array q that
     :func:`_knot_array` would accept as it is: the numpy kernel of
     :func:`cg_survivors`, with no checks, which the scan calls on the blocks of
-    :func:`_tested_blocks` where the C library does not load."""
-    q = q[np.abs(_sigma_first_round(p, q)) == 1]
+    :func:`_tested_blocks` where the C library does not load.
+
+    It runs the C loop's steps on every q at once: r = 1 by
+    :func:`_sigma_first_round`, then :func:`_sigma_steps` over r = 2, 3..4,
+    5..8, ..., the last of these rounds cut at r = p // _TAIL_SWITCH, and one
+    round over every r past it up to (p-1)/2.  After each round it drops the q
+    with some |sigma| != 1 and keeps the sigma of the others at the round's
+    last r.  A round takes q in chunks of _BATCH lanes, or of _BATCH histogram
+    bins past the hand-over."""
+    sigma = _sigma_first_round(p, q)
+    q, sigma = q[np.abs(sigma) == 1], sigma[np.abs(sigma) == 1]
+    hand_over, end = p // _TAIL_SWITCH, (p + 1) // 2
     r0, width = 2, 1
-    while len(q) and width * _TAIL_SWITCH < p:
-        rs = np.arange(r0, r0 + width, dtype=np.int64)
-        q = _keep_passing(q, _BATCH // width, lambda part: _sigma_grid(p, part, rs))
-        r0, width = r0 + width, 2 * width
-    if len(q):
-        q = _keep_passing(q, _BATCH // (p + 1), lambda part: _sigma_tail(p, part, r0))
+    while len(q) and r0 < end:
+        r1 = min(r0 + width, hand_over + 1, end) if r0 <= hand_over else end
+        rows = max(1, _BATCH // (r1 - r0 if r0 <= hand_over else p + 1))
+        last = []
+        for k in range(0, len(q), rows):
+            steps = _sigma_steps(p, q[k : k + rows], sigma[k : k + rows], r0, r1)
+            last.append(np.where((np.abs(steps) == 1).all(axis=1), steps[:, -1], 0))
+        sigma = np.concatenate(last)
+        q, sigma = q[sigma != 0], sigma[sigma != 0]
+        r0, width = r1, 2 * width
     return q
 
 
@@ -902,7 +904,7 @@ def _tested_blocks(p: int) -> Iterator[np.ndarray]:
         unit = u != 0
         q, u = q[unit], u[unit]
         # Hensel: u = q^-1 mod p gives q u = 1 + k p, and q u (2 - q u) = 1 - k^2 p^2;
-        # both products stay below p^3, far inside int64 for p <= INT64_MAX_P
+        # both products stay below p^3 (module docstring)
         inv = u * ((2 - q * u) % p2) % p2
         q = q[(q <= inv) & (q <= p2 - inv)]
         del u, unit, inv  # not held while the caller runs the kernel on q
@@ -928,11 +930,11 @@ def cg_survivors(p: int, qs) -> np.ndarray:
     """The q of ``qs`` whose knot p^2/q passes :func:`cg_condition`, in input order.
 
     Equal to ``[q for q in qs if cg_condition(p, q).passes]``: r = 1 by one
-    sawtooth sweep per window of q, then numpy floor-sum rounds over
-    r = 2, 3..4, 5..8, ... while a round's width w is below
-    p / _TAIL_SWITCH, and from there the tail, every r up to (p-1)/2 in
-    one O(p) pass per q (see the module docstring for the int64 guard and
-    the symmetry that ends at (p-1)/2).  This is numpy on every machine;
+    sawtooth sweep per window of q, then the C loop's steps in numpy,
+    floor-sum rounds over r = 2, 3..4, 5..8, ... up to r = p // _TAIL_SWITCH
+    and from there one histogram per q for every r up to (p-1)/2 (see the
+    module docstring for the int64 bound, the public limit and the symmetry
+    that ends at (p-1)/2).  This is numpy on every machine;
     the C library serves the scan alone.  p above INT64_MAX_P and q that
     are not of an integer dtype raise :class:`DomainError`.
     """

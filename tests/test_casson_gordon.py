@@ -22,13 +22,15 @@ from twobridge.casson_gordon import (
     _compiled_lanes,
     _floor_sum_batch,
     _first_round_sums,
+    _histogram_sums,
+    _lane_sums,
     _oracle_quarters,
     _prime_factors,
     _sigma_first_round,
-    _sigma_grid,
-    _sigma_tail,
+    _sigma_steps,
     _sigma_terms,
     _tested_blocks,
+    _window_survivors,
     cg_condition,
     cg_survivors,
     coprime_mask,
@@ -271,34 +273,38 @@ def test_cg_survivors_run_numpy_without_the_c_library(monkeypatch):
     assert set(ribbon) <= set(expected)
 
 
-def test_batched_sigma_matches_and_is_symmetric_in_r():
-    # every r, not only the r <= (p-1)/2 the rounds and the tail stop at
+def test_batched_sigma_matches_and_is_symmetric_in_r(monkeypatch):
+    # every r, not only the r <= (p-1)/2 the kernel stops at, from sigma_0 = 1:
+    # a switch constant of 1 takes every T(b) from the floor-sum lanes, and one
+    # above p every T(b) from the histogram
     for p in range(3, 42, 2):
-        qs = coprime_qs(p)
-        got = _sigma_grid(p, np.array(qs), np.arange(1, p))
-        expected = [[sigma(p, qq, rr) for rr in range(1, p)] for qq in qs]
-        assert got.tolist() == expected, p
-        assert (got == got[:, ::-1]).all(), p  # sigma(p, q, r) = sigma(p, q, p - r)
+        qs = np.array(coprime_qs(p))
+        expected = [[sigma(p, qq, rr) for rr in range(1, p)] for qq in qs.tolist()]
+        for constant in [1, p + 1]:
+            monkeypatch.setattr(casson_gordon, "_TAIL_SWITCH", constant)
+            got = _sigma_steps(p, qs, 1, 1, p)
+            assert got.tolist() == expected, (p, constant)
+            assert (got == got[:, ::-1]).all(), p  # sigma(p, q, r) = sigma(p, q, p - r)
 
 
-def test_first_round_sweep_matches_the_grid_exhaustive():
+def test_first_round_sweep_matches_sigma_exhaustive():
     # every knot with odd p <= 99 in one window (p^2 < _BATCH), shuffled
     rng = np.random.default_rng(0)
     for p in range(3, 100, 2):
         qs = rng.permutation(coprime_qs(p))
-        expected = _sigma_grid(p, qs, np.array([1]))[:, 0]
-        assert _sigma_first_round(p, qs).tolist() == expected.tolist(), p
+        expected = [sigma(p, q, 1) for q in qs.tolist()]
+        assert _sigma_first_round(p, qs).tolist() == expected, p
 
 
 @settings(deadline=None, max_examples=60)
 @given(st.integers(1, (INT64_MAX_P - 1) // 2).map(lambda k: 2 * k + 1), st.data())
-def test_first_round_sweep_matches_the_grid_on_windows_up_to_the_int64_guard(p, data):
+def test_first_round_sweep_matches_sigma_on_windows_up_to_the_int64_guard(p, data):
     lo = data.draw(st.integers(1, p * p - 1))
     hi = data.draw(st.integers(lo, min(lo + 5000, p * p - 1)))
     qs = data.draw(st.lists(st.integers(lo, hi), max_size=40)) + [lo, hi]
     qs = np.array([q for q in qs if gcd(q, p) == 1], dtype=np.int64)
-    expected = _sigma_grid(p, qs, np.array([1]))[:, 0]
-    assert _sigma_first_round(p, qs).tolist() == expected.tolist()
+    expected = [sigma(p, q, 1) for q in qs.tolist()]
+    assert _sigma_first_round(p, qs).tolist() == expected
 
 
 @pytest.mark.parametrize("batch", [1, 2, 7, 64])
@@ -330,7 +336,7 @@ def test_first_round_sums_match_the_floor_sum_up_to_the_int64_guard(p, data):
     lo = data.draw(st.integers(1, p * p - 1))
     hi = data.draw(st.integers(lo, min(lo + (1 << 17), p * p - 1)))
     qs = np.array(sorted(data.draw(st.lists(st.integers(lo, hi), max_size=40)) + [lo, hi]))
-    expected = _floor_sum_batch(np.full_like(qs, p), p * p, qs)
+    expected = _floor_sum_batch(np.full_like(qs, p), p * p, qs, 0)
     assert _first_round_sums(p, qs).tolist() == expected.tolist()
 
 
@@ -356,30 +362,41 @@ def test_sparse_and_dense_input_give_the_same_survivors(monkeypatch):
     assert set(cg_survivors(p, dense[::500]).tolist()) == survivors.intersection(dense[::500])
 
 
-def test_tail_matches_the_grid_exhaustive():
+def test_histogram_rows_match_the_lane_rows_exhaustive(monkeypatch):
     # every knot with odd p <= 99, composite p (9, 15, 45, 75, ...) included,
-    # through every r <= (p-1)/2; r0 only picks the columns, so every r0 runs up
-    # to p = 45 and r0 = 1, 2, (p-1)/2, (p+1)/2 above (each call is O(p) per q)
+    # through every r <= (p-1)/2: the lanes' rows from r = 1 (a switch constant
+    # of 1), which the test above ties to sigma, against the histogram's rows
+    # (a constant above p) from r0 on, carried from the lanes' sigma at r0 - 1,
+    # every r0 up to p = 45 and r0 = 1, 2, (p-1)/2 above (each call is O(p) per
+    # q); up to p = 45 the two give the same T(b) at every b < p as well
     for p in range(3, 100, 2):
         qs = np.array(coprime_qs(p))
-        r_stop = (p - 1) // 2
-        expected = _sigma_grid(p, qs, np.arange(1, r_stop + 1))
-        r0s = range(1, r_stop + 2) if p <= 45 else [1, 2, r_stop, r_stop + 1]
-        for r0 in r0s:
-            assert np.array_equal(_sigma_tail(p, qs, r0), expected[:, r0 - 1 :]), (p, r0)
+        end = (p + 1) // 2
+        monkeypatch.setattr(casson_gordon, "_TAIL_SWITCH", 1)
+        lanes = _sigma_steps(p, qs, 1, 1, end)
+        monkeypatch.setattr(casson_gordon, "_TAIL_SWITCH", p + 1)
+        for r0 in range(1, end) if p <= 45 else [1, 2, end - 1]:
+            start = lanes[:, r0 - 2] if r0 > 1 else 1
+            assert np.array_equal(_sigma_steps(p, qs, start, r0, end), lanes[:, r0 - 1 :]), (p, r0)
+        if p <= 45:
+            b = np.tile(np.arange(p, dtype=np.int64), (len(qs), 1))
+            assert np.array_equal(_histogram_sums(p, qs, b), _lane_sums(p, qs, b)), p
 
 
 @settings(deadline=None, max_examples=60)
 @given(st.integers(1, (INT64_MAX_P - 1) // 2).map(lambda k: 2 * k + 1), st.data())
-def test_tail_matches_the_grid_up_to_the_int64_guard(p, data):
-    # q near p^2 gives the tail's largest intermediate, T(0)'s q p (p-1) / 2 < p^4 / 2
+def test_sigma_steps_match_sigma_up_to_the_int64_guard(p, data):
+    # r0 on either side of the hand-over r = p // _TAIL_SWITCH, so that the lanes
+    # or the histogram take every r from r0 on.  q = p^2 - 1 at r = 2 starts its
+    # lane at y = q p + (p - 1) p, the largest start of any lane at p
     coprime = st.integers(1, p * p - 1).filter(lambda q: gcd(q, p) == 1)
-    qs = np.array(data.draw(st.lists(coprime, min_size=1, max_size=4)) + [p * p - 1])
+    qs = data.draw(st.lists(coprime, min_size=1, max_size=4)) + [p * p - 1]
     r_stop = (p - 1) // 2
-    r0 = data.draw(st.integers(1, r_stop))
+    r0 = data.draw(st.integers(1, min(2, r_stop)) | st.integers(1, r_stop))
     rs = sorted(set(data.draw(st.lists(st.integers(r0, r_stop), max_size=6)) + [r0, r_stop]))
-    got = _sigma_tail(p, qs, r0)[:, np.array(rs) - r0]
-    assert got.tolist() == _sigma_grid(p, qs, np.array(rs)).tolist()
+    start = np.array([sigma(p, q, r0 - 1) if r0 > 1 else 1 for q in qs])
+    got = _sigma_steps(p, np.array(qs), start, r0, r_stop + 1)[:, np.array(rs) - r0]
+    assert got.tolist() == [[sigma(p, q, r) for r in rs] for q in qs]
 
 
 def dedekind12k(h, k):
@@ -434,9 +451,17 @@ def test_sigma_terms_half_rows_meet_the_dedekind_checksum(p, data):
     assert 6 * p * sum(t.sigma for t in terms) == half_row_checksum(p, q)
 
 
-def assert_tail_rows_meet_the_checksum(p, qs):
+def assert_rows_meet_the_checksum(p, qs):
+    # sigma_1 from the first round, then the lanes up to the hand-over and the
+    # histogram past it, each carried from the last sigma before it, as the kernel does
     qs = np.array(qs, dtype=np.int64)
-    halves = _sigma_first_round(p, qs) + _sigma_tail(p, qs, 2).sum(axis=1)
+    rows = [_sigma_first_round(p, qs)[:, None]]
+    end = (p + 1) // 2
+    cut = min(max(2, p // casson_gordon._TAIL_SWITCH + 1), end)
+    for r0, r1 in [(2, cut), (cut, end)]:
+        if r0 < r1:
+            rows.append(_sigma_steps(p, qs, rows[-1][:, -1], r0, r1))
+    halves = np.concatenate(rows, axis=1).sum(axis=1)
     expected = [half_row_checksum(p, q) for q in qs.tolist()]
     assert (6 * p * halves).tolist() == expected, p
 
@@ -444,63 +469,72 @@ def assert_tail_rows_meet_the_checksum(p, qs):
 def test_tail_rows_meet_the_dedekind_checksum_exhaustive():
     # every q at odd p <= 51, composite p included, rejections and survivors alike
     for p in range(3, 52, 2):
-        assert_tail_rows_meet_the_checksum(p, coprime_qs(p))
+        assert_rows_meet_the_checksum(p, coprime_qs(p))
 
 
 @pytest.mark.parametrize("p", [151, 2001, INT64_MAX_P - 1])
 def test_tail_rows_meet_the_dedekind_checksum_up_to_the_int64_guard(p):
-    # random q, the extremes and a few survivors; at p = INT64_MAX_P - 1 the
-    # tail's T(0) reaches its largest intermediate, q p (p-1) / 2 near p^4 / 2
+    # random q, the extremes and a few survivors, through the lanes and the histogram
     rng = np.random.default_rng(p)
     qs = [q for q in rng.integers(1, p * p, 40).tolist() if gcd(q, p) == 1][:8 if p > 5000 else 30]
     qs += [1, p + 1, p - 1, p * p - 1, p * p - p - 1, p * p - 2]
-    assert_tail_rows_meet_the_checksum(p, qs)
+    assert_rows_meet_the_checksum(p, qs)
 
 
-def spy_tail(monkeypatch):
-    """Record the r0 and the length of the q of every call of the numpy tail."""
-    real = casson_gordon._sigma_tail
-    calls = []
+def spy_steps(monkeypatch):
+    """Record (r0, r1, len(q), whether the histogram gave T(b)) for every call
+    of the numpy steps."""
+    steps, histogram = casson_gordon._sigma_steps, casson_gordon._histogram_sums
+    calls, histograms = [], []
 
-    def sigma_tail(p, q, r0):
-        calls.append((r0, len(q)))
-        return real(p, q, r0)
+    def sigma_steps(p, q, sigma, r0, r1):
+        before = len(histograms)
+        out = steps(p, q, sigma, r0, r1)
+        calls.append((r0, r1, len(q), len(histograms) > before))
+        return out
 
-    monkeypatch.setattr(casson_gordon, "_sigma_tail", sigma_tail)
+    monkeypatch.setattr(casson_gordon, "_sigma_steps", sigma_steps)
+    monkeypatch.setattr(casson_gordon, "_histogram_sums",
+                        lambda *args: histograms.append(1) or histogram(*args))
     return calls
 
 
 @pytest.mark.parametrize("rows", [1, 3, 50])
 def test_tail_chunks_keep_input_order(monkeypatch, rows):
-    # unsorted q with repeats, every survivor among them, in chunks of `rows`
+    # unsorted q with repeats, every survivor among them, in chunks of `rows`;
+    # at p = 45 the histogram takes every r from 2
     p = 45
     monkeypatch.setattr(casson_gordon, "_BATCH", rows * (p + 1))
-    calls = spy_tail(monkeypatch)
+    calls = spy_steps(monkeypatch)
     rng = np.random.default_rng(rows)
     qs = coprime_qs(p)
     survivors = [q for q in qs if passes(p, q)]
     qs = rng.permutation(np.concatenate([rng.choice(qs, size=300), survivors, survivors]))
     assert cg_survivors(p, qs).tolist() == [q for q in qs.tolist() if passes(p, q)]
-    assert len(calls) > 1 and max(n for _, n in calls) == rows
+    assert all(histogram for *_, histogram in calls)
+    assert len(calls) > 1 and max(n for _, _, n, _ in calls) == rows
 
 
-def test_rounds_hand_over_to_the_tail_at_every_round_boundary(monkeypatch):
-    # a switch constant of ceil(p / w) hands over at the round of width w,
-    # r0 = w + 1, for every round boundary r0 <= (p-1)/2; the rounds reach
-    # r = 2 w, which stays below p / 2 because the constant is at least 4
-    switch = casson_gordon._TAIL_SWITCH
-    assert switch >= 4
-    calls = spy_tail(monkeypatch)
+def test_lanes_hand_over_to_the_histogram_at_every_r(monkeypatch):
+    # as the C loop's test below, on the q the scan tests: p // _TAIL_SWITCH = h - 1
+    # puts the hand-over at r = h, for h = 2 (at once) to (p-1)/2, and
+    # _TAIL_SWITCH = 1 never hands over.  The lane rounds end at r = h - 1 and
+    # the histogram takes r = h to (p-1)/2 in one round
+    calls = spy_steps(monkeypatch)
     for p in range(3, 62, 2):
-        qs = coprime_qs(p)
+        qs = np.concatenate(list(_tested_blocks(p))).tolist()
         expected = [q for q in qs if passes(p, q)]
-        widths = [1 << k for k in range(p.bit_length()) if 1 << k < (p - 1) // 2]
-        for constant in [switch] + [-(-p // width) for width in widths]:
+        end = (p + 1) // 2
+        for constant in [1] + [Fraction(p, h - 1) for h in range(2, end)]:
             monkeypatch.setattr(casson_gordon, "_TAIL_SWITCH", constant)
             calls.clear()
             assert cg_survivors(p, qs).tolist() == expected, (p, constant)
-            width = next(w for w in (1 << k for k in range(p.bit_length())) if w * constant >= p)
-            assert {r0 for r0, _ in calls} == {width + 1}, (p, constant)
+            h = p // constant + 1
+            histogram = {(r0, r1) for r0, r1, _, histogram in calls if histogram}
+            assert histogram == ({(h, end)} if h < end else set()), (p, constant)
+            lanes = {(r0, r1) for r0, r1, _, histogram in calls if not histogram}
+            covered = sorted(r for r0, r1 in lanes for r in range(r0, r1))
+            assert covered == list(range(2, min(h, end))), (p, constant)
 
 
 needs_cc = pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
@@ -598,11 +632,13 @@ def test_compiled_kernel_hands_over_to_the_histogram_at_every_r(monkeypatch):
             assert (tested, survivors.tolist()) == (len(qs), expected), (p, constant)
 
 
-def floor_sum_lanes(n, m, a):
+def floor_sum_lanes(n, m, a, b=None):
     n, a = np.array(n, dtype=np.int64), np.array(a, dtype=np.int64)
+    b = np.zeros_like(a) if b is None else np.array(b, dtype=np.int64)
     with np.errstate(all="raise"):  # no lane may divide by zero
-        got = _floor_sum_batch(n, m, a)
-    return got.tolist(), [floor_sum(nn, m, aa, 0) for nn, aa in zip(n.tolist(), a.tolist())]
+        got = _floor_sum_batch(n, m, a, b)
+    expected = [floor_sum(nn, m, aa, bb) for nn, aa, bb in zip(n.tolist(), a.tolist(), b.tolist())]
+    return got.tolist(), expected
 
 
 def test_floor_sum_batch_on_lanes_that_finish_many_steps_apart():
@@ -646,12 +682,28 @@ def test_floor_sum_batch_on_an_empty_batch_and_lanes_done_at_once():
 
 @pytest.mark.parametrize("p", [INT64_MAX_P - 1, INT64_MAX_P - 3])
 def test_floor_sum_batch_next_to_the_int64_guard(p):
-    # the grid's inputs at their largest: n = p r up to p (p - 1), a < p^2
+    # lanes of n = p r up to p (p - 1) and a < p^2, whose y = a n nears p^4
     m = p * p
     rng = np.random.default_rng(p)
     a = [m - 1, m - p - 1, p + 1, 1] + rng.integers(1, m, 60).tolist()
     n = [p * (p - 1), p * (p - 1) // 2, p, p * (p - 1)] + (p * rng.integers(1, p, 60)).tolist()
     got, expected = floor_sum_lanes(n, m, a)
+    assert got == expected
+
+
+@pytest.mark.parametrize("p", [2_097_151, 2_097_149, 4001])
+def test_floor_sum_batch_on_t_b_lanes_up_to_the_int64_bound(p):
+    # the kernels' lanes T(b) = floor_sum(p, p^2, a, b p) with a < p^2 and b < p:
+    # at a = p^2 - 1 and b = p - 1 the first y = a p + b p is p^3 + p^2 - 2 p,
+    # within 2^63 at p = 2,097,151, the largest p the module docstring's bound
+    # allows.  Lanes with a + b < p finish at the first step, with b > 0
+    assert 2_097_151**3 + 2_097_151**2 < 2**63 <= 2_097_152**3 + 2_097_152**2
+    m = p * p
+    rng = np.random.default_rng(p)
+    a = [m - 1, m - 1, m - p - 1, p + 1, 1, 1, p - 2] + rng.integers(1, m, 60).tolist()
+    b = [p - 1, 1, p - 1, p - 2, p - 2, 1, 1] + rng.integers(0, p, 60).tolist()
+    assert all(aa + bb < p for aa, bb in zip(a[4:7], b[4:7]))
+    got, expected = floor_sum_lanes([p] * len(a), m, a, [p * bb for bb in b])
     assert got == expected
 
 
@@ -779,31 +831,63 @@ def test_cg_survivors_single_q_around_the_int64_guard(p, data):
     assert cg_survivors(p, [q]).tolist() == expected
 
 
-def test_cg_survivors_next_to_the_int64_guard_keep_what_every_row_passes():
-    # the numpy rounds and tail at p = INT64_MAX_P - 1 against sigma at every r,
-    # read from the tail's rows from r = 2: random q, q next to p^2, the
-    # condition i) knots p + 1 and p^2 - p - 1, which pass every r, and
-    # q = k p +- 2, 3, 5, some of which pass every round and fail in the tail
+def test_cg_survivors_next_to_the_int64_guard_keep_what_every_row_passes(monkeypatch):
+    # the numpy kernel at p = INT64_MAX_P - 1 against sigma at every r, read from
+    # histogram rows from r = 2 (a switch constant above p): random q, q next to
+    # p^2, the condition i) knots p + 1 and p^2 - p - 1, which pass every r, and
+    # q = k p +- 2, 3, 5, some of which pass every lane round and fail past it
     p = INT64_MAX_P - 1
     rng = np.random.default_rng(p)
     near = (np.arange(1, 300)[:, None] * p + [-5, -3, -2, 2, 3, 5]).ravel()
     qs = np.concatenate([[p + 1, p * p - p - 1], near, rng.integers(1, p * p, 1000),
                          p * p - rng.integers(1, 3 * p, 300)])
     qs = qs[coprime_mask(qs, p)]
-    alive = qs[np.abs(_sigma_first_round(p, qs)) == 1]
-    bad = np.concatenate([np.abs(_sigma_tail(p, alive[k : k + 5], 2)) != 1 for k in range(0, len(alive), 5)])
+    sigma1 = _sigma_first_round(p, qs)
+    alive, sigma1 = qs[np.abs(sigma1) == 1], sigma1[np.abs(sigma1) == 1]
+    hand_over = p // casson_gordon._TAIL_SWITCH
+    with monkeypatch.context() as patch:
+        patch.setattr(casson_gordon, "_TAIL_SWITCH", p + 1)
+        rows = [_sigma_steps(p, alive[k : k + 5], sigma1[k : k + 5], 2, (p + 1) // 2)
+                for k in range(0, len(alive), 5)]
+    bad = np.abs(np.concatenate(rows)) != 1
     first = np.where(bad.any(axis=1), bad.argmax(axis=1) + 2, 0)
     assert cg_survivors(p, qs).tolist() == alive[first == 0].tolist()
     assert {p + 1, p * p - p - 1} <= set(alive[first == 0].tolist())
-    # the rounds end before r = 2 p / _TAIL_SWITCH
-    assert (first > 2 * p // casson_gordon._TAIL_SWITCH).any() and len(set(first.tolist())) > 20
+    # some q fail only past the hand-over, where the kernel reads the histogram
+    assert (first > hand_over).any() and len(set(first.tolist())) > 20
+
+
+@pytest.mark.parametrize("p", [46349, 65537])
+def test_window_survivors_past_the_int64_guard(p):
+    # the unchecked numpy kernel above INT64_MAX_P, which cg_survivors and the
+    # scan refuse, is exact there too (module docstring): random q, q = k p +- 2,
+    # 3, 5 and the condition i) knots p + 1 and p^2 - p - 1 against the Python-int
+    # reference, which also finds the first failing r; some q fail only past the
+    # hand-over, at r > p // _TAIL_SWITCH (1448 and 2048)
+    assert p > INT64_MAX_P
+    rng = np.random.default_rng(p)
+    near = (np.arange(1, 41)[:, None] * p + [-5, -3, -2, 2, 3, 5]).ravel()
+    qs = np.concatenate([[p + 1, p * p - p - 1], near, rng.integers(1, p * p, 100)])
+    qs = qs[coprime_mask(qs, p)]
+    first = [next((r for r in range(1, p) if sigma(p, q, r) not in (-1, 1)), 0) for q in qs.tolist()]
+    survivors = _window_survivors(p, qs).tolist()
+    assert survivors == [q for q, r in zip(qs.tolist(), first) if r == 0]
+    assert {p + 1, p * p - p - 1} <= set(survivors)
+    assert max(first) > p // casson_gordon._TAIL_SWITCH
+
+
+@needs_cc
+def test_compiled_window_equals_the_numpy_front_end_past_the_int64_guard(monkeypatch):
+    # the first window of p = 46,349, which the scan refuses, on both routes
+    found = assert_windows_equal_the_numpy_front_end(monkeypatch, 46349, [0])
+    assert 46348 in found[0]
 
 
 @pytest.mark.parametrize("p", [INT64_MAX_P - 1])
 def test_survivor_next_to_the_int64_guard(p):
     # q = p + 1 is condition i) with n = 1, so it and its orbit mate
-    # p^2 - p - 1 pass at every r; for the latter the tail's T(0) reaches an
-    # intermediate near p^4 / 2, close to the int64 limit below the guard
+    # p^2 - p - 1 pass at every r; the latter has q mod p = p - 1, so b = p - 1
+    # at r = 2 and its lane starts at y = q p + (p - 1) p, near p^3
     qs = [p + 1, p + 2, p * p - p - 1]
     expected = [q for q in qs if passes(p, q)]
     assert expected == [p + 1, p * p - p - 1]
