@@ -60,8 +60,12 @@ double in width and the last is cut there.  Past it both read every T(b)
 as T(0) + counts[b] from one histogram per q, built in O(p), with T(0)
 from one more Euclid run (:func:`_histogram_sums`): the C loop builds it
 for a q still alive there, and the numpy route takes every remaining r
-up to (p-1)/2 in one round.  Each window spans fewer than 2^18 q, and
-each floor-sum call and each chunk of histograms holds about 2^18
+up to (p-1)/2 in one round.  The C loop's histogram takes no division:
+it carries e_j = q j mod p^2 as its quotient hi and remainder lo by p,
+adds q1 = floor(q / p) to hi and q0 = q mod p to lo at each j, carries
+one into hi when lo reaches p, and takes p from hi when hi reaches p,
+that is when e_(j-1) + q >= p^2.  Each window spans fewer than 2^18 q,
+and each floor-sum call and each chunk of histograms holds about 2^18
 elements.
 
 Every intermediate of both routes stays below p^3 + p^2.  A Euclid run
@@ -73,8 +77,9 @@ starts at q p + b p <= (p^2 - 1) p + (p - 1) p < p^3 + p^2, so every y,
 every product a n and every quotient and remainder are below p^3 + p^2.
 As y < m (n + 1), n never grows either, so (n - 1) n < p^2, and each
 addend of the sum is at most the sum, T(b) <= sum_{j<p} j < p^2 / 2, as
-q j + b p < (j + 1) p^2.  The histogram's products q j are below p^3,
-its residues below p^2 and its counts below p per q.  Each term of
+q j + b p < (j + 1) p^2.  The numpy histogram's products q j are below
+p^3 and its residues below p^2; the C loop's forms no q j, and its hi
+and lo stay below 2 p.  The counts are below p per q.  Each term of
 D(b) = 2 q + 4 b - 4 T(b) - 2 p - 2 floor((b + q) / p) is below 2 p^2 in
 absolute value, and so is each sigma it is added to: the C loop adds it
 to +-1, as it stops at the first other value, and a numpy round's
@@ -91,7 +96,7 @@ counts every term at r = 1..p-1 in one O(p) pass over the blocks of the
 histogram, on Python ints.  :func:`weighted_count`, :func:`sigma` and
 ``sigma --r`` stay per-r floor sums: they count every r they are given,
 so they are the independent reference for the block pass, and the scan
-re-derives its least survivor with :func:`sigma`.
+re-derives its least survivor with the floor sum behind :func:`sigma`.
 
 The C front end, :func:`_scan_window`, takes a window lo <= q < hi of
 consecutive q, hi <= p^2, and does the scan's orbit selection, the
@@ -290,9 +295,15 @@ def weighted_count(p: int, q: int, r: int) -> int:
     return _floorsum_quarters(p, q, r)
 
 
+def _floorsum_sigma(p: int, q: int, r: int) -> int:
+    """:func:`sigma` by the floor-sum recursion, with no checks: its kernel."""
+    return 2 * q * r * r - _floorsum_quarters(p, q, r)
+
+
 def sigma(p: int, q: int, r: int) -> int:
     """4 * (area - weighted count).  Exact: 2*q*r^2 - quarters, an integer."""
-    return 2 * q * r * r - weighted_count(p, q, r)
+    _validate(p, q, r)
+    return _floorsum_sigma(p, q, r)
 
 
 @dataclass(frozen=True)
@@ -308,7 +319,7 @@ class SigmaTerm:
     def of(cls, q: int, r: int, quarters: int) -> "SigmaTerm":
         """The term at r from the weighted count of the triangle, in quarters."""
         area_halves = q * r * r
-        return cls(r, area_halves, quarters, 2 * area_halves - quarters)
+        return _term(r, area_halves, quarters, 2 * area_halves - quarters)
 
     def to_json_dict(self) -> dict:
         return {
@@ -339,6 +350,20 @@ class SigmaReport:
         }
 
 
+def _term(r: int, area_halves: int, quarters: int, sigma: int) -> SigmaTerm:
+    """``SigmaTerm(r, area_halves, quarters, sigma)``, built as copy and pickle
+    build an instance: ``object.__new__`` and its instance dict, past the frozen
+    ``__init__`` and its ``object.__setattr__`` per field (0.7 against 1.0 us a
+    term on a shared 2-vCPU host).  The one way the package builds a term."""
+    term = object.__new__(SigmaTerm)
+    fields = term.__dict__
+    fields["r"] = r
+    fields["area_halves"] = area_halves
+    fields["quarters"] = quarters
+    fields["sigma"] = sigma
+    return term
+
+
 def _sigma_terms(p: int, q: int) -> tuple[SigmaTerm, ...]:
     """The terms at r = 1..p-1 for a validated p >= 2 and q.
 
@@ -347,7 +372,8 @@ def _sigma_terms(p: int, q: int) -> tuple[SigmaTerm, ...]:
     counts[b] = #{j : floor(e_j / p) >= p - b} and
     T(0) = (q p (p-1) / 2 - sum_j e_j) / p^2, the block of columns
     p (r-1) <= x < p r gives S_r = S_{r-1} + p a + T(0) + counts[b], where
-    (a, b) = divmod(q (r-1), p).
+    (a, b) = divmod(q (r-1), p).  One divmod of q r per r gives the next
+    block's a and b, and a is also the floor(q r / p) of :func:`_quarters`.
     That proof uses neither gcd(q, p) = 1 nor odd p, and on Python ints it
     holds at any p, even p included.  The histogram and the terms are lists
     of about p items, which CPython caps below sys.maxsize // 8 items (8-byte
@@ -367,14 +393,13 @@ def _sigma_terms(p: int, q: int) -> tuple[SigmaTerm, ...]:
     counts = list(accumulate(counts))
     t0 = (q * (p * (p - 1) // 2) - total) // p2
     terms = []
-    s = qr = 0  # S_r and q (r - 1)
+    s = a = b = 0  # S_r, and q (r - 1) = a p + b
     for r in range(1, p):
-        b = qr % p
-        s += qr - b + t0 + counts[b]
+        s += p * a + t0 + counts[b]
+        a, b = divmod(q * r, p)
         area = q * r * r
-        quarters = _quarters(p, q, r, s)
-        terms.append(SigmaTerm(r, area, quarters, 2 * area - quarters))
-        qr += q
+        quarters = 4 * s + 2 * (p * r + a) - 1  # _quarters(p, q, r, s), a = floor(q r / p)
+        terms.append(_term(r, area, quarters, 2 * area - quarters))
     return tuple(terms)
 
 
@@ -406,12 +431,13 @@ _BATCH = 1 << 18
 # from the O(p) histogram of the q still alive past it.  Per q alive, the
 # histogram costs about p steps and a floor sum about log p, while each r
 # before it still drops q the histogram would pay for.  Kernel time over the
-# scan blocks of one p by the constant 16 / 32 / 64 / 128, by the C loop, the
-# mean of two in-process runs' medians on a shared 2-vCPU host: at p = 151
-# 0.85 / 0.95 / 1.15 / 1.55 ms, at 2001 0.091 / 0.091 / 0.089 / 0.094 s, at
-# 4001 0.59 / 0.56 / 0.52 / 0.55 s and at 6001 1.22 / 1.17 / 1.11 / 1.09 s,
-# where the two runs disagree on the order of 32, 64 and 128 above p = 151.
-# With 32 the hand-over falls past r = 4, 62, 125 and 187.
+# scan blocks of one p by the constant 16 / 32 / 64 / 128, by the C loop with
+# its division-free histogram, the mean of two in-process runs' medians on a
+# shared 2-vCPU host: at p = 151 0.81 / 0.80 / 1.01 / 1.22 ms, at 2001
+# 0.081 / 0.081 / 0.079 / 0.076 s, at 4001 0.47 / 0.45 / 0.43 / 0.47 s and at
+# 6001 1.10 / 1.04 / 1.01 / 0.98 s.  The two runs differ by up to 15 % and
+# disagree on the order of the constants above p = 151, where 64 and 128
+# lose; 32 stays.  With 32 the hand-over falls past r = 4, 62, 125 and 187.
 _TAIL_SWITCH = 32
 
 
@@ -494,14 +520,19 @@ static int64_t first_failure(int64_t p, int64_t hand_over, int64_t q, int64_t si
             t = euclid(p, p2, q, b * p);
         } else {
             if (t0 < 0) { /* counts[b] = #{0 < j < p : (q j mod p^2) / p >= p - b} */
-                int64_t e = 0;
+                int64_t hi = 0, lo = 0; /* q j mod p^2 = hi p + lo */
                 for (int64_t j = 0; j <= p; j++)
                     counts[j] = 0;
                 for (int64_t j = 1; j < p; j++) {
-                    e += q;
-                    if (e >= p2)
-                        e -= p2;
-                    counts[p - e / p]++;
+                    lo += q0;
+                    hi += q1;
+                    if (lo >= p) {
+                        lo -= p;
+                        hi++;
+                    }
+                    if (hi >= p)
+                        hi -= p;
+                    counts[p - hi]++;
                 }
                 for (int64_t j = 1; j <= p; j++)
                     counts[j] += counts[j - 1];

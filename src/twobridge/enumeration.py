@@ -24,8 +24,8 @@ orbits and picks the C or the numpy route.  p is at most
 checks.  At every p the number of q tested must be the number of orbits,
 in closed form by :func:`_orbit_count`, every family member must survive
 (the families are ribbon) and the least survivor is re-derived at every
-r < p/2 by the Python-int floor-sum :func:`casson_gordon.sigma`, which
-shares nothing with the kernel's tail;
+r < p/2 by the Python-int floor sum behind :func:`casson_gordon.sigma`,
+which shares nothing with the kernel's tail, validated once, not per r;
 its :func:`casson_gordon.cg_condition` report must give the same terms there.
 A disagreement raises :class:`InternalError`.
 
@@ -63,12 +63,13 @@ import signal
 from collections import Counter
 from contextlib import suppress
 from dataclasses import dataclass
+from functools import cache
 from itertools import islice
 from math import isqrt
 from typing import Callable, Iterator
 
 from . import casson_gordon
-from .casson_gordon import INT64_MAX_P, _prime_factors, cg_condition, sigma
+from .casson_gordon import INT64_MAX_P, _floorsum_sigma, _prime_factors, cg_condition, validate_knot
 from .conway import BridgeFraction, KnotClass, is_amphicheiral, orbit_qs
 # perfbench/spans.py traces cf_eval and canonical_class under this module's
 # names as well as conway's, so they stay bound here though nothing calls them
@@ -339,7 +340,8 @@ def _scan_single_p(p: int) -> ScanRecord:
     if missing:
         raise InternalError(f"the batched kernel rejects the ribbon knot {p * p}/{min(missing)}")
     least = passing[0]
-    counted = [sigma(p, least, r) for r in range(1, (p + 1) // 2)]
+    validate_knot(p, least)  # once, not at every r
+    counted = [_floorsum_sigma(p, least, r) for r in range(1, (p + 1) // 2)]
     if any(abs(s) != 1 for s in counted):
         raise InternalError(
             f"the batched kernel passes {p * p}/{least}, which the floor-sum sigma rejects"
@@ -354,6 +356,27 @@ def _scan_single_p(p: int) -> ScanRecord:
 # (parameter, value) for glibc's mallopt: M_MMAP_THRESHOLD and M_TRIM_THRESHOLD,
 # numbered as in malloc.h
 _MALLOPT_SETTINGS = ((-3, 64 << 20), (-1, 256 << 20))
+
+
+@cache
+def _mallopt():
+    """glibc's ``mallopt``, typed, looked up on the first call in this process;
+    None off glibc or where it is missing.  Looking it up leaves the allocator as it is."""
+    try:
+        libc = os.confstr("CS_GNU_LIBC_VERSION")
+    except (AttributeError, ValueError, OSError):
+        return None
+    if not libc or not libc.startswith("glibc "):
+        return None
+    import ctypes  # numpy has imported it already
+
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError):
+        return None
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    return mallopt
 
 
 def _keep_freed_memory() -> tuple[int, ...]:
@@ -383,21 +406,12 @@ def _keep_freed_memory() -> tuple[int, ...]:
     measured difference.  A no-op, returning (), off glibc or where
     ``mallopt`` is missing.  It changes the whole process, so only scan
     workers and :func:`cli.main` call it, never code a library user calls.
+    The handle comes from :func:`_mallopt`, which a parallel scan makes
+    before its workers fork, so they only call it.
     """
-    try:
-        libc = os.confstr("CS_GNU_LIBC_VERSION")
-    except (AttributeError, ValueError, OSError):
+    mallopt = _mallopt()
+    if mallopt is None:
         return ()
-    if not libc or not libc.startswith("glibc "):
-        return ()
-    import ctypes  # numpy has imported it already
-
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (AttributeError, OSError):
-        return ()
-    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
-    mallopt.restype = ctypes.c_int
     return tuple(mallopt(param, value) for param, value in _MALLOPT_SETTINGS)
 
 
@@ -450,7 +464,9 @@ def _scan_in_workers(todo: Iterator[int], jobs: int, finish: Callable[[ScanRecor
     # on a 2-core machine) and a dead worker hung it; here the parent wakes once per record
     workers = {}  # the pipe end of each worker -> its process
     held = {}  # the pipe end of each busy worker -> the p it scans
-    casson_gordon._compiled_lanes()  # built and loaded once here, so forked workers inherit them
+    # built, loaded and looked up once here, so forked workers inherit them
+    casson_gordon._compiled_lanes()
+    _mallopt()
     try:
         for p in islice(todo, jobs):
             proc, conn = _start_worker()
@@ -585,7 +601,9 @@ def conjecture_scan(
     if not 3 <= p_min <= p_max:
         raise DomainError(f"need 3 <= p_min <= p_max after rounding, got {p_min}..{p_max}")
     if p_max > INT64_MAX_P:
-        raise DomainError(f"need p_max <= {INT64_MAX_P}, the kernel's int64 bound, got {p_max}")
+        raise DomainError(
+            f"need p_max <= INT64_MAX_P = {INT64_MAX_P}, the scan's public limit, got {p_max}"
+        )
     if checkpoint == "":
         raise DomainError("the checkpoint path is empty")
 

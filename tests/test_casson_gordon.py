@@ -1,5 +1,7 @@
+import dataclasses
 import json
 import os
+import pickle
 import shutil
 import signal
 import subprocess
@@ -17,6 +19,7 @@ import numpy as np
 from twobridge import casson_gordon
 from twobridge.casson_gordon import (
     INT64_MAX_P,
+    SigmaReport,
     SigmaTerm,
     _column_quarters,
     _compiled_lanes,
@@ -231,6 +234,34 @@ def test_terms_equal_the_count_above_the_int64_guard(q):
     rs = [1, 2, 3, p // 2 - 1, p // 2, p - 1] + rng.integers(1, p, size=4).tolist()
     for r in rs:
         assert terms[r - 1] == SigmaTerm.of(q, r, weighted_count(p, q, r)), (q, r)
+
+
+@pytest.mark.parametrize("p, q", [(2, 3), (25, 7), (571, 1000)])
+def test_fast_built_terms_equal_terms_built_by_init(p, q):
+    # _term skips the frozen __init__: its terms must behave as SigmaTerm(...) in
+    # every way a caller can see, at an even p too, and give the same JSON
+    fast = _sigma_terms(p, q)
+    assert fast[0] == SigmaTerm.of(q, 1, fast[0].quarters)
+    built = tuple(SigmaTerm(t.r, t.area_halves, t.quarters, t.sigma) for t in fast)
+    for t, ref in zip(fast, built, strict=True):
+        assert type(t) is SigmaTerm
+        assert t == ref and hash(t) == hash(ref) and repr(t) == repr(ref)
+        assert vars(t) == vars(ref)
+        assert dataclasses.fields(t) == dataclasses.fields(ref)
+        assert dataclasses.asdict(t) == dataclasses.asdict(ref)
+        assert dataclasses.replace(t, sigma=5) == dataclasses.replace(ref, sigma=5)
+        back = pickle.loads(pickle.dumps(t))
+        assert type(back) is SigmaTerm and back == ref
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            t.sigma = 0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del t.r
+        assert t == ref
+    report = cg_condition(p, q) if p % 2 else SigmaReport(p, q, fast, False, 1)
+    assert report.terms == fast
+    by_init = dataclasses.replace(report, terms=built)
+    assert report.to_json_dict() == by_init.to_json_dict()
+    assert report == by_init and hash(report) == hash(by_init)
 
 
 # ------------------------------------------------------------ batched kernel

@@ -516,8 +516,16 @@ def test_scan_above_the_int64_guard_exits_2(capsys, tmp_path):
     argv = ["scan", "--min-p", "3", "--max-p", "46341", "--jobs", "1", "--checkpoint", str(path)]
     code, out, err = run(capsys, argv)
     assert code == 2 and out == ""
-    assert "int64" in err
+    assert "INT64_MAX_P" in err
     assert path.read_bytes() == b'{"p": 3, "q_te'
+
+
+def test_scan_refusal_names_the_public_limit(capsys):
+    # both routes are exact far above the limit (to p = 2,097,151), so the line
+    # names it as the scan's public limit, not as an int64 bound
+    code, out, err = run(capsys, ["scan", "--min-p", "46339", "--max-p", "46342"])
+    assert (code, out) == (2, "")
+    assert err == "error: need p_max <= INT64_MAX_P = 46340, the scan's public limit, got 46341\n"
 
 
 def test_scan_reports_a_counterexample_candidate(capsys, monkeypatch):

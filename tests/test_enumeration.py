@@ -637,6 +637,15 @@ def _no_cdll(*args, **kwargs):
     raise AssertionError("mallopt was looked up")
 
 
+@pytest.fixture
+def fresh_mallopt():
+    # the handle is made once per process: look it up afresh under the test's
+    # patches, and leave none made under them for later tests
+    enumeration._mallopt.cache_clear()
+    yield
+    enumeration._mallopt.cache_clear()
+
+
 def _raises(exc):
     def confstr(name):
         raise exc
@@ -649,7 +658,7 @@ def _raises(exc):
     [_raises(ValueError("unrecognized configuration name")), _raises(OSError(22, "EINVAL")),
      lambda name: None, lambda name: "musl libc 1.2.4", None],
 )
-def test_keep_freed_memory_is_a_no_op_off_glibc(monkeypatch, confstr):
+def test_keep_freed_memory_is_a_no_op_off_glibc(monkeypatch, fresh_mallopt, confstr):
     import ctypes
 
     if confstr is None:  # a platform without confstr
@@ -661,7 +670,7 @@ def test_keep_freed_memory_is_a_no_op_off_glibc(monkeypatch, confstr):
 
 
 @pytest.mark.parametrize("cdll", [lambda name: object(), _raises(OSError("no libc handle"))])
-def test_keep_freed_memory_is_a_no_op_without_mallopt(monkeypatch, cdll):
+def test_keep_freed_memory_is_a_no_op_without_mallopt(monkeypatch, fresh_mallopt, cdll):
     import ctypes
 
     monkeypatch.setattr(os, "confstr", lambda name: "glibc 2.36")
@@ -706,6 +715,30 @@ def test_a_parallel_scan_loads_the_library_once_before_the_workers_fork(monkeypa
     finally:
         casson_gordon._compiled_lanes.cache_clear()
     assert loads.value == 1
+
+
+@needs_fork
+@pytest.mark.skipif(not _is_glibc(), reason="mallopt is glibc's")
+def test_a_parallel_scan_makes_the_mallopt_handle_once_before_the_workers_fork(
+    monkeypatch, fresh_mallopt
+):
+    # counted across processes, with the pid of the last lookup: a worker that
+    # forked before the parent made the handle would look mallopt up in its own
+    import ctypes
+
+    lookups = multiprocessing.Array("q", 2)
+    real = ctypes.CDLL
+
+    def cdll(name, *args, **kwargs):
+        if name is None:  # the process's own symbols, where mallopt is
+            with lookups.get_lock():
+                lookups[0] += 1
+                lookups[1] = os.getpid()
+        return real(name, *args, **kwargs)
+
+    monkeypatch.setattr(ctypes, "CDLL", cdll)
+    assert conjecture_scan(3, 61, jobs=2)[-1].p == 61
+    assert lookups[:] == [1, os.getpid()]
 
 
 class Stop(Exception):
@@ -778,9 +811,9 @@ def test_resume_refuses_an_audit_checkpoint(tmp_path):
 def test_scan_refuses_p_max_above_the_int64_guard(tmp_path):
     path = tmp_path / "ck.jsonl"
     path.write_bytes(b'{"p": 3, "q_te')
-    with pytest.raises(DomainError, match="int64"):
+    with pytest.raises(DomainError, match="INT64_MAX_P"):
         conjecture_scan(3, INT64_MAX_P + 1, checkpoint=str(path))
     assert path.read_bytes() == b'{"p": 3, "q_te'
-    with pytest.raises(DomainError, match="int64"):
+    with pytest.raises(DomainError, match="INT64_MAX_P"):
         conjecture_scan(3, INT64_MAX_P + 1, checkpoint=str(tmp_path / "new.jsonl"))
     assert not (tmp_path / "new.jsonl").exists()
