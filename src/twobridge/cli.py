@@ -147,7 +147,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs",
         type=_positive_int,
         default=None,
-        help="worker processes (default: the CPUs this process may use)",
+        help="processes that scan, this one included (default: the CPUs this process may use)",
     )
     s.add_argument("--checkpoint", default=None, help="JSONL checkpoint of this scan (resumable)")
     s.set_defaults(run=_cmd_scan)
@@ -395,11 +395,11 @@ def main() -> None:
     """The ``twobridge`` command: run :func:`execute` on sys.argv and exit with its code.
 
     The command's process keeps the heap memory it frees (glibc only, by
-    ``enumeration._keep_freed_memory``), as scan workers do, so a scan run
-    in-process on the numpy route stops faulting its temporaries in again
-    at every window (the C route allocates nothing per window); library
-    callers of :func:`execute` and the scan functions keep their allocator
-    as it was.
+    ``enumeration._keep_freed_memory``), as scan workers do, so the p it
+    scans on the numpy route, serial or parallel, stop faulting their
+    temporaries in again at every window (the C route allocates nothing per
+    window); library callers of :func:`execute` and the scan functions keep
+    their allocator as it was.
     """
     enumeration._keep_freed_memory()
     try:

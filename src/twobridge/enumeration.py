@@ -29,13 +29,16 @@ which shares nothing with the kernel's tail, validated once, not per r;
 its :func:`casson_gordon.cg_condition` report must give the same terms there.
 A disagreement raises :class:`InternalError`.
 
-With several jobs the parent runs one worker process per job and sends
-each worker one p at a time over its own pipe, largest first, so the
-costliest start early and the cheap ones fill the tail; a worker gets its
-next p when its record comes back.  An exception raised in a worker is
-re-raised in the parent, and a worker that dies raises
-:class:`InternalError` naming its p (the CLI exits 2); either way every
-worker is stopped.  One function, :func:`_write_checkpoint`, writes every
+With J jobs the scan's own process is one of them: it forks J - 1
+workers, which take p from the large end over their own pipes, largest
+first, so the costliest start early, and it scans the smallest p itself,
+reading the workers' records between its own.  Each worker holds up to
+two p, so it has its next one while the parent is busy, but is sent one
+only while another stays pending for the parent.  An exception raised in
+a worker is re-raised in the parent, a worker that dies raises
+:class:`InternalError` naming the first p it held (the CLI exits 2), and
+an exception in the parent's own p propagates; in every case every worker
+is stopped.  One function, :func:`_write_checkpoint`, writes every
 whole checkpoint (one JSON line per p, ascending, through a temp file): a
 resume writes back the records it takes from the file before it scans,
 so a checkpoint that cannot be rewritten fails before the first p.
@@ -49,9 +52,9 @@ does not start with one rather than overwrite it.  Each worker
 process, and the CLI's own process, keeps the heap memory it frees
 (glibc only, :func:`_keep_freed_memory`), so what it allocates again is
 not faulted in afresh: the numpy route's temporaries at every window, and
-each worker's per-p scratch on the C route, whose windows allocate
-nothing.  A library caller's process, serial scans included, keeps its
-allocator as it was.
+the per-p scratch on the C route, whose windows allocate nothing.  A
+library caller's process, which scans p of its own when the scan is
+parallel too, keeps its allocator as it was.
 """
 
 from __future__ import annotations
@@ -60,11 +63,10 @@ import json
 import multiprocessing
 import os
 import signal
-from collections import Counter
+from collections import Counter, deque
 from contextlib import suppress
 from dataclasses import dataclass
 from functools import cache
-from itertools import islice
 from math import isqrt
 from typing import Callable, Iterator
 
@@ -448,13 +450,20 @@ def _start_worker():
     return proc, ours
 
 
-def _scan_in_workers(todo: Iterator[int], jobs: int, finish: Callable[[ScanRecord], None]) -> None:
-    """Scan the p of ``todo`` on ``jobs`` worker processes, sending them in
-    that order, and pass each record to ``finish`` as it comes back.
+def _scan_in_workers(pending: list[int], jobs: int, finish: Callable[[ScanRecord], None]) -> None:
+    """Scan the p of ``pending`` (ascending, at least two) on ``jobs``
+    processes, this one included, and pass each record to ``finish`` as it
+    completes.
 
+    ``jobs - 1`` workers take p from the large end, largest first, so the
+    costliest start early; each holds up to two p, so it has its next one
+    while this process is busy with its own.  This process scans the
+    smallest p itself and polls the workers between them, and waits on them
+    only when no p is left for it: a p goes to a worker only while at least
+    one more stays pending, so the smallest one is always this process's.
     A worker's exception is re-raised here, and a worker that dies raises
-    :class:`InternalError` naming its p.  Every worker is stopped and
-    reaped before this returns or raises.
+    :class:`InternalError` naming the first p it held.  Every worker is
+    stopped and reaped before this returns or raises.
     """
     # imported here, as it imports subprocess and locale, which import twobridge need not
     from multiprocessing.connection import wait
@@ -462,39 +471,59 @@ def _scan_in_workers(todo: Iterator[int], jobs: int, finish: Callable[[ScanRecor
     # multiprocessing.Pool's handler thread spun while a result sat unread
     # (Pool._maintain_pool ran 797-2,549 times for the 75 records of p = 3..151
     # on a 2-core machine) and a dead worker hung it; here the parent wakes once per record
+    todo = deque(pending)
     workers = {}  # the pipe end of each worker -> its process
-    held = {}  # the pipe end of each busy worker -> the p it scans
+    held = {}  # the pipe end of each worker -> the p sent to it, in the order sent
+
+    def send(conn, depth: int = 2) -> None:
+        """Top the worker up to ``depth`` p, leaving at least one for this
+        process; stop it once it holds none and will get none."""
+        while len(held[conn]) < depth and len(todo) > 1:
+            p = todo.pop()
+            held[conn].append(p)
+            try:
+                conn.send(p)
+            except OSError:
+                return  # the worker is gone: the next wait reports it with the p it held
+        if not held[conn]:
+            with suppress(OSError):
+                conn.send(None)
+            del held[conn]
+
+    def receive(conn) -> None:
+        p = held[conn].popleft()
+        try:
+            reply = conn.recv()
+        except (EOFError, OSError):
+            proc = workers[conn]
+            proc.join(1)  # its pipe closed as it exited: the code is there or soon will be
+            raise InternalError(
+                f"the scan worker for p = {p} died (exit code {proc.exitcode})"
+            ) from None
+        if isinstance(reply, tuple):
+            exc, trace = reply
+            raise exc from _WorkerTraceback(trace)
+        finish(reply)
+        send(conn)
+
     # built, loaded and looked up once here, so forked workers inherit them
     casson_gordon._compiled_lanes()
     _mallopt()
     try:
-        for p in islice(todo, jobs):
+        for _ in range(min(jobs, len(todo)) - 1):
             proc, conn = _start_worker()
             workers[conn] = proc
-            conn.send(p)
-            held[conn] = p
+            held[conn] = deque()
+            send(conn, 1)  # every worker its first p before any its second
+        for conn in list(held):
+            send(conn)
+        while todo:
+            finish(_scan_single_p(todo.popleft()))
+            for conn in wait(list(held), timeout=0):
+                receive(conn)
         while held:
             for conn in wait(list(held)):
-                p = held.pop(conn)
-                try:
-                    reply = conn.recv()
-                except (EOFError, OSError):
-                    proc = workers[conn]
-                    proc.join(1)  # its pipe closed as it exited: the code is there or soon will be
-                    raise InternalError(
-                        f"the scan worker for p = {p} died (exit code {proc.exitcode})"
-                    ) from None
-                if isinstance(reply, tuple):
-                    exc, trace = reply
-                    raise exc from _WorkerTraceback(trace)
-                finish(reply)
-                p = next(todo, None)
-                try:
-                    conn.send(p)
-                except OSError:
-                    pass  # the worker is gone: if it was sent a p, the next wait reports it
-                if p is not None:
-                    held[conn] = p
+                receive(conn)
     finally:
         for conn, proc in workers.items():
             proc.terminate()
@@ -566,16 +595,18 @@ def conjecture_scan(
 ) -> list[ScanRecord]:
     """Scan every knot p^2/q for odd p in [p_min, p_max].
 
-    Even bounds are rounded inward.  ``jobs`` runs that many worker
-    processes, and the parent sends each one p at a time over a pipe,
-    largest p first, the next as its record comes back (None or 1 means
-    serial, and a single pending p always runs in-process); the result is
-    in ascending p order either way.  An exception raised in a worker
-    reaches the caller with its type and message; a worker that dies
-    raises :class:`InternalError` naming its p, which the CLI reports
-    with exit status 2.  No worker outlives the call, whether it returns
-    or raises (``progress`` included).  ``progress`` sees the records
-    loaded from the checkpoint, then every new record as its p completes.
+    Even bounds are rounded inward.  ``jobs`` is the number of processes
+    that scan, this one included (None or 1 means serial, and a single
+    pending p always runs in-process): :func:`_scan_in_workers` forks
+    ``jobs - 1`` workers for the largest p, largest first, and scans the
+    smallest itself; the result is in ascending p order either way.  An
+    exception raised in a worker, or in this process's own p, reaches the
+    caller with its type and message; a worker that dies raises
+    :class:`InternalError` naming the first p it held, which the CLI
+    reports with exit status 2.  No worker outlives the call, whether it
+    returns or raises (``progress`` included).  ``progress`` sees the
+    records loaded from the checkpoint, then every new record as its p
+    completes.
 
     With ``checkpoint``, the records of the file's valid prefix are
     reused (those outside [p_min, p_max] included) and written back in
@@ -636,8 +667,7 @@ def conjecture_scan(
                 if p in records:
                     progress(records[p])
         if jobs is not None and jobs > 1 and len(pending) > 1:
-            # largest (costliest) p first, so the small ones fill the tail
-            _scan_in_workers(iter(pending[::-1]), min(jobs, len(pending)), finish)
+            _scan_in_workers(pending, jobs, finish)
         else:
             for p in pending:
                 finish(_scan_single_p(p))

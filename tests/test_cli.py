@@ -233,8 +233,8 @@ def test_scan_parallel_stdout_equals_serial(capsys):
     assert done == list(range(3, 22, 2))
 
 
-# the patch reaches the workers only as they fork; every process the scan runs
-# appends its pid to the file argv[1] before it scans a p
+# the patch reaches the workers only as they fork; every process that scans a p,
+# the scan's own process included, appends its pid to the file argv[1] first
 DYING_WORKER = """
 import multiprocessing, os, sys
 from twobridge import cli, enumeration
@@ -244,7 +244,7 @@ real = enumeration._scan_single_p
 def dying(p):
     with open(sys.argv[1], "a") as fh:
         fh.write(f"{os.getpid()}\\n")
-    if p == 9:
+    if p == 41:
         os._exit(3)
     return real(p)
 
@@ -277,9 +277,11 @@ def test_a_dead_worker_stops_the_scan(tmp_path):
         proc.communicate()
         pytest.fail("the scan hung after a worker died")
     assert proc.returncode == 2 and out == "[]\n"
-    assert err.splitlines()[-1] == "internal error: the scan worker for p = 9 died (exit code 3)"
-    workers = {int(pid) for pid in pids.read_text().split()}
-    assert len(workers) == 2 and proc.pid not in workers
+    # 41, the largest p, is the one worker's first; the scan's own process scans 3 first
+    assert err.splitlines()[-1] == "internal error: the scan worker for p = 41 died (exit code 3)"
+    scanners = {int(pid) for pid in pids.read_text().split()}
+    workers = scanners - {proc.pid}
+    assert proc.pid in scanners and len(workers) == 1
     for pid in workers:
         with pytest.raises(ProcessLookupError):
             os.kill(pid, 0)

@@ -543,19 +543,50 @@ class RecordingConn:
         self.conn.send(p)
 
 
-def test_scan_dispatches_largest_p_first(monkeypatch):
-    real, sent = enumeration._start_worker, []
+def _record_schedule(monkeypatch):
+    """The p sent to the workers, None included, and the p this process scans
+    itself, each list in its order."""
+    real_start, real_scan, sent, own = enumeration._start_worker, enumeration._scan_single_p, [], []
 
     def recording_worker():
-        proc, conn = real()
+        proc, conn = real_start()
         return proc, RecordingConn(conn, sent)
 
+    def recording_scan(p):
+        own.append(p)  # a forked worker appends to its own copy of the list
+        return real_scan(p)
+
     monkeypatch.setattr(enumeration, "_start_worker", recording_worker)
-    recs = conjecture_scan(3, 13, jobs=2)
-    # each worker gets the next p as its record comes back, then None
-    assert [p for p in sent if p is not None] == [13, 11, 9, 7, 5, 3]
+    monkeypatch.setattr(enumeration, "_scan_single_p", recording_scan)
+    return sent, own
+
+
+def test_scan_dispatches_largest_p_first(monkeypatch):
+    sent, own = _record_schedule(monkeypatch)
+    recs = conjecture_scan(3, 41, jobs=3)
+    # the workers take p from the large end, largest first, and this process
+    # scans the small end in ascending order; then each worker is sent None
+    dispatched = [p for p in sent if p is not None]
+    assert all(a > b for a, b in zip(dispatched, dispatched[1:]))
+    assert all(a < b for a, b in zip(own, own[1:])) and own[0] == 3
+    assert sorted(dispatched + own) == list(range(3, 42, 2))
     assert sent.count(None) == 2
-    assert [r.p for r in recs] == [3, 5, 7, 9, 11, 13]
+    assert [r.p for r in recs] == list(range(3, 42, 2))
+    assert multiprocessing.active_children() == []
+
+
+def test_a_worker_is_sent_no_p_that_would_leave_none_for_this_process(monkeypatch):
+    sent, own = _record_schedule(monkeypatch)
+    assert [r.p for r in conjecture_scan(3, 5, jobs=2)] == [3, 5]
+    assert sent == [5, None] and own == [3]
+    assert multiprocessing.active_children() == []
+
+
+def test_a_scan_on_three_jobs_matches_the_serial_scan(tmp_path):
+    serial_path, parallel_path = tmp_path / "serial.jsonl", tmp_path / "parallel.jsonl"
+    serial = conjecture_scan(3, 41, checkpoint=str(serial_path))
+    assert conjecture_scan(3, 41, checkpoint=str(parallel_path), jobs=3) == serial
+    assert parallel_path.read_bytes() == serial_path.read_bytes()
     assert multiprocessing.active_children() == []
 
 
@@ -581,7 +612,7 @@ def test_a_worker_error_reaches_the_caller_intact(monkeypatch, tmp_path, error):
     real = enumeration._scan_single_p
 
     def failing(p):
-        if p == 21:
+        if p == 41:
             raise error(f"no record for p = {p}")
         return real(p)
 
@@ -590,25 +621,51 @@ def test_a_worker_error_reaches_the_caller_intact(monkeypatch, tmp_path, error):
     seen = []
     with pytest.raises(error) as caught:
         conjecture_scan(3, 41, checkpoint=str(path), jobs=2, progress=seen.append)
-    assert type(caught.value) is error and str(caught.value) == "no record for p = 21"
+    assert type(caught.value) is error and str(caught.value) == "no record for p = 41"
     assert "in failing" in str(caught.value.__cause__)  # the worker's traceback
     assert multiprocessing.active_children() == []
-    # 21 is dispatched as the 9th record comes back, largest first from 41
-    assert len(seen) >= 9 and all(rec == real(rec.p) for rec in seen)
+    # 41, the largest p, is the worker's first; this process finishes its own
+    # first p, 3, before it reads any reply
+    assert seen[0].p == 3 and all(rec == real(rec.p) for rec in seen)
+    on_disk = [ScanRecord.from_json_line(line) for line in path.read_text().splitlines()]
+    assert on_disk == seen
+
+
+@pytest.mark.parametrize("error", [InternalError, DomainError])
+def test_an_error_in_this_processs_own_p_reaches_the_caller_intact(monkeypatch, tmp_path, error):
+    real, parent = enumeration._scan_single_p, os.getpid()
+
+    def failing(p):
+        if p == 5 and os.getpid() == parent:
+            raise error(f"no record for p = {p}")
+        return real(p)
+
+    monkeypatch.setattr(enumeration, "_scan_single_p", failing)
+    path = tmp_path / "ck.jsonl"
+    seen = []
+    with pytest.raises(error) as caught:
+        conjecture_scan(3, 41, checkpoint=str(path), jobs=2, progress=seen.append)
+    assert type(caught.value) is error and str(caught.value) == "no record for p = 5"
+    assert caught.value.__cause__ is None  # raised here, not passed on from a worker
+    assert multiprocessing.active_children() == []
+    # this process scans 3 and then 5, its second p: the worker, sent 41 and 39
+    # first, gets at most one more p per reply, and never the smallest pending
+    assert seen[0].p == 3 and all(rec == real(rec.p) for rec in seen)
     on_disk = [ScanRecord.from_json_line(line) for line in path.read_text().splitlines()]
     assert on_disk == seen
 
 
 @needs_fork
 def test_a_worker_gone_before_its_next_p_raises_internal_error(monkeypatch):
-    # each worker sends one record and exits while progress sleeps, so the
-    # next p goes into a closed pipe: that p is reported, not the pipe error
+    # the worker, sent 41 and 39, sends 41's record and exits while progress
+    # sleeps: 39, already in its pipe, is reported, not the pipe error of the
+    # p sent after the record
     def one_record_worker(conn):
         conn.send(enumeration._scan_single_p(conn.recv()))
         os._exit(3)
 
     monkeypatch.setattr(enumeration, "_worker", one_record_worker)
-    with pytest.raises(InternalError, match=r"^the scan worker for p = 3[57] died \(exit code 3\)$"):
+    with pytest.raises(InternalError, match=r"^the scan worker for p = 39 died \(exit code 3\)$"):
         conjecture_scan(3, 41, jobs=2, progress=lambda rec: time.sleep(0.2))
     assert multiprocessing.active_children() == []
 
@@ -691,7 +748,8 @@ def test_each_scan_worker_keeps_freed_memory(monkeypatch, tmp_path):
         (tmp_path / str(os.getpid())).touch()
 
     monkeypatch.setattr(enumeration, "_keep_freed_memory", keep)
-    assert conjecture_scan(3, 31, jobs=2) == conjecture_scan(3, 31)
+    # three jobs: two workers and this process, which keeps its allocator
+    assert conjecture_scan(3, 31, jobs=3) == conjecture_scan(3, 31)
     pids = {int(path.name) for path in tmp_path.iterdir()}
     assert len(pids) == 2 and os.getpid() not in pids
 
