@@ -12,9 +12,10 @@ does; that exit prints no traceback.
 
 JSON is ``json.dumps(..., indent=2)`` of each command's document.  The
 term documents of ``sigma`` and ``cg-check``, which hold one entry per
-r, are written by one hand layout with the same bytes; the tests and CI
-pin it against ``json.dumps`` of ``SigmaTerm.to_json_dict`` and
-``SigmaReport.to_json_dict``.
+r, are written by one hand layout with the same bytes,
+:func:`casson_gordon._terms_json`, next to the terms' ``to_json_dict``;
+the tests and CI pin it against ``json.dumps`` of
+``SigmaTerm.to_json_dict`` and ``SigmaReport.to_json_dict``.
 """
 
 from __future__ import annotations
@@ -28,13 +29,7 @@ from functools import cache
 from math import isqrt
 
 from . import enumeration, families
-from .casson_gordon import (
-    SigmaTerm,
-    _sigma_terms,
-    cg_condition,
-    validate_pq,
-    weighted_count,
-)
+from .casson_gordon import SigmaTerm, _sigma_terms, _terms_json, cg_condition, validate_pq, weighted_count
 from .conway import cf_eval, cf_expand, parse_fraction, parse_word
 from .errors import DomainError, InternalError
 
@@ -53,23 +48,6 @@ def _quarters_str(quarters: int) -> str:
 
 def _print_json(obj) -> None:
     print(json.dumps(obj, indent=2))
-
-
-# One term of a term document, laid out as json.dumps(..., indent=2) lays out
-# SigmaTerm.to_json_dict() inside the "terms" list.
-_TERM_JSON = '    {\n      "r": %d,\n      "area": "%d/2",\n      "int": "%d/4",\n      "sigma": %d\n    }'
-
-
-def _print_terms_json(head: dict, terms) -> None:
-    """Print ``{**head, "terms": [t.to_json_dict() for t in terms]}`` as :func:`_print_json` would.
-
-    The same bytes for a non-empty ``terms``.  Python's C encoder has no
-    indent, so ``json.dumps(..., indent=2)`` runs the pure-Python one,
-    which takes longer than computing the terms it writes.
-    """
-    lines = [f"  {json.dumps(key)}: {json.dumps(value)},\n" for key, value in head.items()]
-    body = ",\n".join([_TERM_JSON % (t.r, t.area_halves, t.quarters, t.sigma) for t in terms])
-    print("{\n" + "".join(lines) + '  "terms": [\n' + body + "\n  ]\n}")
 
 
 def _print_csv(rows: list[dict]) -> None:
@@ -170,7 +148,7 @@ def _cmd_sigma(args) -> int:
     else:
         terms = [SigmaTerm.of(q, args.r, weighted_count(p, q, args.r))]  # checks r as well
     if args.format == "json":
-        _print_terms_json({"p": p, "q": q}, terms)
+        print(_terms_json({"p": p, "q": q}, terms))
     else:
         for t in terms:
             print(
@@ -183,10 +161,8 @@ def _cmd_sigma(args) -> int:
 def _cmd_cg_check(args) -> int:
     report = cg_condition(args.p, args.q)
     if args.format == "json":
-        _print_terms_json(
-            {"p": report.p, "q": report.q, "passes": report.passes, "first_failure": report.first_failure},
-            report.terms,
-        )
+        head = {"p": report.p, "q": report.q, "passes": report.passes, "first_failure": report.first_failure}
+        print(_terms_json(head, report.terms))
     elif report.passes:
         print(f"PASS {args.p * args.p}/{args.q}: sigma = +-1 for all r = 1..{args.p - 1}")
     else:
@@ -396,7 +372,7 @@ def main() -> None:
 
     The command's process keeps the heap memory it frees (glibc only, by
     ``enumeration._keep_freed_memory``), as scan workers do, so the p it
-    scans on the numpy route, serial or parallel, stop faulting their
+    scans on the numpy route, at any ``--jobs``, stop faulting their
     temporaries in again at every window (the C route allocates nothing per
     window); library callers of :func:`execute` and the scan functions keep
     their allocator as it was.

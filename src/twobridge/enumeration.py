@@ -29,19 +29,23 @@ which shares nothing with the kernel's tail, validated once, not per r;
 its :func:`casson_gordon.cg_condition` report must give the same terms there.
 A disagreement raises :class:`InternalError`.
 
-With J jobs the scan's own process is one of them: it forks J - 1
-workers, which take p from the large end over their own pipes, largest
-first, so the costliest start early, and it scans the smallest p itself,
-reading the workers' records between its own.  Each worker holds up to
-two p, so it has its next one while the parent is busy, but is sent one
-only while another stays pending for the parent.  An exception raised in
-a worker is re-raised in the parent, a worker that dies raises
+One schedule runs every job count.  With J jobs the scan's own process
+is one of them: it forks J - 1 workers, never more than one fewer than
+the pending p, so one job or one pending p forks none.  The workers take
+p from the large end over their own pipes, largest first, so the
+costliest start early, and the scan's own process scans the smallest p
+itself, reading the workers' records between its own.  Each worker holds
+up to two p, so it has its next one while the parent is busy, but is
+sent one only while another stays pending for the parent.  An exception
+raised in a worker is re-raised in the parent, a worker that dies raises
 :class:`InternalError` naming the first p it held (the CLI exits 2), and
 an exception in the parent's own p propagates; in every case every worker
-is stopped.  One function, :func:`_write_checkpoint`, writes every
-whole checkpoint (one JSON line per p, ascending, through a temp file): a
-resume writes back the records it takes from the file before it scans,
-so a checkpoint that cannot be rewritten fails before the first p.
+is stopped.  A worker holds no parent's end of any pipe, so when the
+parent is killed outright its workers read EOF and end too.  One
+function, :func:`_write_checkpoint`, writes every whole checkpoint (one
+JSON line per p, ascending, through a temp file): a resume writes back
+the records it takes from the file before it scans, so a checkpoint
+that cannot be rewritten fails before the first p.
 Records are then appended as each p completes, so an interrupted scan
 loses no finished p; when the scan ends the file is rewritten in
 ascending p, and the result is in ascending p whatever the schedule, so
@@ -53,8 +57,8 @@ process, and the CLI's own process, keeps the heap memory it frees
 (glibc only, :func:`_keep_freed_memory`), so what it allocates again is
 not faulted in afresh: the numpy route's temporaries at every window, and
 the per-p scratch on the C route, whose windows allocate nothing.  A
-library caller's process, which scans p of its own when the scan is
-parallel too, keeps its allocator as it was.
+library caller's process, which scans p of its own at any job count,
+keeps its allocator as it was.
 """
 
 from __future__ import annotations
@@ -431,19 +435,25 @@ def _worker(conn) -> None:
     _keep_freed_memory()
     # ^C reaches the whole process group; the parent alone handles it and stops the workers
     signal.signal(signal.SIGINT, signal.SIG_IGN)
-    while (p := conn.recv()) is not None:
-        try:
-            reply = _scan_single_p(p)
-        except Exception as exc:
-            import traceback  # only here, on the error path
+    with suppress(EOFError, BrokenPipeError):  # the parent is gone: end quietly
+        while (p := conn.recv()) is not None:
+            try:
+                reply = _scan_single_p(p)
+            except Exception as exc:
+                import traceback  # only here, on the error path
 
-            reply = (exc, traceback.format_exc())
-        conn.send(reply)
+                reply = (exc, traceback.format_exc())
+            conn.send(reply)
 
 
 def _start_worker():
     """A started :func:`_worker` process and the parent's end of its duplex pipe."""
+    from multiprocessing.util import register_after_fork
+
     ours, theirs = multiprocessing.Pipe()
+    # closed in every process multiprocessing forks from here on, this worker and
+    # the later ones before they run, so a parent killed outright is an EOF to each
+    register_after_fork(ours, type(ours).close)
     proc = multiprocessing.Process(target=_worker, args=(theirs,), daemon=True)
     proc.start()
     theirs.close()  # the worker holds the only other end, so its death is an EOF here
@@ -451,19 +461,19 @@ def _start_worker():
 
 
 def _scan_in_workers(pending: list[int], jobs: int, finish: Callable[[ScanRecord], None]) -> None:
-    """Scan the p of ``pending`` (ascending, at least two) on ``jobs``
-    processes, this one included, and pass each record to ``finish`` as it
-    completes.
+    """Scan the p of ``pending`` (ascending) on ``jobs`` processes, this one
+    included, and pass each record to ``finish`` as it completes.
 
-    ``jobs - 1`` workers take p from the large end, largest first, so the
-    costliest start early; each holds up to two p, so it has its next one
-    while this process is busy with its own.  This process scans the
-    smallest p itself and polls the workers between them, and waits on them
-    only when no p is left for it: a p goes to a worker only while at least
-    one more stays pending, so the smallest one is always this process's.
-    A worker's exception is re-raised here, and a worker that dies raises
-    :class:`InternalError` naming the first p it held.  Every worker is
-    stopped and reaped before this returns or raises.
+    ``jobs - 1`` workers, never more than one fewer than the pending p (so
+    none for one job or one p), take p from the large end, largest first,
+    so the costliest start early; each holds up to two p, so it has its
+    next one while this process is busy with its own.  This process scans
+    the smallest p itself and polls the workers between them, and waits on
+    them only when no p is left for it: a p goes to a worker only while at
+    least one more stays pending, so the smallest one is always this
+    process's.  A worker's exception is re-raised here, and a worker that
+    dies raises :class:`InternalError` naming the first p it held.  Every
+    worker is stopped and reaped before this returns or raises.
     """
     # imported here, as it imports subprocess and locale, which import twobridge need not
     from multiprocessing.connection import wait
@@ -596,10 +606,10 @@ def conjecture_scan(
     """Scan every knot p^2/q for odd p in [p_min, p_max].
 
     Even bounds are rounded inward.  ``jobs`` is the number of processes
-    that scan, this one included (None or 1 means serial, and a single
-    pending p always runs in-process): :func:`_scan_in_workers` forks
-    ``jobs - 1`` workers for the largest p, largest first, and scans the
-    smallest itself; the result is in ascending p order either way.  An
+    that scan, this one included (None means 1): :func:`_scan_in_workers`
+    forks ``jobs - 1`` workers, never more than one fewer than the pending
+    p, for the largest p, largest first, and scans the smallest itself; the
+    result is in ascending p order whatever ``jobs`` is.  An
     exception raised in a worker, or in this process's own p, reaches the
     caller with its type and message; a worker that dies raises
     :class:`InternalError` naming the first p it held, which the CLI
@@ -666,11 +676,7 @@ def conjecture_scan(
             for p in all_p:
                 if p in records:
                     progress(records[p])
-        if jobs is not None and jobs > 1 and len(pending) > 1:
-            _scan_in_workers(pending, jobs, finish)
-        else:
-            for p in pending:
-                finish(_scan_single_p(p))
+        _scan_in_workers(pending, jobs or 1, finish)
     finally:
         if out is not None:
             # after a failed append the close flushes the unwritten bytes again

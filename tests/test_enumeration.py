@@ -4,10 +4,12 @@ import json
 import multiprocessing
 import os
 import shutil
+import signal
 import subprocess
 import sys
 import time
 from collections import Counter
+from contextlib import suppress
 from math import gcd
 from pathlib import Path
 
@@ -561,6 +563,18 @@ def _record_schedule(monkeypatch):
     return sent, own
 
 
+def _count_workers(monkeypatch):
+    """The number of workers each scan starts from here on, as a list of one count."""
+    real, started = enumeration._start_worker, [0]
+
+    def counted():
+        started[0] += 1
+        return real()
+
+    monkeypatch.setattr(enumeration, "_start_worker", counted)
+    return started
+
+
 def test_scan_dispatches_largest_p_first(monkeypatch):
     sent, own = _record_schedule(monkeypatch)
     recs = conjecture_scan(3, 41, jobs=3)
@@ -582,10 +596,14 @@ def test_a_worker_is_sent_no_p_that_would_leave_none_for_this_process(monkeypatc
     assert multiprocessing.active_children() == []
 
 
-def test_a_scan_on_three_jobs_matches_the_serial_scan(tmp_path):
+def test_a_scan_on_three_jobs_matches_the_serial_scan(monkeypatch, tmp_path):
+    # one job runs the same loop with no worker
+    started = _count_workers(monkeypatch)
     serial_path, parallel_path = tmp_path / "serial.jsonl", tmp_path / "parallel.jsonl"
-    serial = conjecture_scan(3, 41, checkpoint=str(serial_path))
+    serial = conjecture_scan(3, 41, checkpoint=str(serial_path), jobs=1)
+    assert started == [0]
     assert conjecture_scan(3, 41, checkpoint=str(parallel_path), jobs=3) == serial
+    assert started == [2]
     assert parallel_path.read_bytes() == serial_path.read_bytes()
     assert multiprocessing.active_children() == []
 
@@ -598,6 +616,58 @@ def test_scan_runs_a_single_pending_p_in_process(monkeypatch, tmp_path):
     path = tmp_path / "ck.jsonl"
     conjecture_scan(3, 9, checkpoint=str(path))
     assert [r.p for r in conjecture_scan(3, 11, checkpoint=str(path), jobs=2)] == [3, 5, 7, 9, 11]
+
+
+def test_a_scan_forks_one_worker_fewer_than_its_pending_p(monkeypatch):
+    started = _count_workers(monkeypatch)
+    assert [r.p for r in conjecture_scan(3, 7, jobs=8)] == [3, 5, 7]
+    assert started == [2]
+    assert multiprocessing.active_children() == []
+
+
+def _running(pid):
+    """Whether the process ``pid`` exists and is not a zombie, by /proc."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            state = fh.read().rpartition(")")[2].split()[0]
+    except (FileNotFoundError, ProcessLookupError):
+        return False
+    return state not in ("Z", "X")
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/stat"), reason="reads process states in /proc")
+def test_no_worker_outlives_a_scan_killed_outright():
+    # the scan's process stops in progress at its first record, while its two
+    # workers scan the p they hold or wait for more, and is killed by SIGKILL,
+    # which it cannot handle: its workers must see the end of their pipes and exit
+    code = (
+        "import multiprocessing, time\n"
+        "from twobridge.enumeration import conjecture_scan\n"
+        "def progress(rec):\n"
+        "    print(*[proc.pid for proc in multiprocessing.active_children()], flush=True)\n"
+        "    time.sleep(600)\n"
+        "conjecture_scan(3, 2001, jobs=3, progress=progress)\n"
+    )
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    scan = subprocess.Popen([sys.executable, "-c", code], env=env, stdout=subprocess.PIPE, text=True)
+    try:
+        pids = [int(pid) for pid in scan.stdout.readline().split()]
+    finally:
+        scan.kill()
+        scan.wait()
+        scan.stdout.close()
+    assert len(pids) == 2
+    deadline = time.monotonic() + 10
+    alive = pids
+    while alive and time.monotonic() < deadline:
+        time.sleep(0.05)
+        alive = [pid for pid in alive if _running(pid)]
+    for pid in alive:  # not left running past a failed test
+        with suppress(ProcessLookupError):
+            os.kill(pid, signal.SIGKILL)
+    assert alive == []
 
 
 needs_fork = pytest.mark.skipif(
