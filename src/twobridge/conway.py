@@ -176,13 +176,20 @@ def cf_eval(word: ConwayWord, allow_even: bool = True) -> BridgeFraction:
     becomes 1/0 (the point at infinity) and absorbs the next addition.
     A final value of 0 or infinity is not a knot or link fraction.
     """
-    num, den = word.entries[-1], 1
-    for a in reversed(word.entries[:-1]):
+    return _cf_fraction(word.entries, allow_even)
+
+
+def _cf_fraction(entries: tuple[int, ...], allow_even: bool = True) -> BridgeFraction:
+    """:func:`cf_eval` of the word with these entries, which :class:`ConwayWord`
+    accepts, without building the word: the fold behind ``cf_eval`` and
+    ``families.generate``, which validate first."""
+    num, den = entries[-1], 1
+    for a in reversed(entries[:-1]):
         num, den = a * num + den, num
     if den == 0:
-        raise DomainError(f"degenerate word {word}: value is infinite")
+        raise DomainError(f"degenerate word {ConwayWord(entries)}: value is infinite")
     if num == 0:
-        raise DomainError(f"degenerate word {word}: value is zero")
+        raise DomainError(f"degenerate word {ConwayWord(entries)}: value is zero")
     return normalize(num, den, allow_even=allow_even)
 
 

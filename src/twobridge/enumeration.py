@@ -18,8 +18,11 @@ interesting possible output and is reported with full sigma evidence via
 ``cg-check``.  One
 representative per orbit of q modulo p^2 is tested (pass/fail is a knot
 invariant), window by window of consecutive q, by
-:func:`casson_gordon._scan_windows`, which cuts the windows, selects the
-orbits and picks the C or the numpy route.  p is at most
+:func:`_kernel._scan_windows`, which cuts the windows, selects the
+orbits and picks the C or the numpy route.  The batched kernel, with
+numpy and the C library, and ``multiprocessing`` are imported inside the
+scan code that uses them, so importing this module, and every CLI
+command but ``scan``, loads none of them.  p is at most
 :data:`casson_gordon.INT64_MAX_P`, which :func:`conjecture_scan`
 checks.  At every p the number of q tested must be the number of orbits,
 in closed form by :func:`_orbit_count`, every family member must survive
@@ -64,7 +67,6 @@ keeps its allocator as it was.
 from __future__ import annotations
 
 import json
-import multiprocessing
 import os
 import signal
 from collections import Counter, deque
@@ -74,8 +76,14 @@ from functools import cache
 from math import isqrt
 from typing import Callable, Iterator
 
-from . import casson_gordon
-from .casson_gordon import INT64_MAX_P, _floorsum_sigma, _prime_factors, cg_condition, validate_knot
+from .casson_gordon import (
+    INT64_MAX_P,
+    _floorsum_sigma,
+    _prime_factors,
+    _validate_int64_p,
+    cg_condition,
+    validate_knot,
+)
 from .conway import BridgeFraction, KnotClass, is_amphicheiral, orbit_qs
 # perfbench/spans.py traces cf_eval and canonical_class under this module's
 # names as well as conway's, so they stay bound here though nothing calls them
@@ -271,11 +279,12 @@ class ScanRecord:
         :func:`_scan_single_p` writes for its p and ``cg_passing`` (both build
         it by :func:`_record`): that record tests :func:`_orbit_count` q and
         lists as non-family q the passing q outside :func:`families.family_reps`.
-        Each property is checked once.  p must be an int (a bool is none).
-        ``cg_passing`` must pass the kernel's knot rule
-        (:func:`casson_gordon._knot_array`: odd p in 3..INT64_MAX_P, a flat
-        list of integers within int64, 0 < q < p^2, q prime to p) and
-        strictly ascend in the int64 array that rule returns; the record is
+        Each property is checked once.  p must be an int (a bool is none) in
+        the kernel's range (:func:`casson_gordon._validate_int64_p`: odd,
+        3..INT64_MAX_P), and ``cg_passing`` must pass the kernel's knot rule
+        (:func:`_kernel._knot_array`: a flat list of integers within int64,
+        0 < q < p^2, q prime to p) and strictly ascend in the int64 array
+        that rule returns; the record is
         rebuilt from that array, so a bool among the q (``true`` comes back
         as ``1``) fails the byte comparison.  Every q of ``family_reps(p)``
         must pass, and every non-family q must be the least member of its
@@ -288,7 +297,10 @@ class ScanRecord:
         p = obj["p"]
         if type(p) is not int:
             raise ValueError(f"not a scan record: {line.rstrip()}")
-        arr = casson_gordon._knot_array(p, obj["cg_passing"])
+        _validate_int64_p(p)
+        from . import _kernel
+
+        arr = _kernel._knot_array(p, obj["cg_passing"])
         fam = family_reps(p)
         rec = _record(p, arr.tolist(), fam)
         if (
@@ -329,9 +341,11 @@ def _record(p: int, passing: list[int], fam: set[int]) -> ScanRecord:
 
 
 def _scan_single_p(p: int) -> ScanRecord:
+    from . import _kernel
+
     tested = 0
     passing: list[int] = []
-    for count, survivors in casson_gordon._scan_windows(p):
+    for count, survivors in _kernel._scan_windows(p):
         tested += count
         passing += survivors.tolist()
     if tested != _orbit_count(p):
@@ -374,7 +388,7 @@ def _mallopt():
         return None
     if not libc or not libc.startswith("glibc "):
         return None
-    import ctypes  # numpy has imported it already
+    import ctypes
 
     try:
         mallopt = ctypes.CDLL(None).mallopt
@@ -448,6 +462,7 @@ def _worker(conn) -> None:
 
 def _start_worker():
     """A started :func:`_worker` process and the parent's end of its duplex pipe."""
+    import multiprocessing
     from multiprocessing.util import register_after_fork
 
     ours, theirs = multiprocessing.Pipe()
@@ -475,8 +490,11 @@ def _scan_in_workers(pending: list[int], jobs: int, finish: Callable[[ScanRecord
     dies raises :class:`InternalError` naming the first p it held.  Every
     worker is stopped and reaped before this returns or raises.
     """
-    # imported here, as it imports subprocess and locale, which import twobridge need not
+    # imported here, not at the top: multiprocessing imports subprocess and locale,
+    # and the kernel numpy, which import twobridge and every command but scan need not
     from multiprocessing.connection import wait
+
+    from . import _kernel
 
     # multiprocessing.Pool's handler thread spun while a result sat unread
     # (Pool._maintain_pool ran 797-2,549 times for the 75 records of p = 3..151
@@ -517,7 +535,7 @@ def _scan_in_workers(pending: list[int], jobs: int, finish: Callable[[ScanRecord
         send(conn)
 
     # built, loaded and looked up once here, so forked workers inherit them
-    casson_gordon._compiled_lanes()
+    _kernel._compiled_lanes()
     _mallopt()
     try:
         for _ in range(min(jobs, len(todo)) - 1):

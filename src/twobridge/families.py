@@ -49,6 +49,7 @@ from .conway import (
     BridgeFraction,
     ConwayWord,
     KnotClass,
+    _cf_fraction,
     canonical_class,
     cf_eval,
     cf_expand,
@@ -99,14 +100,17 @@ def generate(family: int, params: Sequence[int]) -> tuple[ConwayWord, BridgeFrac
         a, b = params
         if a == 0 or b == 0:
             raise DomainError("family parameters must satisfy a, b != 0")
-        if family == 1:
-            entries = (2 * a, 2, 2 * b, -2, -2 * a, 2 * b)
-        else:
-            entries = (2 * a, 2, 2 * b, 2 * a, 2, 2 * b)
+        entries = _pair_entries(family, a, b)
     else:
         raise DomainError(f"unknown family {family!r}, expected 0, 1 or 2")
-    word = ConwayWord(entries)
-    return word, cf_eval(word)
+    return ConwayWord(entries), _cf_fraction(entries)
+
+
+def _pair_entries(family: int, a: int, b: int) -> tuple[int, ...]:
+    """The entries of the family 1 or 2 word of a, b != 0."""
+    if family == 1:
+        return (2 * a, 2, 2 * b, -2, -2 * a, 2 * b)
+    return (2 * a, 2, 2 * b, 2 * a, 2, 2 * b)
 
 
 @dataclass(frozen=True)
@@ -359,13 +363,16 @@ def _ring(hi: int) -> Iterator[tuple[int, int, int, BridgeFraction, bool]]:
     these are all the pairs whose knot can have crossing <= hi.  ``outer``
     marks the outermost ring, on which the bound gives crossing > hi: a caller
     that finds it producing a knot of crossing <= hi raises InternalError.
+    Each fraction is :func:`generate`'s, folded straight from the pair's
+    entries, as the pairs are valid by construction.
     """
     bound = (hi - 4) // 4 + 1
     for family in (1, 2):
         for a in range(-bound, bound + 1):
             for b in range(-bound, bound + 1):
                 if a and b:
-                    yield family, a, b, generate(family, (a, b))[1], max(abs(a), abs(b)) == bound
+                    frac = _cf_fraction(_pair_entries(family, a, b))
+                    yield family, a, b, frac, max(abs(a), abs(b)) == bound
 
 
 @lru_cache(maxsize=None)

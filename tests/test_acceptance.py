@@ -7,10 +7,10 @@ All comparisons are exact; nothing here is tolerance-based.
 import functools
 from math import gcd, isqrt
 
+from twobridge._kernel import _oracle_quarters
 from twobridge.casson_gordon import (
     _column_quarters,
     _floorsum_quarters,
-    _oracle_quarters,
     cg_condition,
     sigma,
     weighted_count,

@@ -16,24 +16,26 @@ import hypothesis.strategies as st
 
 import numpy as np
 
-from twobridge import casson_gordon
-from twobridge.casson_gordon import (
-    INT64_MAX_P,
-    SigmaReport,
-    SigmaTerm,
-    _column_quarters,
+from twobridge import _kernel, casson_gordon
+from twobridge._kernel import (
     _compiled_lanes,
     _floor_sum_batch,
     _first_round_sums,
     _histogram_sums,
     _lane_sums,
     _oracle_quarters,
-    _prime_factors,
     _sigma_first_round,
     _sigma_steps,
-    _sigma_terms,
     _tested_blocks,
     _window_survivors,
+)
+from twobridge.casson_gordon import (
+    INT64_MAX_P,
+    SigmaReport,
+    SigmaTerm,
+    _column_quarters,
+    _prime_factors,
+    _sigma_terms,
     cg_condition,
     cg_survivors,
     coprime_mask,
@@ -282,7 +284,7 @@ def test_cg_survivors_run_numpy_without_the_c_library(monkeypatch):
     def refuse():
         raise AssertionError("cg_survivors asked for the C library")
 
-    monkeypatch.setattr(casson_gordon, "_compiled_lanes", refuse)
+    monkeypatch.setattr(_kernel, "_compiled_lanes", refuse)
     p = 151
     qs = coprime_qs(p)
     assert cg_survivors(p, qs).tolist() == [q for q in qs if passes(p, q)]
@@ -304,7 +306,7 @@ def test_batched_sigma_matches_and_is_symmetric_in_r(monkeypatch):
         qs = np.array(coprime_qs(p))
         expected = [[sigma(p, qq, rr) for rr in range(1, p)] for qq in qs.tolist()]
         for constant in [1, p + 1]:
-            monkeypatch.setattr(casson_gordon, "_TAIL_SWITCH", constant)
+            monkeypatch.setattr(_kernel, "_TAIL_SWITCH", constant)
             got = _sigma_steps(p, qs, 1, 1, p)
             assert got.tolist() == expected, (p, constant)
             assert (got == got[:, ::-1]).all(), p  # sigma(p, q, r) = sigma(p, q, p - r)
@@ -333,8 +335,8 @@ def test_first_round_sweep_matches_sigma_on_windows_up_to_the_int64_guard(p, dat
 @pytest.mark.parametrize("batch", [1, 2, 7, 64])
 def test_first_round_windows_keep_input_order(monkeypatch, batch):
     # unsorted q with repeats, spread over many windows of span < batch
-    monkeypatch.setattr(casson_gordon, "_BATCH", batch)
-    real = casson_gordon._first_round_sums
+    monkeypatch.setattr(_kernel, "_BATCH", batch)
+    real = _kernel._first_round_sums
     spans = []
 
     def first_round_sums(p, q):
@@ -342,7 +344,7 @@ def test_first_round_windows_keep_input_order(monkeypatch, batch):
         spans.append(int(q[-1] - q[0]))
         return real(p, q)
 
-    monkeypatch.setattr(casson_gordon, "_first_round_sums", first_round_sums)
+    monkeypatch.setattr(_kernel, "_first_round_sums", first_round_sums)
     p = 15
     rng = np.random.default_rng(batch)
     qs = rng.choice(coprime_qs(p), size=300)
@@ -366,10 +368,10 @@ def test_first_round_sums_match_the_floor_sum_up_to_the_int64_guard(p, data):
 def test_sparse_and_dense_input_give_the_same_survivors(monkeypatch):
     # consecutive q make one dense window, which the sweep takes; a sample of
     # them, or of q spread over the whole range, goes to the floor sum
-    real = casson_gordon._first_round_sums
+    real = _kernel._first_round_sums
     swept = []
     monkeypatch.setattr(
-        casson_gordon, "_first_round_sums", lambda p, q: swept.append(len(q)) or real(p, q)
+        _kernel, "_first_round_sums", lambda p, q: swept.append(len(q)) or real(p, q)
     )
     p = 1001
     dense = np.array([q for q in range(300_000, 320_000) if gcd(q, p) == 1])
@@ -395,9 +397,9 @@ def test_histogram_rows_match_the_lane_rows_exhaustive(monkeypatch):
     for p in range(3, 100, 2):
         qs = np.array(coprime_qs(p))
         end = (p + 1) // 2
-        monkeypatch.setattr(casson_gordon, "_TAIL_SWITCH", 1)
+        monkeypatch.setattr(_kernel, "_TAIL_SWITCH", 1)
         lanes = _sigma_steps(p, qs, 1, 1, end)
-        monkeypatch.setattr(casson_gordon, "_TAIL_SWITCH", p + 1)
+        monkeypatch.setattr(_kernel, "_TAIL_SWITCH", p + 1)
         for r0 in range(1, end) if p <= 45 else [1, 2, end - 1]:
             start = lanes[:, r0 - 2] if r0 > 1 else 1
             assert np.array_equal(_sigma_steps(p, qs, start, r0, end), lanes[:, r0 - 1 :]), (p, r0)
@@ -480,7 +482,7 @@ def assert_rows_meet_the_checksum(p, qs):
     qs = np.array(qs, dtype=np.int64)
     rows = [_sigma_first_round(p, qs)[:, None]]
     end = (p + 1) // 2
-    cut = min(max(2, p // casson_gordon._TAIL_SWITCH + 1), end)
+    cut = min(max(2, p // _kernel._TAIL_SWITCH + 1), end)
     for r0, r1 in [(2, cut), (cut, end)]:
         if r0 < r1:
             rows.append(_sigma_steps(p, qs, rows[-1][:, -1], r0, r1))
@@ -507,7 +509,7 @@ def test_tail_rows_meet_the_dedekind_checksum_up_to_the_int64_guard(p):
 def spy_steps(monkeypatch):
     """Record (r0, r1, len(q), whether the histogram gave T(b)) for every call
     of the numpy steps."""
-    steps, histogram = casson_gordon._sigma_steps, casson_gordon._histogram_sums
+    steps, histogram = _kernel._sigma_steps, _kernel._histogram_sums
     calls, histograms = [], []
 
     def sigma_steps(p, q, sigma, r0, r1):
@@ -516,8 +518,8 @@ def spy_steps(monkeypatch):
         calls.append((r0, r1, len(q), len(histograms) > before))
         return out
 
-    monkeypatch.setattr(casson_gordon, "_sigma_steps", sigma_steps)
-    monkeypatch.setattr(casson_gordon, "_histogram_sums",
+    monkeypatch.setattr(_kernel, "_sigma_steps", sigma_steps)
+    monkeypatch.setattr(_kernel, "_histogram_sums",
                         lambda *args: histograms.append(1) or histogram(*args))
     return calls
 
@@ -527,7 +529,7 @@ def test_tail_chunks_keep_input_order(monkeypatch, rows):
     # unsorted q with repeats, every survivor among them, in chunks of `rows`;
     # at p = 45 the histogram takes every r from 2
     p = 45
-    monkeypatch.setattr(casson_gordon, "_BATCH", rows * (p + 1))
+    monkeypatch.setattr(_kernel, "_BATCH", rows * (p + 1))
     calls = spy_steps(monkeypatch)
     rng = np.random.default_rng(rows)
     qs = coprime_qs(p)
@@ -549,7 +551,7 @@ def test_lanes_hand_over_to_the_histogram_at_every_r(monkeypatch):
         expected = [q for q in qs if passes(p, q)]
         end = (p + 1) // 2
         for constant in [1] + [Fraction(p, h - 1) for h in range(2, end)]:
-            monkeypatch.setattr(casson_gordon, "_TAIL_SWITCH", constant)
+            monkeypatch.setattr(_kernel, "_TAIL_SWITCH", constant)
             calls.clear()
             assert cg_survivors(p, qs).tolist() == expected, (p, constant)
             h = p // constant + 1
@@ -563,7 +565,7 @@ def test_lanes_hand_over_to_the_histogram_at_every_r(monkeypatch):
 needs_cc = pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
 
 
-WINDOWS = casson_gordon._windows  # the real windows, while a test patches them
+WINDOWS = _kernel._windows  # the real windows, while a test patches them
 
 
 def assert_windows_equal_the_numpy_front_end(monkeypatch, p, picks=None):
@@ -576,12 +578,12 @@ def assert_windows_equal_the_numpy_front_end(monkeypatch, p, picks=None):
     windows = list(WINDOWS(p))
     if picks is not None:
         windows = [windows[i] for i in picks]
-    monkeypatch.setattr(casson_gordon, "_windows", lambda p: iter(windows))
-    scratch = casson_gordon._window_scratch(p)
+    monkeypatch.setattr(_kernel, "_windows", lambda p: iter(windows))
+    scratch = _kernel._window_scratch(p)
     found = []
     for (lo, hi), qs in zip(windows, _tested_blocks(p), strict=True):
-        tested, survivors = casson_gordon._scan_window(lib, p, lo, hi, scratch)
-        expected = casson_gordon._window_survivors(p, qs)
+        tested, survivors = _kernel._scan_window(lib, p, lo, hi, scratch)
+        expected = _kernel._window_survivors(p, qs)
         assert (tested, survivors.tolist()) == (len(qs), expected.tolist()), (p, lo, hi)
         found.append(survivors.tolist())
     return found
@@ -597,7 +599,7 @@ def test_compiled_windows_equal_the_numpy_front_end_at_every_odd_p_to_401(monkey
 def test_compiled_windows_equal_the_numpy_front_end_on_small_windows(monkeypatch):
     # windows of 64 q put their edges everywhere: inside a residue class's
     # first p q, and shorter than p, where no q takes a lift from the one p before
-    monkeypatch.setattr(casson_gordon, "_BATCH", 64)
+    monkeypatch.setattr(_kernel, "_BATCH", 64)
     for p in range(3, 100, 2):
         assert_windows_equal_the_numpy_front_end(monkeypatch, p)
 
@@ -629,13 +631,24 @@ def test_compiled_window_refuses_a_window_its_scratch_cannot_hold():
     lib = _compiled_lanes()
     assert lib is not None
     p = 101
-    scratch = casson_gordon._window_scratch(p)
-    for lo, hi in [(0, 10), (10, 9), (1, casson_gordon._BATCH + 2), (p * p - 5, p * p + 1)]:
+    scratch = _kernel._window_scratch(p)
+    for lo, hi in [(0, 10), (10, 9), (1, _kernel._BATCH + 2), (p * p - 5, p * p + 1)]:
         with pytest.raises(ValueError):
-            casson_gordon._scan_window(lib, p, lo, hi, scratch)
+            _kernel._scan_window(lib, p, lo, hi, scratch)
     with pytest.raises(ValueError):
-        casson_gordon._scan_window(lib, p + 2, 1, 10, scratch)
-    assert casson_gordon._scan_window(lib, p, 7, 7, scratch)[0] == 0
+        _kernel._scan_window(lib, p + 2, 1, 10, scratch)
+    assert _kernel._scan_window(lib, p, 7, 7, scratch)[0] == 0
+
+
+@pytest.mark.parametrize("p", [3, 723, 725])
+def test_window_scratch_holds_the_widest_window_of_p_and_no_more(p):
+    # min(_BATCH, p^2 // 2) q: 723 has one window, below _BATCH, and 725 is the
+    # first p with two
+    units, steps, counts, out = _kernel._window_scratch(p)
+    spans = [hi - lo for lo, hi in _kernel._windows(p)]
+    assert len(spans) == (2 if p == 725 else 1)
+    assert len(steps) == len(out) == max(spans) == min(_kernel._BATCH, p * p // 2)
+    assert (len(units), len(counts)) == (3 * p, p + 1)
 
 
 @needs_cc
@@ -648,10 +661,10 @@ def test_compiled_kernel_hands_over_to_the_histogram_at_every_r(monkeypatch):
     for p in range(3, 62, 2):
         qs = np.concatenate(list(_tested_blocks(p))).tolist()
         expected = [q for q in qs if passes(p, q)]
-        scratch = casson_gordon._window_scratch(p)
+        scratch = _kernel._window_scratch(p)
         for constant in [1] + [Fraction(p, h - 1) for h in range(2, (p + 1) // 2)]:
-            monkeypatch.setattr(casson_gordon, "_TAIL_SWITCH", constant)
-            tested, survivors = casson_gordon._scan_window(lib, p, 1, p * p // 2 + 1, scratch)
+            monkeypatch.setattr(_kernel, "_TAIL_SWITCH", constant)
+            tested, survivors = _kernel._scan_window(lib, p, 1, p * p // 2 + 1, scratch)
             assert (tested, survivors.tolist()) == (len(qs), expected), (p, constant)
 
 
@@ -743,10 +756,10 @@ def package_copy(tmp_path):
 
 SCAN_DIGEST = """
 import hashlib
-from twobridge import casson_gordon, enumeration
+from twobridge import _kernel, enumeration
 records = enumeration.conjecture_scan(3, 151, jobs=2)
 lines = "".join(r.to_json_line() + "\\n" for r in records)
-print(casson_gordon._compiled_lanes() is not None, hashlib.sha256(lines.encode()).hexdigest())
+print(_kernel._compiled_lanes() is not None, hashlib.sha256(lines.encode()).hexdigest())
 """
 
 
@@ -782,10 +795,10 @@ def test_processes_building_into_an_empty_cache_at_once_all_load_the_library(tmp
     cache, env = package_copy(tmp_path)
     code = (
         "import sys\n"
-        "from twobridge import casson_gordon\n"
+        "from twobridge import _kernel\n"
         "print('ready', flush=True)\n"
         "sys.stdin.readline()\n"
-        "print(casson_gordon._compiled_lanes() is not None)\n"
+        "print(_kernel._compiled_lanes() is not None)\n"
     )
     procs = [
         subprocess.Popen([sys.executable, "-B", "-c", code], env=env, text=True,
@@ -867,9 +880,9 @@ def test_cg_survivors_next_to_the_int64_guard_keep_what_every_row_passes(monkeyp
     qs = qs[coprime_mask(qs, p)]
     sigma1 = _sigma_first_round(p, qs)
     alive, sigma1 = qs[np.abs(sigma1) == 1], sigma1[np.abs(sigma1) == 1]
-    hand_over = p // casson_gordon._TAIL_SWITCH
+    hand_over = p // _kernel._TAIL_SWITCH
     with monkeypatch.context() as patch:
-        patch.setattr(casson_gordon, "_TAIL_SWITCH", p + 1)
+        patch.setattr(_kernel, "_TAIL_SWITCH", p + 1)
         rows = [_sigma_steps(p, alive[k : k + 5], sigma1[k : k + 5], 2, (p + 1) // 2)
                 for k in range(0, len(alive), 5)]
     bad = np.abs(np.concatenate(rows)) != 1
@@ -896,7 +909,7 @@ def test_window_survivors_past_the_int64_guard(p):
     survivors = _window_survivors(p, qs).tolist()
     assert survivors == [q for q, r in zip(qs.tolist(), first) if r == 0]
     assert {p + 1, p * p - p - 1} <= set(survivors)
-    assert max(first) > p // casson_gordon._TAIL_SWITCH
+    assert max(first) > p // _kernel._TAIL_SWITCH
 
 
 @needs_cc

@@ -14,7 +14,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from twobridge import casson_gordon, cli, enumeration
+from twobridge import _kernel, cli, enumeration
 from twobridge.casson_gordon import SigmaTerm, cg_condition, weighted_count
 from twobridge.cli import execute
 
@@ -567,13 +567,13 @@ def test_main_keeps_freed_memory_before_it_executes(monkeypatch):
 
 
 def test_internal_error_exits_2(capsys, monkeypatch):
-    real = casson_gordon._scan_windows
+    real = _kernel._scan_windows
 
     def scan_windows(p):  # loses the ribbon knot p^2/(p-1)
         for tested, q in real(p):
             yield tested, q[q != p - 1]
 
-    monkeypatch.setattr(casson_gordon, "_scan_windows", scan_windows)
+    monkeypatch.setattr(_kernel, "_scan_windows", scan_windows)
     code, out, err = run(capsys, ["scan", "--min-p", "3", "--max-p", "5", "--jobs", "1"])
     assert code == 2 and out == ""
     assert err.splitlines()[-1].startswith("internal error: ")

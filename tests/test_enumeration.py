@@ -16,8 +16,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from twobridge import casson_gordon, enumeration
-from twobridge.casson_gordon import INT64_MAX_P, SigmaTerm, _tested_blocks, cg_survivors
+from twobridge import _kernel, enumeration
+from twobridge._kernel import _tested_blocks
+from twobridge.casson_gordon import INT64_MAX_P, SigmaTerm, cg_survivors
 from twobridge.conway import ConwayWord, canonical_class, cf_eval
 from twobridge.enumeration import (
     ScanRecord,
@@ -423,16 +424,16 @@ def test_orbit_count_is_the_number_of_q_tested():
 
 
 def test_scan_raises_when_orbit_selection_miscounts(monkeypatch):
-    real = casson_gordon._scan_windows
+    real = _kernel._scan_windows
     # one q lost from the count of each window: p = 11 has one and tests 27 q, not 28
-    monkeypatch.setattr(casson_gordon, "_scan_windows", lambda p: ((n - 1, kept) for n, kept in real(p)))
+    monkeypatch.setattr(_kernel, "_scan_windows", lambda p: ((n - 1, kept) for n, kept in real(p)))
     with pytest.raises(InternalError, match="tested 27 q, not 28"):
         _scan_single_p(11)
 
 
 def test_scan_by_small_blocks_gives_the_same_records(monkeypatch):
     whole = {p: _scan_single_p(p) for p in range(3, 100, 2)}
-    monkeypatch.setattr(casson_gordon, "_BATCH", 64)
+    monkeypatch.setattr(_kernel, "_BATCH", 64)
     for p in range(3, 100, 2):
         assert _scan_single_p(p) == whole[p], p
 
@@ -440,10 +441,10 @@ def test_scan_by_small_blocks_gives_the_same_records(monkeypatch):
 def test_each_scan_block_is_one_first_round_window(monkeypatch):
     # p = 1001 has 2 blocks of _BATCH consecutive q below p^2 / 2: one sweep each
     # on the numpy route, one scan_window call each on the C route
-    sweep, window = casson_gordon._first_round_sums, casson_gordon._scan_window
+    sweep, window = _kernel._first_round_sums, _kernel._scan_window
     calls = []
     monkeypatch.setattr(
-        casson_gordon, "_first_round_sums", lambda p, q: calls.append(len(q)) or sweep(p, q)
+        _kernel, "_first_round_sums", lambda p, q: calls.append(len(q)) or sweep(p, q)
     )
 
     def scan_window(*args):
@@ -451,7 +452,7 @@ def test_each_scan_block_is_one_first_round_window(monkeypatch):
         calls.append(tested)
         return tested, survivors
 
-    monkeypatch.setattr(casson_gordon, "_scan_window", scan_window)
+    monkeypatch.setattr(_kernel, "_scan_window", scan_window)
     record = _scan_single_p(1001)
     assert len(calls) == 2 and sum(calls) == record.q_tested
 
@@ -463,17 +464,17 @@ def test_scan_windows_take_the_library_where_it_loads_and_numpy_elsewhere(monkey
     # where the library loads, _window_survivors alone where it does not, with
     # the same tested count and survivors in every window
     calls = []
-    window, survivors = casson_gordon._scan_window, casson_gordon._window_survivors
-    monkeypatch.setattr(casson_gordon, "_scan_window", lambda *a: calls.append("C") or window(*a))
-    monkeypatch.setattr(casson_gordon, "_window_survivors", lambda *a: calls.append("numpy") or survivors(*a))
+    window, survivors = _kernel._scan_window, _kernel._window_survivors
+    monkeypatch.setattr(_kernel, "_scan_window", lambda *a: calls.append("C") or window(*a))
+    monkeypatch.setattr(_kernel, "_window_survivors", lambda *a: calls.append("numpy") or survivors(*a))
 
     def windows():
         calls.clear()
-        return [(n, kept.tolist()) for n, kept in casson_gordon._scan_windows(p)]
+        return [(n, kept.tolist()) for n, kept in _kernel._scan_windows(p)]
 
     compiled = windows()
-    assert calls == ["C"] * len(list(casson_gordon._windows(p)))
-    monkeypatch.setattr(casson_gordon, "_compiled_lanes", lambda: None)
+    assert calls == ["C"] * len(list(_kernel._windows(p)))
+    monkeypatch.setattr(_kernel, "_compiled_lanes", lambda: None)
     assert windows() == compiled
     assert calls == ["numpy"] * len(compiled)
 
@@ -499,9 +500,9 @@ def test_scan_matches_the_benchmark_reference_digest():
 )
 def test_scan_raises_when_the_batched_kernel_disagrees(monkeypatch, wrong, match):
     # each window's survivors replaced, given the q it tests
-    real = casson_gordon._scan_windows
+    real = _kernel._scan_windows
     monkeypatch.setattr(
-        casson_gordon,
+        _kernel,
         "_scan_windows",
         lambda p: ((n, wrong(qs, kept)) for (n, kept), qs in zip(real(p), _tested_blocks(p))),
     )
@@ -829,19 +830,19 @@ def test_a_parallel_scan_loads_the_library_once_before_the_workers_fork(monkeypa
     # counted across processes: a worker that forked before the load would try
     # again in its own process, library or None (no compiler) alike
     loads = multiprocessing.Value("i", 0)
-    real = casson_gordon._load_lanes
+    real = _kernel._load_lanes
 
     def load():
         with loads.get_lock():
             loads.value += 1
         return real()
 
-    monkeypatch.setattr(casson_gordon, "_load_lanes", load)
-    casson_gordon._compiled_lanes.cache_clear()
+    monkeypatch.setattr(_kernel, "_load_lanes", load)
+    _kernel._compiled_lanes.cache_clear()
     try:
         assert conjecture_scan(3, 61, jobs=2)[-1].p == 61
     finally:
-        casson_gordon._compiled_lanes.cache_clear()
+        _kernel._compiled_lanes.cache_clear()
     assert loads.value == 1
 
 

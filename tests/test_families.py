@@ -12,6 +12,7 @@ from twobridge.families import (
     ConditionMatch,
     _member_families,
     _partial_from_matches,
+    _ring,
     build_family_index,
     family0_identity_holds,
     family_conditions,
@@ -365,6 +366,18 @@ def test_family12_crossing_is_at_least_four_per_ring_plus_four():
                 _, frac = generate(family, (a, b))
                 if not frac.is_link:
                     assert canonical_class(frac).crossing >= 4 * max(abs(a), abs(b)) + 4, (family, a, b)
+
+
+def test_ring_fractions_are_the_generated_ones():
+    # _ring folds each pair's entries without generate's checks and word: the
+    # same fraction for every pair of every ring up to crossing 40, in order
+    pairs = [(family, a, b) for family in (1, 2)
+             for a in range(-10, 11) for b in range(-10, 11) if a and b]
+    ring = list(_ring(40))
+    assert [(family, a, b) for family, a, b, _, _ in ring] == pairs
+    for family, a, b, frac, outer in ring:
+        assert frac == generate(family, (a, b))[1], (family, a, b)
+        assert outer == (max(abs(a), abs(b)) == 10)
 
 
 def test_member_lookup_agrees_with_the_index():
