@@ -39,14 +39,15 @@ when called, and the scan imports it when it runs, so ``import
 twobridge`` and every CLI command but ``scan`` load neither numpy nor
 the library.  The public limit of the batched routes is
 INT64_MAX_P = 46,340: :func:`cg_survivors`, the scan and its checkpoint
-records refuse larger p.  :func:`cg_condition` and :func:`sigma` run on
-Python ints and stay exact for any p.  The report of
-:func:`cg_condition`, like the all-r output of the ``sigma`` command,
-counts every term at r = 1..p-1 in one O(p) pass over the blocks of the
-histogram, on Python ints.  :func:`weighted_count`, :func:`sigma` and
-``sigma --r`` stay per-r floor sums: they count every r they are given,
-so they are the independent reference for the block pass, and the scan
-re-derives its least survivor with the floor sum behind :func:`sigma`.
+records refuse larger p, all by :func:`_validate_int64_p`.
+:func:`cg_condition` and :func:`sigma` run on Python ints and stay exact
+for any p.  The report of :func:`cg_condition`, like the all-r output of
+the ``sigma`` command, counts every term at r = 1..p-1 in one O(p) pass
+over the blocks of the histogram, on Python ints.  :func:`weighted_count`,
+:func:`sigma` and ``sigma --r`` stay per-r floor sums: they count every
+r they are given, so they are the independent reference for the block
+pass, and the scan re-derives its least survivor with the floor sum
+behind :func:`sigma`.
 
 The batched routes, and the scan's check of its least survivor, stop at
 r = (p-1)/2 because sigma(p, q, r) = sigma(p, q, p-r).  With N = p^2 and
@@ -137,8 +138,6 @@ def validate_knot(p: int, q: int) -> None:
     if p < 3 or p % 2 == 0:
         raise DomainError(f"need odd p >= 3, got {p}")
     validate_pq(p, q)
-
-
 
 
 def _quarters(p, q, r, below):
@@ -348,10 +347,16 @@ def coprime_mask(q: np.ndarray, p: int) -> np.ndarray:
 
 
 def _validate_int64_p(p: int) -> None:
-    """Require the p of the batched routes: odd, 3 <= p <= INT64_MAX_P."""
+    """Require the p of the batched routes: odd, 3 <= p <= INT64_MAX_P.
+
+    The one refusal of their public limit, for :func:`cg_survivors`, the
+    scan's ``p_max`` and its checkpoint records alike."""
     validate_knot(p, 1)
     if p > INT64_MAX_P:
-        raise DomainError(f"need p <= {INT64_MAX_P} for exact int64, got {p}")
+        raise DomainError(
+            f"need p <= INT64_MAX_P = {INT64_MAX_P}, the public limit of the scan "
+            f"and cg_survivors, got {p}"
+        )
 
 
 def cg_survivors(p: int, qs) -> np.ndarray:

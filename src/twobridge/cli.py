@@ -370,14 +370,17 @@ def execute(argv: list[str] | None = None) -> int:
 def main() -> None:
     """The ``twobridge`` command: run :func:`execute` on sys.argv and exit with its code.
 
-    The command's process keeps the heap memory it frees (glibc only, by
-    ``enumeration._keep_freed_memory``), as scan workers do, so the p it
-    scans on the numpy route, at any ``--jobs``, stop faulting their
-    temporaries in again at every window (the C route allocates nothing per
-    window); library callers of :func:`execute` and the scan functions keep
-    their allocator as it was.
+    The ``scan`` command's process keeps the heap memory it frees (glibc
+    only, by ``enumeration._keep_freed_memory``), as every scan worker does,
+    so the p it scans on the numpy route, at any ``--jobs``, stop faulting
+    their temporaries in again at every window (the C route allocates
+    nothing per window).  No option comes before the subcommand, so
+    ``sys.argv[1]`` names it.  Every other command, and library callers of
+    :func:`execute` and the scan functions, keep their allocator as it was
+    and load no ``ctypes`` for it.
     """
-    enumeration._keep_freed_memory()
+    if sys.argv[1:2] == ["scan"]:
+        enumeration._keep_freed_memory()
     try:
         code = execute()
         sys.stdout.flush()

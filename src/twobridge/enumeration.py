@@ -24,13 +24,14 @@ numpy and the C library, and ``multiprocessing`` are imported inside the
 scan code that uses them, so importing this module, and every CLI
 command but ``scan``, loads none of them.  p is at most
 :data:`casson_gordon.INT64_MAX_P`, which :func:`conjecture_scan`
-checks.  At every p the number of q tested must be the number of orbits,
-in closed form by :func:`_orbit_count`, every family member must survive
-(the families are ribbon) and the least survivor is re-derived at every
-r < p/2 by the Python-int floor sum behind :func:`casson_gordon.sigma`,
-which shares nothing with the kernel's tail, validated once, not per r;
-its :func:`casson_gordon.cg_condition` report must give the same terms there.
-A disagreement raises :class:`InternalError`.
+checks by :func:`casson_gordon._validate_int64_p`.  At every p the
+number of q tested must be the number of orbits, in closed form by
+:func:`_orbit_count`, every family member must survive (the families
+are ribbon) and the least survivor is re-derived at every r < p/2 by the
+Python-int floor sum behind :func:`casson_gordon.sigma`, which shares
+nothing with the kernel's tail; its :func:`casson_gordon.cg_condition`
+report, which validates the knot once, not per r, must give the same
+terms there.  A disagreement raises :class:`InternalError`.
 
 One schedule runs every job count.  With J jobs the scan's own process
 is one of them: it forks J - 1 workers, never more than one fewer than
@@ -55,13 +56,13 @@ ascending p, and the result is in ascending p whatever the schedule, so
 resumed scans finish with byte-identical output.  A resume takes back
 only the lines, up to the first other one, that are exactly what the
 scan writes (:meth:`ScanRecord.from_json_line`), and refuses a file that
-does not start with one rather than overwrite it.  Each worker
-process, and the CLI's own process, keeps the heap memory it frees
-(glibc only, :func:`_keep_freed_memory`), so what it allocates again is
+does not start with one rather than overwrite it.  The ``scan``
+command's process and every scan worker keep the heap memory they free
+(glibc only, :func:`_keep_freed_memory`), so what they allocate again is
 not faulted in afresh: the numpy route's temporaries at every window, and
-the per-p scratch on the C route, whose windows allocate nothing.  A
-library caller's process, which scans p of its own at any job count,
-keeps its allocator as it was.
+the per-p scratch on the C route, whose windows allocate nothing.  Every
+other command, and a library caller's process, which scans p of its own
+at any job count, keeps its allocator as it was.
 """
 
 from __future__ import annotations
@@ -76,14 +77,7 @@ from functools import cache
 from math import isqrt
 from typing import Callable, Iterator
 
-from .casson_gordon import (
-    INT64_MAX_P,
-    _floorsum_sigma,
-    _prime_factors,
-    _validate_int64_p,
-    cg_condition,
-    validate_knot,
-)
+from .casson_gordon import _floorsum_sigma, _prime_factors, _validate_int64_p, cg_condition
 from .conway import BridgeFraction, KnotClass, is_amphicheiral, orbit_qs
 # perfbench/spans.py traces cf_eval and canonical_class under this module's
 # names as well as conway's, so they stay bound here though nothing calls them
@@ -360,13 +354,13 @@ def _scan_single_p(p: int) -> ScanRecord:
     if missing:
         raise InternalError(f"the batched kernel rejects the ribbon knot {p * p}/{min(missing)}")
     least = passing[0]
-    validate_knot(p, least)  # once, not at every r
+    report = cg_condition(p, least)  # validates the knot once, not at every r
     counted = [_floorsum_sigma(p, least, r) for r in range(1, (p + 1) // 2)]
     if any(abs(s) != 1 for s in counted):
         raise InternalError(
             f"the batched kernel passes {p * p}/{least}, which the floor-sum sigma rejects"
         )
-    if [t.sigma for t in cg_condition(p, least).terms[: len(counted)]] != counted:
+    if [t.sigma for t in report.terms[: len(counted)]] != counted:
         raise InternalError(
             f"the cg_condition report of {p * p}/{least} differs from the floor-sum sigma"
         )
@@ -424,10 +418,11 @@ def _keep_freed_memory() -> tuple[int, ...]:
     threshold: the trim threshold alone faulted more than the default.  The
     heap's growth step (M_TOP_PAD) keeps glibc's default, as 64 MiB made no
     measured difference.  A no-op, returning (), off glibc or where
-    ``mallopt`` is missing.  It changes the whole process, so only scan
-    workers and :func:`cli.main` call it, never code a library user calls.
-    The handle comes from :func:`_mallopt`, which a parallel scan makes
-    before its workers fork, so they only call it.
+    ``mallopt`` is missing.  It changes the whole process, so only the
+    ``scan`` command's process (:func:`cli.main`) and every scan worker
+    call it, never code a library user calls.  The handle comes from
+    :func:`_mallopt`, which a parallel scan makes before its workers fork,
+    so they only call it.
     """
     mallopt = _mallopt()
     if mallopt is None:
@@ -659,10 +654,7 @@ def conjecture_scan(
         p_max -= 1
     if not 3 <= p_min <= p_max:
         raise DomainError(f"need 3 <= p_min <= p_max after rounding, got {p_min}..{p_max}")
-    if p_max > INT64_MAX_P:
-        raise DomainError(
-            f"need p_max <= INT64_MAX_P = {INT64_MAX_P}, the scan's public limit, got {p_max}"
-        )
+    _validate_int64_p(p_max)
     if checkpoint == "":
         raise DomainError("the checkpoint path is empty")
 

@@ -118,4 +118,5 @@ def test_the_cli_entry_imports_neither_numpy_nor_multiprocessing():
     assert (proc.returncode, proc.stdout) == (1, "FAIL 121/7 at r=1: sigma=-7\n")
     imported = [line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()]
     assert "twobridge.cli" in imported
-    assert [name for name in imported if name.split(".")[0] in ("numpy", "multiprocessing")] == []
+    forbidden = ("numpy", "multiprocessing", "ctypes")
+    assert [name for name in imported if name.split(".")[0] in forbidden] == []

@@ -823,7 +823,7 @@ def test_processes_building_into_an_empty_cache_at_once_all_load_the_library(tmp
 
 def test_int64_guard_is_the_largest_p_with_p4_below_2_62():
     assert INT64_MAX_P**4 < 2**62 <= (INT64_MAX_P + 1) ** 4
-    with pytest.raises(DomainError, match="int64"):
+    with pytest.raises(DomainError, match="INT64_MAX_P"):
         cg_survivors(INT64_MAX_P + 1, [1])  # the least odd p above the guard
 
 

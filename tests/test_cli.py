@@ -15,8 +15,9 @@ import pytest
 from hypothesis import given, settings
 
 from twobridge import _kernel, cli, enumeration
-from twobridge.casson_gordon import SigmaTerm, cg_condition, weighted_count
+from twobridge.casson_gordon import SigmaTerm, cg_condition, cg_survivors, weighted_count
 from twobridge.cli import execute
+from twobridge.errors import DomainError
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -524,10 +525,31 @@ def test_scan_above_the_int64_guard_exits_2(capsys, tmp_path):
 
 def test_scan_refusal_names_the_public_limit(capsys):
     # both routes are exact far above the limit (to p = 2,097,151), so the line
-    # names it as the scan's public limit, not as an int64 bound
+    # names it as a public limit, not as an int64 bound
     code, out, err = run(capsys, ["scan", "--min-p", "46339", "--max-p", "46342"])
     assert (code, out) == (2, "")
-    assert err == "error: need p_max <= INT64_MAX_P = 46340, the scan's public limit, got 46341\n"
+    assert err == (
+        "error: need p <= INT64_MAX_P = 46340, the public limit of the scan and cg_survivors, "
+        "got 46341\n"
+    )
+
+
+def test_every_refusal_of_the_public_limit_says_the_same(capsys):
+    # cg_survivors, the scan and a checkpoint record refuse p = 46,341 by one
+    # check, and the CLI prints its words after "error: "
+    line = '{"p": 46341, "q_tested": 1, "cg_passing": [], "non_family": []}'
+    messages = set()
+    for refuse in (
+        lambda: cg_survivors(46341, [1]),
+        lambda: enumeration.conjecture_scan(3, 46341),
+        lambda: enumeration.ScanRecord.from_json_line(line),
+    ):
+        with pytest.raises(DomainError) as caught:
+            refuse()
+        messages.add(str(caught.value))
+    assert len(messages) == 1
+    code, out, err = run(capsys, ["scan", "--min-p", "3", "--max-p", "46341"])
+    assert (code, out, err) == (2, "", f"error: {messages.pop()}\n")
 
 
 def test_scan_reports_a_counterexample_candidate(capsys, monkeypatch):
@@ -557,13 +579,24 @@ def test_execute_scan_keeps_the_callers_allocator(capsys, monkeypatch, jobs):
     assert calls == []
 
 
-def test_main_keeps_freed_memory_before_it_executes(monkeypatch):
-    order = []
-    monkeypatch.setattr(enumeration, "_keep_freed_memory", lambda: order.append("keep"))
-    monkeypatch.setattr(cli, "execute", lambda: order.append("execute") or 0)
+@pytest.mark.parametrize(
+    "argv, order",
+    [
+        (["scan", "--min-p", "3", "--max-p", "31"], ["keep", "execute"]),
+        # every other command keeps glibc's allocator, and loads no ctypes for it
+        (["cg-check", "11", "7"], ["execute"]),
+        (["table", "--max-crossing", "5"], ["execute"]),
+    ],
+    ids=["scan", "cg-check", "table"],
+)
+def test_main_keeps_freed_memory_before_it_executes(monkeypatch, argv, order):
+    calls = []
+    monkeypatch.setattr(sys, "argv", ["twobridge", *argv])
+    monkeypatch.setattr(enumeration, "_keep_freed_memory", lambda: calls.append("keep"))
+    monkeypatch.setattr(cli, "execute", lambda: calls.append("execute") or 0)
     with pytest.raises(SystemExit) as caught:
         cli.main()
-    assert caught.value.code == 0 and order == ["keep", "execute"]
+    assert caught.value.code == 0 and calls == order
 
 
 def test_internal_error_exits_2(capsys, monkeypatch):
